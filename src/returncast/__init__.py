@@ -16,7 +16,6 @@ from .core import (
     GenerationSeries,
     MonthIndex,
     MonthInterval,
-    Provenance,
     align,
 )
 from .errors import MissingGaError, NumericError, ValidationError
@@ -35,7 +34,6 @@ __all__ = [
     "MonthIndex",
     "MonthInterval",
     "NumericError",
-    "Provenance",
     "ValidationError",
     "align",
     "__version__",

@@ -16,7 +16,7 @@ import numpy as np
 from .core import FeatureSeries, GaCalendar, GenerationId, MonthIndex
 from .errors import MissingGaError
 from .analysis import SeasonalDecomposition
-from .ewa import deviation, pad
+from .ewa import EwaThresholds, deviation, pad
 from .models import ForecastSeries
 
 log = logging.getLogger(__name__)
@@ -25,7 +25,7 @@ DEFAULT_PAD_THRESHOLD = 10.0
 DEFAULT_FACTOR_BOUNDS = (0.5, 2.0)
 DEFAULT_SEASONAL_DAMP = 0.8
 DEFAULT_ONSET_MONTHS = 12
-DEFAULT_LOOKBACK = 3
+DEFAULT_LOOKBACK = EwaThresholds.lookback_months
 
 
 @dataclass(frozen=True)

@@ -373,66 +373,3 @@ def decompose_seasonal(
         residual=part("residual", residual),
         period=period,
     )
-
-
-# ------------------------------------------------------------ causal flags
-
-
-@dataclass(frozen=True)
-class CausalFactorFlags:
-    """Per-generation event markers that annotate (not drive) the forecast.
-
-    GA months come from the calendar; the rest are manual flags for events
-    with no operational definition (recorded for the report, optionally used
-    as exclusion masks).
-    """
-
-    generation: GenerationId
-    ga_next: MonthIndex | None
-    ga_next2: MonthIndex | None
-    fire_sale: frozenset[MonthIndex] = frozenset()
-    economic_event: frozenset[MonthIndex] = frozenset()
-    engineering_change: frozenset[MonthIndex] = frozenset()
-    cross_generation_part: bool = False
-
-    @classmethod
-    def derive(
-        cls,
-        generation: GenerationId,
-        calendar: GaCalendar,
-        fire_sale: frozenset[MonthIndex] = frozenset(),
-        economic_event: frozenset[MonthIndex] = frozenset(),
-        engineering_change: frozenset[MonthIndex] = frozenset(),
-        cross_generation_part: bool = False,
-    ) -> "CausalFactorFlags":
-        nxt = calendar.successor(generation)
-        after = calendar.successor(nxt.generation) if nxt is not None else None
-        return cls(
-            generation=generation,
-            ga_next=nxt.ga_month if nxt is not None else None,
-            ga_next2=after.ga_month if after is not None else None,
-            fire_sale=frozenset(fire_sale),
-            economic_event=frozenset(economic_event),
-            engineering_change=frozenset(engineering_change),
-            cross_generation_part=bool(cross_generation_part),
-        )
-
-    def annotations(self, month: MonthIndex) -> tuple[str, ...]:
-        """Flag names active at a month, in stable order for reporting."""
-        out = []
-        if self.ga_next == month:
-            out.append("ga_next")
-        if self.ga_next2 == month:
-            out.append("ga_next2")
-        if month in self.fire_sale:
-            out.append("fire_sale")
-        if month in self.economic_event:
-            out.append("economic_event")
-        if month in self.engineering_change:
-            out.append("engineering_change")
-        return tuple(out)
-
-    def exclusion_mask(self, interval: MonthInterval) -> np.ndarray:
-        """True at months flagged with a manual event inside `interval`."""
-        manual = self.fire_sale | self.economic_event | self.engineering_change
-        return np.array([m in manual for m in interval], dtype=bool)

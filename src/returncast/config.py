@@ -2,59 +2,77 @@
 
 The method scatters a dozen magic numbers (sigma cuts, lag sets, phase
 lengths, alert thresholds); they all live here so a deployment can audit
-and override them in one place. Every value has a working default.
+and override them in one place. Every value has a working default, written
+once: on the dataclass field, or on the module constant the field reads.
+The INI loader and the reference text `DEFAULT_CONFIG_TEXT` are both
+generated from these dataclasses, so a key exists exactly when its field
+does.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, get_type_hints
 
-from .analysis import StrengthThresholds
+from .adjust import (
+    DEFAULT_FACTOR_BOUNDS,
+    DEFAULT_ONSET_MONTHS,
+    DEFAULT_PAD_THRESHOLD,
+    DEFAULT_SEASONAL_DAMP,
+)
+from .analysis import (
+    DEFAULT_PLATEAU_MONTHS,
+    DEFAULT_RAMP_UP_MONTHS,
+    DEFAULT_SEASONAL_PERIOD,
+    MIN_GENEALOGY_OVERLAP,
+    StrengthThresholds,
+)
 from .errors import ValidationError
 from .ewa import SIGNED_WEIGHTS, EwaThresholds, ScoreWeights
-
-DEFAULT_LAGS = (24, 30, 42, 48, 54)
-DEFAULT_MOVING_AVERAGES = (3, 6)
+from .models import cart, chaid, neural, timeseries
+from .models.base import DEFAULT_Z_MULTIPLIER, TRAIN_FRACTION
+from .prep import RECEIPT_EXCLUSION_MONTHS
+from .preprocess import DEFAULT_SIGMA_MULTIPLIER, DEFAULT_SMOOTHING_WINDOW
 
 
 @dataclass(frozen=True)
 class PrepConfig:
-    lags: tuple[int, ...] = DEFAULT_LAGS
-    moving_averages: tuple[int, ...] = DEFAULT_MOVING_AVERAGES
-    receipt_exclusion_months: int = 6
+    lags: tuple[int, ...] = (24, 30, 42, 48, 54)
+    moving_averages: tuple[int, ...] = (3, 6)
+    receipt_exclusion_months: int = RECEIPT_EXCLUSION_MONTHS
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    sigma_multiplier: float = 3.0
-    smoothing_window: int = 3
+    sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER
+    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    # INI keys `medium_at` and `strong_at`, directly under [analysis]
     strength: StrengthThresholds = field(default_factory=StrengthThresholds)
-    ramp_up_months: int = 15
-    plateau_months: int = 10
-    seasonal_period: int = 12
-    min_genealogy_overlap: int = 6
+    ramp_up_months: int = DEFAULT_RAMP_UP_MONTHS
+    plateau_months: int = DEFAULT_PLATEAU_MONTHS
+    seasonal_period: int = DEFAULT_SEASONAL_PERIOD
+    min_genealogy_overlap: int = MIN_GENEALOGY_OVERLAP
 
 
 @dataclass(frozen=True)
 class ModelsConfig:
-    train_fraction: float = 0.7
-    z_multiplier: float = 1.96
-    cart_min_leaf: int = 5
-    cart_max_depth: int = 4
-    chaid_min_segment: int = 5
-    chaid_merge_alpha: float = 0.05
-    chaid_split_alpha: float = 0.05
-    nn_hidden_units: int = 8
-    nn_epochs: int = 2000
-    nn_learning_rate: float = 0.01
+    train_fraction: float = TRAIN_FRACTION
+    z_multiplier: float = DEFAULT_Z_MULTIPLIER
+    cart_min_leaf: int = cart.DEFAULT_MIN_LEAF
+    cart_max_depth: int = cart.DEFAULT_MAX_DEPTH
+    chaid_min_segment: int = chaid.DEFAULT_MIN_SEGMENT
+    chaid_merge_alpha: float = chaid.DEFAULT_MERGE_ALPHA
+    chaid_split_alpha: float = chaid.DEFAULT_SPLIT_ALPHA
+    nn_hidden_units: int = neural.DEFAULT_HIDDEN_UNITS
+    nn_epochs: int = neural.DEFAULT_EPOCHS
+    nn_learning_rate: float = neural.DEFAULT_LEARNING_RATE
     ts_seasonal: bool = False
-    ts_period: int = 12
+    ts_period: int = timeseries.DEFAULT_PERIOD
     seed: int = 0
     include_polynomial: bool = False
     include_phasewise: bool = False
@@ -62,11 +80,11 @@ class ModelsConfig:
 
 @dataclass(frozen=True)
 class AdjustConfig:
-    pad_threshold: float = 10.0
-    factor_min: float = 0.5
-    factor_max: float = 2.0
-    seasonal_damp: float = 0.8
-    onset_months: int = 12
+    pad_threshold: float = DEFAULT_PAD_THRESHOLD
+    factor_min: float = DEFAULT_FACTOR_BOUNDS[0]
+    factor_max: float = DEFAULT_FACTOR_BOUNDS[1]
+    seasonal_damp: float = DEFAULT_SEASONAL_DAMP
+    onset_months: int = DEFAULT_ONSET_MONTHS
     apply_seasonal: bool = True
 
 
@@ -79,6 +97,8 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class AppConfig:
+    """One field per INI section, named after it."""
+
     prep: PrepConfig = field(default_factory=PrepConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
@@ -88,169 +108,109 @@ class AppConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {raw!r}") from None
+# `[ewa] weights` names a preset rather than spelling out the three weights
+WEIGHT_PRESETS = {"literal": ScoreWeights(), "signed": SIGNED_WEIGHTS}
 
 
-def _weights(parser: configparser.ConfigParser) -> ScoreWeights:
-    preset = parser.get("ewa", "weights", fallback="literal").strip().lower()
-    if preset == "literal":
-        return ScoreWeights()
-    if preset == "signed":
-        return SIGNED_WEIGHTS
-    raise ValidationError(f"ewa weights preset must be 'literal' or 'signed', got {preset!r}")
+def _keys(section) -> Iterator[tuple[str, object, object]]:
+    """(INI key, type, value) for each field of one section, in field order.
+
+    The strength thresholds are the one nested dataclass whose fields are
+    keys of the enclosing section.
+    """
+    hints = get_type_hints(type(section))
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, StrengthThresholds):
+            yield from _keys(value)
+        else:
+            yield f.name, hints[f.name], value
+
+
+def _parse(kind, raw: str):
+    if kind is bool:
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"not a boolean: {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    if kind is ScoreWeights:
+        if raw.lower() not in WEIGHT_PRESETS:
+            raise ValueError(f"weights preset must be one of {sorted(WEIGHT_PRESETS)}")
+        return WEIGHT_PRESETS[raw.lower()]
+    if kind == tuple[int, ...]:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    return kind(raw)
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    if isinstance(value, ScoreWeights):
+        return next(name for name, preset in WEIGHT_PRESETS.items() if preset == value)
+    return str(value)
+
+
+def _override(section, values: dict):
+    """`section` with the given key values in place of its own."""
+    changes = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, StrengthThresholds):
+            changes[f.name] = _override(value, values)
+        elif f.name in values:
+            changes[f.name] = values[f.name]
+    return replace(section, **changes)
 
 
 def load_config(path: Optional[str | Path] = None) -> AppConfig:
-    """Read an INI config; a missing path or absent keys keep the defaults."""
-    parser = configparser.ConfigParser()
+    """Read an INI config; a missing path or absent keys keep the defaults.
+
+    Unknown sections or keys are rejected, so a misspelt key cannot be
+    silently ignored.
+    """
+    # no %-interpolation: a stray `%` is then a bad value, not a traceback
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        text = Path(path).read_text()
         try:
-            parser.read_string(text)
+            parser.read_string(Path(path).read_text())
         except configparser.Error as exc:
             raise ValidationError(f"bad config file {path}: {exc}") from exc
 
-    def get(section, option, default, conv):
-        if not parser.has_option(section, option):
-            return default
-        raw = parser.get(section, option)
-        try:
-            if conv is bool:
-                return parser.getboolean(section, option)
-            return conv(raw)
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"bad config value [{section}] {option} = {raw!r}: {exc}") from None
-
-    prep = PrepConfig(
-        lags=get("prep", "lags", DEFAULT_LAGS, _int_list),
-        moving_averages=get("prep", "moving_averages", DEFAULT_MOVING_AVERAGES, _int_list),
-        receipt_exclusion_months=get("prep", "receipt_exclusion_months", 6, int),
-    )
-    preprocess = PreprocessConfig(
-        sigma_multiplier=get("preprocess", "sigma_multiplier", 3.0, float),
-        smoothing_window=get("preprocess", "smoothing_window", 3, int),
-    )
-    analysis = AnalysisConfig(
-        strength=StrengthThresholds(
-            medium_at=get("analysis", "medium_at", 0.15, float),
-            strong_at=get("analysis", "strong_at", 0.186, float),
-        ),
-        ramp_up_months=get("analysis", "ramp_up_months", 15, int),
-        plateau_months=get("analysis", "plateau_months", 10, int),
-        seasonal_period=get("analysis", "seasonal_period", 12, int),
-        min_genealogy_overlap=get("analysis", "min_genealogy_overlap", 6, int),
-    )
-    models = ModelsConfig(
-        train_fraction=get("models", "train_fraction", 0.7, float),
-        z_multiplier=get("models", "z_multiplier", 1.96, float),
-        cart_min_leaf=get("models", "cart_min_leaf", 5, int),
-        cart_max_depth=get("models", "cart_max_depth", 4, int),
-        chaid_min_segment=get("models", "chaid_min_segment", 5, int),
-        chaid_merge_alpha=get("models", "chaid_merge_alpha", 0.05, float),
-        chaid_split_alpha=get("models", "chaid_split_alpha", 0.05, float),
-        nn_hidden_units=get("models", "nn_hidden_units", 8, int),
-        nn_epochs=get("models", "nn_epochs", 2000, int),
-        nn_learning_rate=get("models", "nn_learning_rate", 0.01, float),
-        ts_seasonal=get("models", "ts_seasonal", False, bool),
-        ts_period=get("models", "ts_period", 12, int),
-        seed=get("models", "seed", 0, int),
-        include_polynomial=get("models", "include_polynomial", False, bool),
-        include_phasewise=get("models", "include_phasewise", False, bool),
-    )
-    ewa = EwaThresholds(
-        lookback_months=get("ewa", "lookback_months", 3, int),
-        red_cut=get("ewa", "red_cut", -10.0, float),
-        under_forecast_pad=get("ewa", "under_forecast_pad", 20.0, float),
-        retrain_pad=get("ewa", "retrain_pad", 30.0, float),
-        score_window=get("ewa", "score_window", 6, int),
-        projection_window=get("ewa", "projection_window", 6, int),
-        weights=_weights(parser),
-    )
-    adjust = AdjustConfig(
-        pad_threshold=get("adjust", "pad_threshold", 10.0, float),
-        factor_min=get("adjust", "factor_min", 0.5, float),
-        factor_max=get("adjust", "factor_max", 2.0, float),
-        seasonal_damp=get("adjust", "seasonal_damp", 0.8, float),
-        onset_months=get("adjust", "onset_months", 12, int),
-        apply_seasonal=get("adjust", "apply_seasonal", True, bool),
-    )
-    pipeline = PipelineConfig(
-        horizon_months=get("pipeline", "horizon_months", 12, int),
-        min_matrix_rows=get("pipeline", "min_matrix_rows", 16, int),
-        max_predictors=get("pipeline", "max_predictors", 8, int),
-    )
-    return AppConfig(
-        prep=prep,
-        preprocess=preprocess,
-        analysis=analysis,
-        models=models,
-        ewa=ewa,
-        adjust=adjust,
-        pipeline=pipeline,
-    )
+    defaults = AppConfig()
+    names = [f.name for f in fields(defaults)]
+    # keys under [DEFAULT] would reach no section, so it counts as unknown too
+    written = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    unknown = [s for s in written if s not in names]
+    if unknown:
+        raise ValidationError(f"unknown config section [{unknown[0]}]; known: {', '.join(names)}")
+    sections = {}
+    for name in names:
+        section = getattr(defaults, name)
+        kinds = {key: kind for key, kind, _ in _keys(section)}
+        values = {}
+        for key, raw in parser.items(name) if parser.has_section(name) else ():
+            if key not in kinds:
+                raise ValidationError(f"unknown config key [{name}] {key}")
+            try:
+                values[key] = _parse(kinds[key], raw)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"bad config value [{name}] {key} = {raw!r}: {exc}"
+                ) from None
+        sections[name] = _override(section, values)
+    return AppConfig(**sections)
 
 
-DEFAULT_CONFIG_TEXT = """\
-# Forecasting engine configuration. Every key is optional; omitted keys
-# keep the documented default.
+def _config_text(config: AppConfig) -> str:
+    lines = [
+        "# Forecasting engine configuration. Every key is optional; omitted keys",
+        "# keep the documented default. Unknown sections and keys are rejected.",
+    ]
+    for f in fields(config):
+        lines += ["", f"[{f.name}]"]
+        lines += [f"{key} = {_format(value)}" for key, _, value in _keys(getattr(config, f.name))]
+    return "\n".join(lines) + "\n"
 
-[prep]
-lags = 24, 30, 42, 48, 54
-moving_averages = 3, 6
-receipt_exclusion_months = 6
 
-[preprocess]
-sigma_multiplier = 3.0
-smoothing_window = 3
-
-[analysis]
-medium_at = 0.15
-strong_at = 0.186
-ramp_up_months = 15
-plateau_months = 10
-seasonal_period = 12
-min_genealogy_overlap = 6
-
-[models]
-train_fraction = 0.7
-z_multiplier = 1.96
-cart_min_leaf = 5
-cart_max_depth = 4
-chaid_min_segment = 5
-chaid_merge_alpha = 0.05
-chaid_split_alpha = 0.05
-nn_hidden_units = 8
-nn_epochs = 2000
-nn_learning_rate = 0.01
-ts_seasonal = false
-ts_period = 12
-seed = 0
-include_polynomial = false
-include_phasewise = false
-
-[ewa]
-lookback_months = 3
-red_cut = -10
-under_forecast_pad = 20
-retrain_pad = 30
-score_window = 6
-projection_window = 6
-weights = literal
-
-[adjust]
-pad_threshold = 10
-factor_min = 0.5
-factor_max = 2.0
-seasonal_damp = 0.8
-onset_months = 12
-apply_seasonal = true
-
-[pipeline]
-horizon_months = 12
-min_matrix_rows = 16
-max_predictors = 8
-"""
+DEFAULT_CONFIG_TEXT = _config_text(AppConfig())

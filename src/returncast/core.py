@@ -7,7 +7,7 @@ business-rule exclusions can punch holes without changing series length.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -190,37 +190,6 @@ class GaCalendar:
         return nxt.ga_month
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """How a feature series was derived from its source."""
-
-    kind: str  # raw | lagged | moving_average | cumulative_sum | normalized
-    param: Optional[int] = None
-
-    @classmethod
-    def raw(cls) -> "Provenance":
-        return cls("raw")
-
-    @classmethod
-    def lagged(cls, k: int) -> "Provenance":
-        return cls("lagged", int(k))
-
-    @classmethod
-    def moving_average(cls, w: int) -> "Provenance":
-        return cls("moving_average", int(w))
-
-    @classmethod
-    def cumulative_sum(cls) -> "Provenance":
-        return cls("cumulative_sum")
-
-    @classmethod
-    def normalized(cls) -> "Provenance":
-        return cls("normalized")
-
-    def __str__(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}({self.param})"
-
-
 def _as_value_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1:
@@ -240,7 +209,6 @@ class FeatureSeries:
     name: str
     start: MonthIndex
     values: np.ndarray
-    provenance: Provenance = field(default_factory=Provenance.raw)
 
     def __post_init__(self):
         if not self.name:

@@ -77,17 +77,6 @@ class CycleRecord:
             ewa=ewa,
         )
 
-    def with_actuals(self, actuals: FeatureSeries) -> "CycleRecord":
-        return CycleRecord(
-            cycle_month=self.cycle_month,
-            generation=self.generation,
-            forecast=self.forecast,
-            planner_selected=self.planner_selected,
-            selected_series=self.selected_series,
-            realized_actuals=actuals,
-            ewa=self.ewa,
-        )
-
     def to_dict(self) -> dict:
         doc = {
             "cycle_month": str(self.cycle_month),

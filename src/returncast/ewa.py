@@ -102,19 +102,22 @@ def pad(deviations: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndar
     return signed, np.abs(signed)
 
 
-def color(pad_value: float) -> Color:
-    """Eq.-style traffic light on the signed percentage deviation."""
+def color(pad_value: float, red_cut: float = EwaThresholds.red_cut) -> Color:
+    """Eq.-style traffic light on the signed percentage deviation: red
+    strictly below `red_cut`, yellow up to 0, green above."""
     if not math.isfinite(pad_value):
         raise ValidationError(f"color needs a finite pad, got {pad_value}")
-    if pad_value < -10.0:
+    if pad_value < red_cut:
         return Color.RED
     if pad_value <= 0.0:
         return Color.YELLOW
     return Color.GREEN
 
 
-def month_colors(pad_signed: np.ndarray) -> tuple[Optional[Color], ...]:
-    return tuple(color(float(p)) if math.isfinite(p) else None for p in pad_signed)
+def month_colors(
+    pad_signed: np.ndarray, red_cut: float = EwaThresholds.red_cut
+) -> tuple[Optional[Color], ...]:
+    return tuple(color(float(p), red_cut) if math.isfinite(p) else None for p in pad_signed)
 
 
 def mape_score(colors: Sequence[Optional[Color]], weights: ScoreWeights = ScoreWeights()) -> float:
@@ -130,7 +133,9 @@ def mape_score(colors: Sequence[Optional[Color]], weights: ScoreWeights = ScoreW
     )
 
 
-def six_month_stats(mape_history: Sequence[float], window: int = 6) -> tuple[float, float]:
+def six_month_stats(
+    mape_history: Sequence[float], window: int = EwaThresholds.score_window
+) -> tuple[float, float]:
     """Mean and SD of the moving `window`-month cumulative sums of a MAPE history."""
     values = np.asarray(mape_history, dtype=float)
     if len(values) < window:
@@ -139,7 +144,11 @@ def six_month_stats(mape_history: Sequence[float], window: int = 6) -> tuple[flo
     return float(sums.mean()), float(sums.std())
 
 
-def projection(recent_actuals: Sequence[float], next_forecasts: Sequence[float], window: int = 6) -> float:
+def projection(
+    recent_actuals: Sequence[float],
+    next_forecasts: Sequence[float],
+    window: int = EwaThresholds.projection_window,
+) -> float:
     """Recent actual volume minus upcoming forecast volume."""
     a = np.asarray(recent_actuals, dtype=float)
     f = np.asarray(next_forecasts, dtype=float)
@@ -277,7 +286,7 @@ def _score_step(
         deviations=tuple(float(v) for v in devs),
         pad_signed=tuple(float(v) for v in signed),
         pad_absolute=tuple(float(v) for v in absolute),
-        colors=month_colors(signed),
+        colors=month_colors(signed, thresholds.red_cut),
         window_pad=wp,
         alert=_alert_for(wp, thresholds),
     )

@@ -8,21 +8,19 @@ from .base import (
     ModelLeaderboard,
     ModelSpec,
     control_intervals,
-    default_zoo,
     evaluate_mape,
-    evaluate_mpe,
     evaluate_zoo,
     fit,
-    make_forecast,
     prediction_correlation,
     rank_models,
+    residual_band,
     split_chronological,
 )
 from .cart import CartModel
 from .chaid import ChaidModel
 from .linear import LinearModel
 from .neural import NeuralModel
-from .phasewise import PhaseWiseModel, fit_phasewise
+from .phasewise import PhaseWiseModel, fit_phasewise, phasewise_spec
 from .timeseries import TimeSeriesModel
 
 __all__ = [
@@ -40,14 +38,13 @@ __all__ = [
     "PhaseWiseModel",
     "TimeSeriesModel",
     "control_intervals",
-    "default_zoo",
     "evaluate_mape",
-    "evaluate_mpe",
     "evaluate_zoo",
     "fit",
     "fit_phasewise",
-    "make_forecast",
+    "phasewise_spec",
     "prediction_correlation",
     "rank_models",
+    "residual_band",
     "split_chronological",
 ]

@@ -78,21 +78,6 @@ class ModelSpec:
         )
 
 
-def default_zoo(seed: int = 0, seasonal: bool = False, period: int = 12) -> list[ModelSpec]:
-    """The five competing model specs, in a stable order."""
-    return [
-        ModelSpec(ModelKind.LINEAR),
-        ModelSpec(ModelKind.CART, {"min_leaf": 5, "max_depth": 4}),
-        ModelSpec(ModelKind.CHAID, {"min_segment": 5, "merge_alpha": 0.05, "split_alpha": 0.05}),
-        ModelSpec(
-            ModelKind.NEURAL,
-            {"hidden_units": 8, "epochs": 2000, "learning_rate": 0.01},
-            seed=seed,
-        ),
-        ModelSpec(ModelKind.TIMESERIES, {"seasonal": seasonal, "period": period}),
-    ]
-
-
 class FittedModel(abc.ABC):
     """A trained model bound to the predictor names it was trained with."""
 
@@ -169,9 +154,8 @@ def split_chronological(
 # ------------------------------------------------------------------ metrics
 
 
-def _percentage_errors(
-    actual: Sequence[float] | np.ndarray, forecast: Sequence[float] | np.ndarray
-) -> np.ndarray:
+def evaluate_mape(actual, forecast) -> float:
+    """Mean absolute percentage error; zero-actual months are excluded."""
     a = np.asarray(actual, dtype=float)
     f = np.asarray(forecast, dtype=float)
     if a.shape != f.shape or a.ndim != 1:
@@ -183,17 +167,7 @@ def _percentage_errors(
         raise NumericError("every actual is zero; percentage error is undefined")
     if not nonzero.all():
         log.warning("excluding %d zero-actual months from percentage error", int((~nonzero).sum()))
-    return (a[nonzero] - f[nonzero]) / a[nonzero] * 100.0
-
-
-def evaluate_mape(actual, forecast) -> float:
-    """Mean absolute percentage error; zero-actual months are excluded."""
-    return float(np.abs(_percentage_errors(actual, forecast)).mean())
-
-
-def evaluate_mpe(actual, forecast) -> float:
-    """Signed mean percentage error: positive means the forecast ran low."""
-    return float(_percentage_errors(actual, forecast).mean())
+    return float(np.abs((a[nonzero] - f[nonzero]) / a[nonzero] * 100.0).mean())
 
 
 def prediction_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -294,39 +268,24 @@ class ForecastSeries:
         )
 
 
+def residual_band(
+    best: np.ndarray, residuals: np.ndarray, z: float = DEFAULT_Z_MULTIPLIER
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric band of z residual SDs around `best`, floored at 0."""
+    half = z * float(residuals.std())
+    return np.maximum(best - half, 0.0), np.maximum(best + half, 0.0)
+
+
 def control_intervals(
     model: FittedModel,
     test: FeatureMatrix,
     horizon: FeatureMatrix,
     z: float = DEFAULT_Z_MULTIPLIER,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric residual-SD band around the horizon predictions, floored at 0."""
+    """The residual band of `model`'s test errors around its horizon predictions."""
     if test.is_empty:
         raise ValidationError("control intervals need a non-empty test set")
-    residuals = test.y - model.predict(test)
-    half = z * float(residuals.std())
-    best = model.predict(horizon)
-    return np.maximum(best - half, 0.0), np.maximum(best + half, 0.0)
-
-
-def make_forecast(
-    model: FittedModel,
-    test: FeatureMatrix,
-    horizon: FeatureMatrix,
-    z: float = DEFAULT_Z_MULTIPLIER,
-) -> ForecastSeries:
-    """Bundle horizon predictions, control band, and test metrics."""
-    predicted_test = model.predict(test)
-    lci, uci = control_intervals(model, test, horizon, z)
-    return ForecastSeries(
-        start=horizon.start,
-        best_fit=model.predict(horizon),
-        lci=lci,
-        uci=uci,
-        model=model.spec,
-        test_mape=evaluate_mape(test.y, predicted_test),
-        test_correlation=prediction_correlation(predicted_test, test.y),
-    )
+    return residual_band(model.predict(horizon), test.y - model.predict(test), z)
 
 
 # ------------------------------------------------------------------ ranking
@@ -416,7 +375,7 @@ def evaluate_zoo(
         try:
             model = fit(spec, train)
             predicted = model.predict(test)
-            lci, uci = control_intervals(model, test, test, z)
+            lci, uci = residual_band(predicted, test.y - predicted, z)
             rows.append(
                 LeaderboardRow(
                     spec=spec,

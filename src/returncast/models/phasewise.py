@@ -11,13 +11,16 @@ import logging
 import numpy as np
 
 from ..analysis import LifecyclePhases
-from ..core import FeatureMatrix, MonthIndex
+from ..core import FeatureMatrix, MonthIndex, MonthInterval
 from ..errors import ValidationError
-from .base import FittedModel, ModelKind, ModelSpec, fit, require_rows
+from .base import FittedModel, ModelKind, ModelSpec, fit, register_fitter, require_rows
+from .timeseries import DEFAULT_PERIOD
 
 log = logging.getLogger(__name__)
 
 PHASE_ORDER = ("ramp_up", "plateau", "ramp_down")
+# hyperparameter names of the phase bounds, in month order
+PHASE_BOUNDS = ("ramp_up_start", "plateau_start", "ramp_down_start", "ramp_down_end")
 
 
 def _default_phase_specs(period: int) -> dict[str, ModelSpec]:
@@ -57,18 +60,38 @@ class PhaseWiseModel(FittedModel):
         return out
 
 
+def phasewise_spec(phases: LifecyclePhases, period: int = DEFAULT_PERIOD) -> ModelSpec:
+    """The phase-wise spec: the phase bounds as month values, the plateau
+    smoother's period and, for the record, the global fallback kind."""
+    bounds = (
+        phases.ramp_up.start, phases.plateau.start, phases.ramp_down.start, phases.ramp_down.end
+    )
+    params = {name: m.value for name, m in zip(PHASE_BOUNDS, bounds)}
+    return ModelSpec(
+        ModelKind.PHASEWISE, {**params, "period": period, "fallback": ModelKind.LINEAR.value}
+    )
+
+
 def fit_phasewise(
-    matrix: FeatureMatrix,
-    phases: LifecyclePhases,
-    fallback_spec: ModelSpec | None = None,
-    period: int = 12,
+    matrix: FeatureMatrix, phases: LifecyclePhases, period: int = DEFAULT_PERIOD
 ) -> PhaseWiseModel:
-    """Fit per-phase sub-models; thin phases fall back to one global model."""
+    """Fit per-phase sub-models; thin phases fall back to one global line."""
+    return fit(phasewise_spec(phases, period), matrix)
+
+
+def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
     if matrix.is_empty:
         raise ValidationError("phase-wise fit needs a non-empty matrix")
     require_rows(ModelKind.PHASEWISE, matrix, 2)
-    specs = _default_phase_specs(period)
-    fallback_spec = fallback_spec or ModelSpec(ModelKind.LINEAR)
+    try:
+        a, b, c, d = (MonthIndex(int(spec.params[name])) for name in PHASE_BOUNDS)
+    except KeyError as exc:
+        raise ValidationError(f"{spec.label()}: spec lacks phase bound {exc}") from None
+    phases = LifecyclePhases(
+        ramp_up=MonthInterval(a, b), plateau=MonthInterval(b, c), ramp_down=MonthInterval(c, d)
+    )
+    specs = _default_phase_specs(int(spec.param("period", DEFAULT_PERIOD)))
+    fallback_spec = ModelSpec(ModelKind.LINEAR)
     fallback_model: FittedModel | None = None
 
     def global_fallback() -> FittedModel:
@@ -89,7 +112,9 @@ def fit_phasewise(
             phase_models[name] = global_fallback()
             used_fallback.add(name)
 
-    spec = ModelSpec(ModelKind.PHASEWISE, {"fallback": fallback_spec.kind.value})
     return PhaseWiseModel(
         spec, matrix.predictor_names, matrix.interval, phases, phase_models, used_fallback
     )
+
+
+register_fitter(ModelKind.PHASEWISE, _fit_phasewise)

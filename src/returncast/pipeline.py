@@ -45,19 +45,14 @@ from .cycle_store import CycleRecord, CycleStore, PlannerChoice
 from .errors import NumericError, ValidationError
 from .ewa import EwaInput, EwaReport, run_ewa
 from .models import (
-    FittedModel,
     ForecastSeries,
-    LeaderboardRow,
     ModelKind,
     ModelLeaderboard,
     ModelSpec,
-    control_intervals,
-    evaluate_mape,
     evaluate_zoo,
     fit,
-    fit_phasewise,
-    prediction_correlation,
-    rank_models,
+    phasewise_spec,
+    residual_band,
     split_chronological,
 )
 from .prep import cumulative_sum, exclude_prega_receipts, filter_post_ga, lag, moving_average
@@ -234,7 +229,9 @@ def coverage_greedy(
     return chosen
 
 
-def _zoo(config: AppConfig) -> list[ModelSpec]:
+def _zoo(config: AppConfig, rel_phases: LifecyclePhases) -> list[ModelSpec]:
+    """The configured contenders; phase-wise gets the donor's phases rebased
+    to its trigger month."""
     m = config.models
     zoo = [
         ModelSpec(ModelKind.LINEAR),
@@ -260,6 +257,8 @@ def _zoo(config: AppConfig) -> list[ModelSpec]:
     ]
     if m.include_polynomial:
         zoo.append(ModelSpec(ModelKind.POLYNOMIAL))
+    if m.include_phasewise:
+        zoo.append(phasewise_spec(rel_phases, m.ts_period))
     return zoo
 
 
@@ -356,12 +355,8 @@ def run_cycle(
             f"aligned donor matrix has only {matrix.n_rows} rows; not enough to train"
         )
     train, test = split_chronological(matrix, config.models.train_fraction)
-    leaderboard, fitted = evaluate_zoo(_zoo(config), train, test, config.models.z_multiplier)
-    rel_phases = rebase_phases(phases, donor_trigger)
-    if config.models.include_phasewise:
-        leaderboard, fitted = _add_phasewise(
-            leaderboard, fitted, train, test, rel_phases, config
-        )
+    zoo = _zoo(config, rebase_phases(phases, donor_trigger))
+    leaderboard, fitted = evaluate_zoo(zoo, train, test, config.models.z_multiplier)
 
     # horizon predictors: current generation's features at future months
     horizon_matrix = FeatureMatrix(
@@ -373,7 +368,7 @@ def run_cycle(
     )
 
     forecast_raw = _winner_forecast(
-        leaderboard, fitted, matrix, test, horizon_matrix, horizon, rel_phases, config
+        leaderboard, fitted, matrix, test, horizon_matrix, horizon, config
     )
 
     seasonal = _donor_seasonality(donor, config)
@@ -444,34 +439,6 @@ def run_cycle(
     )
 
 
-def _add_phasewise(
-    leaderboard: ModelLeaderboard,
-    fitted: dict[ModelKind, FittedModel],
-    train: FeatureMatrix,
-    test: FeatureMatrix,
-    rel_phases: LifecyclePhases,
-    config: AppConfig,
-) -> tuple[ModelLeaderboard, dict[ModelKind, FittedModel]]:
-    """Score the phase-split composite alongside the zoo."""
-    try:
-        model = fit_phasewise(train, rel_phases, period=config.models.ts_period)
-        predicted = model.predict(test)
-        lci, uci = control_intervals(model, test, test, config.models.z_multiplier)
-        row = LeaderboardRow(
-            spec=model.spec,
-            mape_best_fit=evaluate_mape(test.y, predicted),
-            mape_lci=evaluate_mape(test.y, lci),
-            mape_uci=evaluate_mape(test.y, uci),
-            correlation=prediction_correlation(predicted, test.y),
-        )
-    except (ValidationError, NumericError) as exc:
-        log.warning("skipping phase-split model: %s", exc)
-        return leaderboard, fitted
-    fitted = dict(fitted)
-    fitted[ModelKind.PHASEWISE] = model
-    return rank_models(list(leaderboard.rows) + [row]), fitted
-
-
 def _winner_forecast(
     leaderboard: ModelLeaderboard,
     fitted: dict,
@@ -479,7 +446,6 @@ def _winner_forecast(
     test: FeatureMatrix,
     horizon_matrix: FeatureMatrix,
     horizon: MonthInterval,
-    rel_phases: LifecyclePhases,
     config: AppConfig,
 ) -> ForecastSeries:
     """Refit the leaderboard winner on the full donor matrix and predict the
@@ -488,19 +454,14 @@ def _winner_forecast(
     last_error: Exception | None = None
     for row in leaderboard:
         try:
-            split_model = fitted[row.spec.kind]
-            residuals = test.y - split_model.predict(test)
-            half = config.models.z_multiplier * float(residuals.std())
-            if row.spec.kind is ModelKind.PHASEWISE:
-                full_model = fit_phasewise(matrix, rel_phases, period=config.models.ts_period)
-            else:
-                full_model = fit(row.spec, matrix)
-            best = full_model.predict(horizon_matrix)
+            residuals = test.y - fitted[row.spec.kind].predict(test)
+            best = fit(row.spec, matrix).predict(horizon_matrix)
+            lci, uci = residual_band(best, residuals, config.models.z_multiplier)
             return ForecastSeries(
                 start=horizon.start,
                 best_fit=best,
-                lci=np.maximum(best - half, 0.0),
-                uci=np.maximum(best + half, 0.0),
+                lci=lci,
+                uci=uci,
                 model=row.spec,
                 test_mape=row.mape_best_fit,
                 test_correlation=row.correlation,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval, Provenance
+from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval
 from .errors import ValidationError
 
 RECEIPT_EXCLUSION_MONTHS = 6
@@ -53,9 +53,7 @@ def lag(feature: FeatureSeries, k: int) -> FeatureSeries:
         raise ValidationError(f"lag must be >= 0, got {k}")
     if k == 0:
         return feature
-    return feature.shift(k).with_values(
-        feature.values, name=f"{feature.name}_lag_{k}", provenance=Provenance.lagged(k)
-    )
+    return feature.shift(k).with_values(feature.values, name=f"{feature.name}_lag_{k}")
 
 
 def _trailing_mean_run(values: np.ndarray, w: int) -> np.ndarray:
@@ -96,9 +94,7 @@ def moving_average(feature: FeatureSeries, w: int) -> FeatureSeries:
     if w == 1:
         return feature
     smoothed = _per_defined_run(feature.values, lambda run: _trailing_mean_run(run, w))
-    return feature.with_values(
-        smoothed, name=f"{feature.name}_ma_{w}", provenance=Provenance.moving_average(w)
-    )
+    return feature.with_values(smoothed, name=f"{feature.name}_ma_{w}")
 
 
 def cumulative_sum(feature: FeatureSeries) -> FeatureSeries:
@@ -114,37 +110,4 @@ def cumulative_sum(feature: FeatureSeries) -> FeatureSeries:
             out[i] = total
         elif started:
             out[i] = np.nan
-    return feature.with_values(
-        out, name=f"{feature.name}_cumsum", provenance=Provenance.cumulative_sum()
-    )
-
-
-def map_features(
-    source: list[FeatureSeries],
-    required: set[str],
-    mapping: dict[str, str] | None = None,
-) -> list[FeatureSeries]:
-    """Rename historical features so they line up with current-generation names.
-
-    The mapping must be injective and, together with unmapped source names,
-    cover every required name.
-    """
-    mapping = dict(mapping or {})
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets):
-        dupes = sorted({t for t in targets if targets.count(t) > 1})
-        raise ValidationError(f"feature mapping is not injective: {dupes[0]!r} mapped twice")
-
-    renamed: list[FeatureSeries] = []
-    seen: set[str] = set()
-    for s in source:
-        new_name = mapping.get(s.name, s.name)
-        if new_name in seen:
-            raise ValidationError(f"feature mapping collides on name {new_name!r}")
-        seen.add(new_name)
-        renamed.append(s if new_name == s.name else s.with_values(s.values, name=new_name))
-
-    missing = sorted(set(required) - seen)
-    if missing:
-        raise ValidationError(f"required features not covered by source or mapping: {missing}")
-    return renamed
+    return feature.with_values(out, name=f"{feature.name}_cumsum")

@@ -1,4 +1,4 @@
-"""Data cleaning: outlier detection, magnitude normalization, smoothing.
+"""Data cleaning: outlier detection and repair, magnitude normalization.
 
 Prior-generation history drives the model, so spikes from one-off events
 (recalls, bulk buy-backs) and scale differences between generations both
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureSeries, MonthIndex, MonthInterval, Provenance
+from .core import FeatureSeries, MonthIndex, MonthInterval
 from .errors import NumericError, ValidationError
 from .prep import moving_average
 
@@ -80,11 +80,6 @@ def repair_outliers(feature: FeatureSeries, report: OutlierReport, w: int = DEFA
     return feature.with_values(values)
 
 
-def smooth(feature: FeatureSeries, w: int = DEFAULT_SMOOTHING_WINDOW) -> FeatureSeries:
-    """Trailing moving-average smoothing (shrinking window over the head)."""
-    return moving_average(feature, w)
-
-
 def normalization_factor(
     reference: FeatureSeries,
     source: FeatureSeries,
@@ -117,8 +112,4 @@ def normalize_magnitude(
 ) -> FeatureSeries:
     """Rescale source so its window volume matches the reference window volume."""
     factor = normalization_factor(reference, source, reference_window, source_window)
-    return source.with_values(
-        source.values * factor,
-        name=f"{source.name}_normalized",
-        provenance=Provenance.normalized(),
-    )
+    return source.with_values(source.values * factor, name=f"{source.name}_normalized")

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from returncast.analysis import (
-    CausalFactorFlags,
     Strength,
     StrengthThresholds,
     build_correlation_table,
@@ -210,23 +209,3 @@ def test_decompose_seasonal_validation():
         decompose_seasonal(fs(gappy, name="gappy"), 12)
     with pytest.raises(ValidationError):
         decompose_seasonal(fs(np.ones(36), name="x"), 1)
-
-
-def test_causal_factor_flags():
-    cal = family_calendar("2008-01", "2010-01", "2012-01")
-    gen1 = cal.resolve("gen1")
-    flags = CausalFactorFlags.derive(
-        gen1, cal, fire_sale=frozenset({month("2011-06")})
-    )
-    assert flags.ga_next == month("2010-01")
-    assert flags.ga_next2 == month("2012-01")
-    assert flags.annotations(month("2010-01")) == ("ga_next",)
-    assert flags.annotations(month("2011-06")) == ("fire_sale",)
-    assert flags.annotations(month("2011-07")) == ()
-
-    window = MonthInterval(month("2011-05"), month("2011-08"))
-    assert list(flags.exclusion_mask(window)) == [False, True, False]
-
-    gen2_flags = CausalFactorFlags.derive(cal.resolve("gen2"), cal)
-    assert gen2_flags.ga_next == month("2012-01")
-    assert gen2_flags.ga_next2 is None

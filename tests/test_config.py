@@ -1,0 +1,108 @@
+"""INI configuration: the loader and reference text follow the dataclasses."""
+import configparser
+import re
+from dataclasses import fields
+
+import pytest
+
+import returncast.cli as cli
+from returncast.analysis import StrengthThresholds
+from returncast.config import DEFAULT_CONFIG_TEXT, AppConfig, load_config
+from returncast.errors import ValidationError
+from returncast.ewa import SIGNED_WEIGHTS
+
+
+def _load(tmp_path, text):
+    path = tmp_path / "config.ini"
+    path.write_text(text)
+    return load_config(path)
+
+
+def test_no_file_gives_the_defaults():
+    assert load_config(None) == AppConfig()
+
+
+def test_reference_text_parses_to_the_defaults(tmp_path):
+    assert _load(tmp_path, DEFAULT_CONFIG_TEXT) == AppConfig()
+
+
+def test_reference_text_lists_every_field():
+    parser = configparser.ConfigParser()
+    parser.read_string(DEFAULT_CONFIG_TEXT)
+    config = AppConfig()
+    assert parser.sections() == [f.name for f in fields(config)]
+    for f in fields(config):
+        section = getattr(config, f.name)
+        expected = []
+        for g in fields(section):
+            if isinstance(getattr(section, g.name), StrengthThresholds):
+                expected += [h.name for h in fields(StrengthThresholds)]
+            else:
+                expected.append(g.name)
+        assert list(parser[f.name]) == expected, f.name
+
+
+def test_non_default_values_of_each_type_round_trip(tmp_path):
+    config = _load(
+        tmp_path,
+        "[prep]\nlags = 12, 18\n"
+        "[analysis]\nstrong_at = 0.3\nramp_up_months = 9\n"
+        "[models]\nseed = 3\nz_multiplier = 1.5\ninclude_phasewise = yes\n"
+        "[ewa]\nweights = Signed\n"
+        "[adjust]\napply_seasonal = false\n",
+    )
+    assert config.prep.lags == (12, 18)
+    assert config.analysis.strength == StrengthThresholds(medium_at=0.15, strong_at=0.3)
+    assert config.analysis.ramp_up_months == 9
+    assert (config.models.seed, config.models.z_multiplier) == (3, 1.5)
+    assert config.models.include_phasewise is True
+    assert config.ewa.weights == SIGNED_WEIGHTS
+    assert config.adjust.apply_seasonal is False
+    # every key not named keeps its default
+    assert config.models.nn_epochs == AppConfig().models.nn_epochs
+    assert config.pipeline == AppConfig().pipeline
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[models]\nseed = three\n", "[models] seed"),
+        ("[ewa]\nred_cut = low\n", "[ewa] red_cut"),
+        ("[models]\ninclude_phasewise = maybe\n", "[models] include_phasewise"),
+        ("[prep]\nlags = 24, x\n", "[prep] lags"),
+        ("[ewa]\nweights = heavy\n", "[ewa] weights"),
+        ("[adjust]\npad_threshold = 10%\n", "[adjust] pad_threshold"),
+    ],
+)
+def test_bad_value_names_its_key(tmp_path, text, where):
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        _load(tmp_path, text)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[models]\ninclude_phasewsie = true\n", r"\[models\] include_phasewsie"),
+        ("[analysis]\nstrength = 0.2\n", r"\[analysis\] strength"),
+        ("[modles]\nseed = 3\n", r"\[modles\]"),
+        ("[DEFAULT]\nseed = 3\n", r"\[DEFAULT\]"),
+    ],
+)
+def test_unknown_key_or_section_is_rejected(tmp_path, text, named):
+    with pytest.raises(ValidationError, match=named):
+        _load(tmp_path, text)
+
+
+def test_cli_exits_1_on_an_unknown_key(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--generations", "3", "--out", str(data)]) == 0
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[models]\ninclude_phasewsie = true\n")
+    code = cli.main([
+        "train", "--history", str(data / "history.csv"), "--ga", str(data / "ga.csv"),
+        "--generation", "gen2", "--cycle", "2012-09", "--config", str(ini),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert "include_phasewsie" in capsys.readouterr().err
+

@@ -56,7 +56,6 @@ def test_record_roundtrip_with_and_without_actuals(tmp_path):
     assert np.array_equal(back.selected_series, f.best_fit)
 
     actuals = fs([11.0, np.nan, 29.0], start="2012-01", name="gross_returns")
-    full = bare.with_actuals(actuals)
     full = CycleRecord.create(
         month("2012-04"), GEN, f, realized_actuals=actuals, ewa={"alert": "None", "score": 9.0}
     )

@@ -1,6 +1,7 @@
 """Forecast validation: deviations, traffic lights, scores, alerts."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from returncast.ewa import (
     Alert,
     Color,
     EwaInput,
+    EwaThresholds,
     Recommendation,
     color,
     deviation,
@@ -178,6 +180,20 @@ def test_gross_overforecast_demands_retraining():
     report = run_ewa(_cycle_inputs(+0.45))
     assert report.alert is Alert.OVER_FORECAST
     assert report.recommendation is Recommendation.RETRAIN_MODEL
+
+
+def test_red_cut_drives_colors_score_and_alert_together():
+    inputs = _cycle_inputs(+0.07)  # every month at pad -7%
+    default = run_ewa(inputs)
+    assert default.alert is Alert.NONE
+    assert default.step1.colors == (Color.YELLOW,) * 3
+    assert default.score == pytest.approx(18.0)
+
+    strict = run_ewa(inputs, replace(EwaThresholds(), red_cut=-5.0))
+    assert strict.alert is Alert.OVER_FORECAST
+    assert strict.step1.colors == (Color.RED,) * 3
+    assert strict.score == pytest.approx(9.0)
+    assert color(-7.0, red_cut=-5.0) is Color.RED
 
 
 def test_projection_and_six_month_populate_with_history():

@@ -1,10 +1,13 @@
 """Model zoo: split, metrics, the five fitters, bands, ranking."""
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from returncast.analysis import LifecyclePhases
+from returncast.config import AppConfig
 from returncast.core import FeatureMatrix, MonthInterval
 from returncast.errors import NumericError, ValidationError
 from returncast.models import (
@@ -14,19 +17,18 @@ from returncast.models import (
     ModelKind,
     ModelSpec,
     control_intervals,
-    default_zoo,
     evaluate_mape,
-    evaluate_mpe,
     evaluate_zoo,
     fit,
     fit_phasewise,
-    make_forecast,
+    phasewise_spec,
     prediction_correlation,
     rank_models,
     split_chronological,
 )
 from returncast.models.cart import best_split
 from returncast.models.neural import loss_and_grad, unpack_params
+from returncast.pipeline import _zoo
 
 from helpers import fs, month
 
@@ -68,9 +70,7 @@ def test_split_chronological_rejects_bad_inputs():
 
 def test_percentage_error_hand_examples():
     assert evaluate_mape([100, 200], [90, 220]) == pytest.approx(10.0, abs=1e-12)
-    assert evaluate_mpe([100, 200], [90, 220]) == pytest.approx(0.0, abs=1e-12)
-    # positive MPE means the forecast ran low
-    assert evaluate_mpe([100], [80]) == pytest.approx(20.0)
+    assert evaluate_mape([100], [80]) == pytest.approx(20.0)
 
 
 def test_percentage_error_zero_actuals():
@@ -398,6 +398,38 @@ def test_phasewise_thin_phase_uses_global_fallback():
     assert np.allclose(model.predict(train), y, atol=1e-6)
 
 
+def _phasewise_case():
+    rise = np.linspace(10, 100, 15)
+    fall = np.linspace(95, 20, 9)
+    y = np.concatenate([rise, np.full(10, 100.0), fall])
+    train = matrix(np.arange(len(y), dtype=float), y, start="2010-01")
+    return train, _phases("2010-01", "2011-04", "2012-02", "2012-11")
+
+
+def test_phasewise_spec_fits_like_fit_phasewise():
+    train, phases = _phasewise_case()
+    spec = phasewise_spec(phases, period=12)
+    via_spec = fit(spec, train)
+    direct = fit_phasewise(train, phases, period=12)
+    assert via_spec.spec == direct.spec == spec
+    assert via_spec.phases == phases
+    assert np.array_equal(via_spec.predict(train), direct.predict(train))
+
+
+def test_phasewise_spec_survives_the_record_roundtrip():
+    train, phases = _phasewise_case()
+    spec = phasewise_spec(phases)
+    again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert again == spec
+    assert np.array_equal(fit(again, train).predict(train), fit(spec, train).predict(train))
+
+
+def test_phasewise_spec_without_bounds_is_rejected():
+    train, _ = _phasewise_case()
+    with pytest.raises(ValidationError, match="phase bound"):
+        fit(ModelSpec(ModelKind.PHASEWISE), train)
+
+
 def test_phasewise_predicts_outside_segmented_domain():
     y = np.linspace(10, 100, 34)
     train = matrix(np.arange(34.0), y, start="2010-01")
@@ -434,19 +466,6 @@ def test_control_intervals_exact_band():
     assert (lci == 0.0).all()
     with pytest.raises(ValidationError):
         control_intervals(model, test.slice_rows(0, 0), horizon)
-
-
-def test_make_forecast_bundles_metrics():
-    test = matrix(np.arange(3.0), np.array([40.0, 50.0, 60.0]))
-    horizon = matrix(np.arange(4.0), start="2011-01")
-    model = _ConstantModel(50.0, test.predictor_names, test.interval)
-    forecast = make_forecast(model, test, horizon)
-    assert forecast.start == month("2011-01")
-    assert len(forecast) == 4
-    expect_mape = evaluate_mape([40, 50, 60], [50, 50, 50])
-    assert forecast.test_mape == pytest.approx(expect_mape)
-    assert (forecast.lci <= forecast.best_fit).all()
-    assert (forecast.best_fit <= forecast.uci).all()
 
 
 def test_forecast_series_invariants():
@@ -487,7 +506,9 @@ def test_evaluate_zoo_full_and_degraded():
     y = 30.0 + 2.0 * t + 0.3 * X[:, 1] + rng.normal(0, 1.0, 40)
     full = matrix(X, y)
     train, test = split_chronological(full)
-    board, fitted = evaluate_zoo(default_zoo(seed=1), train, test)
+    phases = _phases("2010-01", "2011-04", "2012-02", "2013-05")
+    seeded = AppConfig(models=replace(AppConfig().models, seed=1))
+    board, fitted = evaluate_zoo(_zoo(seeded, phases), train, test)
     assert len(board) == 5
     assert set(fitted) == {
         ModelKind.LINEAR, ModelKind.CART, ModelKind.CHAID, ModelKind.NEURAL, ModelKind.TIMESERIES,
@@ -498,11 +519,24 @@ def test_evaluate_zoo_full_and_degraded():
     # 8 training rows: only the line and the smoother clear their row minimums
     small_train = full.slice_rows(0, 8)
     small_test = full.slice_rows(8, 14)
-    board, fitted = evaluate_zoo(default_zoo(), small_train, small_test)
+    board, fitted = evaluate_zoo(_zoo(AppConfig(), phases), small_train, small_test)
     assert set(fitted) == {ModelKind.LINEAR, ModelKind.TIMESERIES}
 
     with pytest.raises(ValidationError):
-        evaluate_zoo(default_zoo(), full.slice_rows(0, 2), small_test)
+        evaluate_zoo(_zoo(AppConfig(), phases), full.slice_rows(0, 2), small_test)
+
+
+def test_evaluate_zoo_scores_phasewise_like_any_kind():
+    train, phases = _phasewise_case()
+    test = matrix(np.arange(34.0, 40.0), np.linspace(18, 8, 6), start="2012-11")
+    flags = AppConfig(models=replace(AppConfig().models, include_phasewise=True))
+    board, fitted = evaluate_zoo(_zoo(flags, phases), train, test)
+    row = next(r for r in board if r.spec.kind is ModelKind.PHASEWISE)
+    assert row.spec == phasewise_spec(phases)
+    predicted = fitted[ModelKind.PHASEWISE].predict(test)
+    assert row.mape_best_fit == evaluate_mape(test.y, predicted)
+    lci, uci = control_intervals(fitted[ModelKind.PHASEWISE], test, test)
+    assert (row.mape_lci, row.mape_uci) == (evaluate_mape(test.y, lci), evaluate_mape(test.y, uci))
 
 
 def test_fit_checks_feature_names():

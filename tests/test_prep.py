@@ -10,7 +10,6 @@ from returncast.prep import (
     exclude_prega_receipts,
     filter_post_ga,
     lag,
-    map_features,
     moving_average,
 )
 
@@ -133,20 +132,3 @@ def test_cumulative_sum_skips_holes_after_start():
 def test_cumulative_sum_all_undefined():
     out = cumulative_sum(fs([np.nan, np.nan]))
     assert np.isnan(out.values).all()
-
-
-def test_map_features_rename_and_coverage():
-    src = [fs([1], name="old_ship"), fs([2], name="upgrades")]
-    out = map_features(src, required={"shipments", "upgrades"}, mapping={"old_ship": "shipments"})
-    assert sorted(s.name for s in out) == ["shipments", "upgrades"]
-
-    with pytest.raises(ValidationError):
-        map_features(src, required={"shipments", "returns"}, mapping={"old_ship": "shipments"})
-    with pytest.raises(ValidationError):
-        map_features(src, required=set(), mapping={"old_ship": "upgrades"})  # collides
-    with pytest.raises(ValidationError):
-        map_features(
-            [fs([1], name="a"), fs([2], name="b")],
-            required=set(),
-            mapping={"a": "x", "b": "x"},
-        )

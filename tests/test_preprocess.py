@@ -9,7 +9,6 @@ from returncast.preprocess import (
     normalization_factor,
     normalize_magnitude,
     repair_outliers,
-    smooth,
 )
 
 from helpers import fs, month
@@ -69,11 +68,6 @@ def test_repair_outliers_noop_without_flags():
     series = fs([1.0, 2.0, 3.0])
     report = detect_outliers(series)
     assert repair_outliers(series, report) is series
-
-
-def test_smooth_is_trailing_moving_average():
-    out = smooth(fs([4, 7, 10]), w=3)
-    assert list(out.values) == [4.0, 5.5, 7.0]
 
 
 def test_normalization_factor_ratio_of_sums():
