@@ -1,12 +1,17 @@
-"""Golden bytes: two CLI cycles must reproduce the committed report.csv files.
+"""Golden bytes: CLI cycles must reproduce the committed output files.
 
 Criterion 11 only compares two runs of the same code; these fixtures pin the
-output itself, so a refactor that changes any reported byte fails here.
-Regenerate the fixtures (only for a deliberate output change, noted in
-CHANGES.md) with:
+output itself, so a refactor that changes any written byte fails here. Pinned:
+both cycles' report.csv; for the README demo also its cycle record, every
+stage artifact and the stdout summary lines; and for a second cycle scored
+against the first in one store (EWA on a real previous forecast), its record
+and its ewa.json. Regenerate the fixtures (only for a deliberate output
+change, noted in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
+import contextlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -37,27 +42,85 @@ CYCLES = {
     ),
 }
 
+STAGES = ("prepare", "analyze", "train", "forecast", "ewa", "adjust", "report")
+# what the stage subcommands write, besides report.csv
+STAGE_ARTIFACTS = (
+    "prepared.csv", "outliers.json", "analysis.json", "leaderboard.json",
+    "forecast.json", "ewa.json", "adjust.json",
+)
+DEMO_FILES = sorted(["record.json", "stdout.txt", *STAGE_ARTIFACTS])
+TWO_CYCLE_FILES = ["ewa.json", "record.json"]
 
-def run_report(name: str, work: Path) -> bytes:
-    synth_flags, generation, cycle, config_text = CYCLES[name]
+
+def _synth(work: Path, synth_flags: list[str]) -> Path:
     data = work / "data"
     assert cli.main(["synth", "--seed", "0", *synth_flags, "--out", str(data)]) == 0
-    extra = []
-    if config_text is not None:
-        ini = work / "config.ini"
-        ini.write_text(config_text)
-        extra = ["--config", str(ini)]
-    out = work / "run"
-    assert cli.main([
-        "run-cycle",
+    return data
+
+
+def _cycle_args(data: Path, generation: str, cycle: str, out: Path, extra=()) -> list[str]:
+    return [
         "--history", str(data / "history.csv"),
         "--ga", str(data / "ga.csv"),
         "--generation", generation,
         "--cycle", cycle,
         "--out", str(out),
         *extra,
-    ]) == 0
+    ]
+
+
+def run_report(name: str, work: Path) -> bytes:
+    synth_flags, generation, cycle, config_text = CYCLES[name]
+    data = _synth(work, synth_flags)
+    extra = []
+    if config_text is not None:
+        ini = work / "config.ini"
+        ini.write_text(config_text)
+        extra = ["--config", str(ini)]
+    out = work / "run"
+    assert cli.main(["run-cycle", *_cycle_args(data, generation, cycle, out, extra)]) == 0
     return (out / "report.csv").read_bytes()
+
+
+def run_demo_files(work: Path) -> dict[str, bytes]:
+    """The demo's record, every stage artifact and the stdout of each command."""
+    synth_flags, generation, cycle, _ = CYCLES["demo"]
+    data = _synth(work, synth_flags)
+    out = work / "run"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["run-cycle", *_cycle_args(data, generation, cycle, out)]) == 0
+        for command in STAGES:
+            stages = _cycle_args(data, generation, cycle, work / "stages")
+            assert cli.main([command, *stages]) == 0
+    files = {name: (work / "stages" / name).read_bytes() for name in STAGE_ARTIFACTS}
+    files["record.json"] = (out / "cycles" / generation / f"{cycle}.json").read_bytes()
+    files["stdout.txt"] = stdout.getvalue().replace(str(work), "WORK").encode()
+    return files
+
+
+def run_two_cycle_files(work: Path) -> dict[str, bytes]:
+    """gen2 at 2012-09 then 2012-12 in one store: the second cycle scores EWA."""
+    data = _synth(work, ["--generations", "3", "--months-after-final-ga", "20"])
+    out = work / "run"
+    for cycle in ("2012-09", "2012-12"):
+        assert cli.main(["run-cycle", *_cycle_args(data, "gen2", cycle, out)]) == 0
+    stages = _cycle_args(data, "gen2", "2012-12", work / "stages", ["--store", str(out / "cycles")])
+    assert cli.main(["ewa", *stages]) == 0
+    return {
+        "ewa.json": (work / "stages" / "ewa.json").read_bytes(),
+        "record.json": (out / "cycles" / "gen2" / "2012-12.json").read_bytes(),
+    }
+
+
+@pytest.fixture(scope="module")
+def demo_files(tmp_path_factory):
+    return run_demo_files(tmp_path_factory.mktemp("demo"))
+
+
+@pytest.fixture(scope="module")
+def two_cycle_files(tmp_path_factory):
+    return run_two_cycle_files(tmp_path_factory.mktemp("two_cycles"))
 
 
 @pytest.mark.parametrize("name", sorted(CYCLES))
@@ -66,9 +129,24 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert run_report(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", DEMO_FILES)
+def test_demo_file_matches_golden_bytes(name, demo_files):
+    assert demo_files[name] == (FIXTURES / "demo" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", TWO_CYCLE_FILES)
+def test_two_cycle_file_matches_golden_bytes(name, two_cycle_files):
+    assert two_cycle_files[name] == (FIXTURES / "two_cycles" / name).read_bytes()
+
+
 if __name__ == "__main__":
-    FIXTURES.mkdir(exist_ok=True)
-    for name in sorted(CYCLES):
-        with tempfile.TemporaryDirectory() as work:
-            (FIXTURES / f"{name}_report.csv").write_bytes(run_report(name, Path(work)))
-            print(f"wrote {FIXTURES / f'{name}_report.csv'}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as work:
+        for name in sorted(CYCLES):
+            path = FIXTURES / f"{name}_report.csv"
+            path.write_bytes(run_report(name, Path(work) / name))
+            print(f"wrote {path}", file=sys.stderr)
+        for folder, run in (("demo", run_demo_files), ("two_cycles", run_two_cycle_files)):
+            (FIXTURES / folder).mkdir(parents=True, exist_ok=True)
+            for name, blob in run(Path(work) / folder).items():
+                (FIXTURES / folder / name).write_bytes(blob)
+                print(f"wrote {FIXTURES / folder / name}", file=sys.stderr)
