@@ -6,13 +6,27 @@ every stage for one monthly cycle, persists the cycle record, and writes the
 report file. All stages recompute deterministically from the raw inputs, so
 any stage can be re-run and inspected on its own.
 
+Every JSON artifact is one key of `CycleOutcome.to_dict()`:
+
+    stage      artifact                                CycleOutcome.to_dict() key
+    prepare    prepared.csv, outliers.json             outliers (the CSV: both prepared histories)
+    analyze    analysis.json                           analysis
+    train      leaderboard.json                        leaderboard
+    forecast   forecast.json                           forecast
+    ewa        ewa.json                                ewa
+    adjust     adjust.json                             adjust
+    report     report.csv                              (rendered from the outcome)
+    run-cycle  report.csv, <store>/<gen>/<month>.json  record
+
+`prepare` stops after the donor pick and the cleaning, so it writes the
+`outliers` document from `prepare_histories` without running the cycle.
+
 Exit codes: 0 success, 1 validation error, 2 missing input file,
 3 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -21,22 +35,16 @@ from . import __version__
 from .config import AppConfig, load_config
 from .core import MonthIndex
 from .cycle_store import CycleStore, PlannerChoice
+from .encode import json_text
 from .errors import NumericError, ValidationError
 from .ingest import load_ga_calendar, load_history, write_ga_calendar, write_history
-from .pipeline import (
-    donor_candidates,
-    normalize_to_current,
-    prepare_generation,
-    run_cycle,
-    visible_history,
-)
-from .analysis import genealogy_match
+from .pipeline import outlier_screen, prepare_histories, run_cycle
 from .report import emit_report
 from .synth import ScenarioSpec, generate
 
 log = logging.getLogger(__name__)
 
-_CHOICES = {"best_fit": PlannerChoice.BEST_FIT, "lci": PlannerChoice.LCI, "uci": PlannerChoice.UCI}
+_CHOICES = {choice.band: choice for choice in PlannerChoice}
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -96,10 +104,6 @@ def _run(args, persist: bool):
     return outcome, store
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # ------------------------------------------------------------ subcommands
 
 
@@ -116,147 +120,86 @@ def cmd_ingest(args) -> int:
 
 def cmd_prepare(args) -> int:
     history, calendar, config = _load(args)
-    visible = visible_history(history, MonthIndex.parse(args.cycle))
     generation = calendar.resolve(args.generation)
-    by_name = {s.generation.name: s for s in visible}
-    if generation.name not in by_name:
-        raise ValidationError(f"no visible history for {generation.name}")
-    candidates = donor_candidates(visible, generation, calendar)
-    donor_id = genealogy_match(
-        by_name[generation.name], candidates, calendar, config.analysis.min_genealogy_overlap
+    prepared = prepare_histories(
+        history, calendar, generation, MonthIndex.parse(args.cycle), config
     )
-    current, _ = prepare_generation(by_name[generation.name], calendar, config, repair=False)
-    donor, reports = prepare_generation(by_name[donor_id.name], calendar, config, repair=True)
-    donor, factor = normalize_to_current(donor, current, calendar)
-
     out = _outdir(args)
-    write_history(out / "prepared.csv", [donor, current])
-    _write_json(
-        out / "outliers.json",
-        {
-            "donor": donor_id.name,
-            "normalization_factor": factor,
-            "outliers": [
-                {
-                    "feature": r.feature,
-                    "months": [str(m) for m in r.months],
-                    "values": list(r.values),
-                    "band": [r.lower, r.upper],
-                }
-                for r in reports
-            ],
-        },
-    )
-    flagged = sum(r.count for r in reports)
+    write_history(out / "prepared.csv", [prepared.donor, prepared.current])
+    screen = outlier_screen(prepared.donor_id, prepared.normalization, prepared.outliers)
+    (out / "outliers.json").write_text(json_text(screen))
+    flagged = sum(r.count for r in prepared.outliers)
     print(
-        f"prepare: donor {donor_id.name}, factor {factor:.4f}, "
+        f"prepare: donor {prepared.donor_id.name}, factor {prepared.normalization:.4f}, "
         f"{flagged} outlier months repaired -> {out}"
     )
     return 0
 
 
-def cmd_analyze(args) -> int:
-    outcome, _ = _run(args, persist=False)
-    out = _outdir(args)
-    _write_json(
-        out / "analysis.json",
-        {
-            "donor": outcome.donor.name,
-            "correlations": [
-                {"predictor": e.predictor, "pearson_r": e.pearson_r, "strength": e.strength.value}
-                for e in outcome.correlations
-            ],
-            "selected_predictors": list(outcome.selected),
-            "phases": {
-                name: [str(getattr(outcome.phases, name).start), str(getattr(outcome.phases, name).end)]
-                for name in ("ramp_up", "plateau", "ramp_down")
-            },
-        },
-    )
-    strong = sum(1 for e in outcome.correlations if e.strength.value == "Strong")
-    print(
-        f"analyze: donor {outcome.donor.name}, {len(outcome.correlations)} predictors "
-        f"({strong} strong, {len(outcome.selected)} selected) -> {out / 'analysis.json'}"
-    )
-    return 0
+# command -> (help, artifact under --out, CycleOutcome.to_dict() key or None
+# for the rendered report, summary of the outcome or None)
+_STAGES = {
+    "analyze": (
+        "genealogy, correlations, lifecycle phases",
+        "analysis.json",
+        "analysis",
+        lambda o: f"donor {o.donor.name}, {len(o.correlations)} predictors "
+        f"({len(o.correlations.strong())} strong, {len(o.selected)} selected)",
+    ),
+    "train": (
+        "fit the model zoo and rank by test MAPE",
+        "leaderboard.json",
+        "leaderboard",
+        lambda o: f"{len(o.leaderboard)} models, winner {o.leaderboard.winner.spec.label()} "
+        f"(test MAPE {o.leaderboard.winner.mape_best_fit:.2f}%)",
+    ),
+    "forecast": (
+        "predict the horizon with the winning model",
+        "forecast.json",
+        "forecast",
+        lambda o: f"{o.forecast_raw.model.label()} over {o.forecast_raw.interval}, "
+        f"test MAPE {o.forecast_raw.test_mape:.2f}%",
+    ),
+    "ewa": (
+        "validate the previous cycle's forecast",
+        "ewa.json",
+        "ewa",
+        lambda o: f"alert {o.ewa.alert.value}, recommendation {o.ewa.recommendation.value}",
+    ),
+    "adjust": (
+        "apply post-forecast adjustment rules",
+        "adjust.json",
+        "adjust",
+        lambda o: o.adjustments.describe(),
+    ),
+    "report": ("write the cycle report CSV", "report.csv", None, None),
+    "run-cycle": (
+        "run every stage and persist the cycle record",
+        "report.csv",
+        None,
+        lambda o: f"{o.generation.name} {o.cycle_month} winner {o.forecast.model.label()} "
+        f"(test MAPE {o.forecast.test_mape:.2f}%), "
+        f"alert {o.ewa.alert.value}, {o.ewa.recommendation.value}",
+    ),
+}
 
 
-def cmd_train(args) -> int:
-    outcome, _ = _run(args, persist=False)
-    out = _outdir(args)
-    _write_json(out / "leaderboard.json", outcome.leaderboard.to_dict())
-    winner = outcome.leaderboard.winner
-    print(
-        f"train: {len(outcome.leaderboard)} models, winner {winner.spec.label()} "
-        f"(test MAPE {winner.mape_best_fit:.2f}%) -> {out / 'leaderboard.json'}"
-    )
-    return 0
-
-
-def cmd_forecast(args) -> int:
-    outcome, _ = _run(args, persist=False)
-    out = _outdir(args)
-    _write_json(out / "forecast.json", outcome.forecast_raw.to_dict())
-    f = outcome.forecast_raw
-    print(
-        f"forecast: {f.model.label()} over {f.interval}, "
-        f"test MAPE {f.test_mape:.2f}% -> {out / 'forecast.json'}"
-    )
-    return 0
-
-
-def cmd_ewa(args) -> int:
-    outcome, _ = _run(args, persist=False)
-    out = _outdir(args)
-    _write_json(out / "ewa.json", outcome.ewa.to_dict())
-    print(
-        f"ewa: alert {outcome.ewa.alert.value}, recommendation "
-        f"{outcome.ewa.recommendation.value} -> {out / 'ewa.json'}"
-    )
-    return 0
-
-
-def cmd_adjust(args) -> int:
-    outcome, _ = _run(args, persist=False)
-    out = _outdir(args)
-    _write_json(
-        out / "adjust.json",
-        {
-            "forecast": outcome.forecast.to_dict(),
-            "notes": [
-                {
-                    "rule": n.rule,
-                    "factor": n.factor,
-                    "months": [str(m) for m in n.months],
-                }
-                for n in outcome.adjustments.notes
-            ],
-        },
-    )
-    print(f"adjust: {outcome.adjustments.describe()} -> {out / 'adjust.json'}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    outcome, _ = _run(args, persist=False)
-    out = _outdir(args)
-    emit_report(outcome, out / "report.csv")
-    print(f"report: {out / 'report.csv'}")
-    return 0
-
-
-def cmd_run_cycle(args) -> int:
-    outcome, store = _run(args, persist=True)
-    out = _outdir(args)
-    emit_report(outcome, out / "report.csv")
-    record_path = store.path_for(outcome.generation, outcome.cycle_month)
-    print(
-        f"run-cycle: {outcome.generation.name} {outcome.cycle_month} "
-        f"winner {outcome.forecast.model.label()} "
-        f"(test MAPE {outcome.forecast.test_mape:.2f}%), "
-        f"alert {outcome.ewa.alert.value}, {outcome.ewa.recommendation.value} "
-        f"-> {out / 'report.csv'}, {record_path}"
-    )
+def cmd_stage(args) -> int:
+    """Run the cycle and write the command's artifact; only `run-cycle`
+    persists the cycle record."""
+    _, artifact, key, summary = _STAGES[args.command]
+    persist = args.command == "run-cycle"
+    outcome, store = _run(args, persist=persist)
+    path = _outdir(args) / artifact
+    if key is None:
+        emit_report(outcome, path)
+    else:
+        path.write_text(json_text(outcome.to_dict()[key]))
+    written = [path]
+    if persist:
+        written.append(store.path_for(outcome.generation, outcome.cycle_month))
+    head = f"{summary(outcome)} -> " if summary else ""
+    print(f"{args.command}: {head}{', '.join(map(str, written))}")
     return 0
 
 
@@ -292,19 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(func=cmd_ingest)
 
-    for name, func, blurb in [
-        ("prepare", cmd_prepare, "clean, mask, and normalize donor history"),
-        ("analyze", cmd_analyze, "genealogy, correlations, lifecycle phases"),
-        ("train", cmd_train, "fit the model zoo and rank by test MAPE"),
-        ("forecast", cmd_forecast, "predict the horizon with the winning model"),
-        ("ewa", cmd_ewa, "validate the previous cycle's forecast"),
-        ("adjust", cmd_adjust, "apply post-forecast adjustment rules"),
-        ("report", cmd_report, "write the cycle report CSV"),
-        ("run-cycle", cmd_run_cycle, "run every stage and persist the cycle record"),
-    ]:
+    p = sub.add_parser("prepare", help="clean, mask, and normalize donor history")
+    _add_cycle_flags(p)
+    p.set_defaults(func=cmd_prepare)
+    for name, (blurb, *_) in _STAGES.items():
         p = sub.add_parser(name, help=blurb)
         _add_cycle_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("synth", help="generate a synthetic multi-generation scenario")
     p.add_argument("--seed", type=int, default=0)

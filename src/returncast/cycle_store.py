@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FeatureSeries, GenerationId, MonthIndex
+from .encode import json_text
 from .errors import ValidationError
 from .models import ForecastSeries
 
@@ -45,7 +46,7 @@ class CycleRecord:
     planner_selected: PlannerChoice
     selected_series: np.ndarray
     realized_actuals: Optional[FeatureSeries] = None
-    ewa: Optional[dict] = None  # validation summary of this cycle, stored verbatim
+    ewa: Optional[dict] = None  # this cycle's EwaReport as JSON data, stored verbatim
 
     def __post_init__(self):
         arr = np.asarray(self.selected_series, dtype=float).copy()
@@ -76,26 +77,6 @@ class CycleRecord:
             realized_actuals=realized_actuals,
             ewa=ewa,
         )
-
-    def to_dict(self) -> dict:
-        doc = {
-            "cycle_month": str(self.cycle_month),
-            "generation": {"name": self.generation.name, "ordinal": self.generation.ordinal},
-            "forecast": self.forecast.to_dict(),
-            "planner_selected": self.planner_selected.value,
-            "selected_series": [float(v) for v in self.selected_series],
-        }
-        if self.realized_actuals is not None:
-            doc["realized_actuals"] = {
-                "name": self.realized_actuals.name,
-                "start": str(self.realized_actuals.start),
-                "values": [
-                    None if math.isnan(v) else float(v) for v in self.realized_actuals.values
-                ],
-            }
-        if self.ewa is not None:
-            doc["ewa"] = self.ewa
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CycleRecord":
@@ -145,7 +126,7 @@ class CycleStore:
         path = self._path(record.generation, record.cycle_month)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n")
+        tmp.write_text(json_text(record))
         os.replace(tmp, path)
         return path
 

@@ -197,17 +197,6 @@ class StepResult:
     window_pad: float
     alert: Alert
 
-    def to_dict(self) -> dict:
-        return {
-            "months": [str(m) for m in self.months],
-            "deviations": list(self.deviations),
-            "pad_signed": list(self.pad_signed),
-            "pad_absolute": list(self.pad_absolute),
-            "colors": [c.value if c else None for c in self.colors],
-            "window_pad": self.window_pad,
-            "alert": self.alert.value,
-        }
-
 
 @dataclass(frozen=True)
 class EwaReport:
@@ -221,20 +210,6 @@ class EwaReport:
     projection: Optional[float]
     alert: Alert
     recommendation: Recommendation
-
-    def to_dict(self) -> dict:
-        return {
-            "cycle_month": str(self.cycle_month),
-            "first_cycle": self.first_cycle,
-            "step1": self.step1.to_dict() if self.step1 else None,
-            "step2": self.step2.to_dict() if self.step2 else None,
-            "steps_disagree": self.steps_disagree,
-            "score": self.score,
-            "six_month": list(self.six_month) if self.six_month else None,
-            "projection": self.projection,
-            "alert": self.alert.value,
-            "recommendation": self.recommendation.value,
-        }
 
 
 def _first_cycle_report(cycle_month: MonthIndex) -> EwaReport:

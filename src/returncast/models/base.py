@@ -9,7 +9,7 @@ import abc
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +41,8 @@ class ModelSpec:
     """Identity of a model: kind, hyperparameters, RNG seed."""
 
     kind: ModelKind
-    hyperparameters: tuple[tuple[str, object], ...] = ()
+    # sorted pairs, so specs compare and hash; written to JSON as an object
+    hyperparameters: tuple[tuple[str, object], ...] = field(default=(), metadata={"json": dict})
     seed: int = 0
 
     def __post_init__(self):
@@ -61,13 +62,6 @@ class ModelSpec:
 
     def label(self) -> str:
         return self.kind.value
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "hyperparameters": {k: v for k, v in self.hyperparameters},
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
@@ -244,17 +238,6 @@ class ForecastSeries:
             test_correlation=self.test_correlation,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "start": str(self.start),
-            "best_fit": [float(v) for v in self.best_fit],
-            "lci": [float(v) for v in self.lci],
-            "uci": [float(v) for v in self.uci],
-            "model": self.model.to_dict(),
-            "test_mape": float(self.test_mape),
-            "test_correlation": float(self.test_correlation),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ForecastSeries":
         return cls(
@@ -274,18 +257,6 @@ def residual_band(
     """Symmetric band of z residual SDs around `best`, floored at 0."""
     half = z * float(residuals.std())
     return np.maximum(best - half, 0.0), np.maximum(best + half, 0.0)
-
-
-def control_intervals(
-    model: FittedModel,
-    test: FeatureMatrix,
-    horizon: FeatureMatrix,
-    z: float = DEFAULT_Z_MULTIPLIER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residual band of `model`'s test errors around its horizon predictions."""
-    if test.is_empty:
-        raise ValidationError("control intervals need a non-empty test set")
-    return residual_band(model.predict(horizon), test.y - model.predict(test), z)
 
 
 # ------------------------------------------------------------------ ranking
@@ -318,35 +289,6 @@ class ModelLeaderboard:
             raise ValidationError("leaderboard is empty")
         return self.rows[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "spec": r.spec.to_dict(),
-                    "mape_best_fit": r.mape_best_fit,
-                    "mape_lci": r.mape_lci,
-                    "mape_uci": r.mape_uci,
-                    "correlation": r.correlation,
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelLeaderboard":
-        return cls(
-            rows=tuple(
-                LeaderboardRow(
-                    spec=ModelSpec.from_dict(r["spec"]),
-                    mape_best_fit=float(r["mape_best_fit"]),
-                    mape_lci=float(r["mape_lci"]),
-                    mape_uci=float(r["mape_uci"]),
-                    correlation=float(r["correlation"]),
-                )
-                for r in data["rows"]
-            )
-        )
-
 
 def rank_models(rows: Sequence[LeaderboardRow]) -> ModelLeaderboard:
     """MAPE is primary; correlation only breaks ties. NaN correlation sorts last."""
@@ -367,15 +309,19 @@ def evaluate_zoo(
     train: FeatureMatrix,
     test: FeatureMatrix,
     z: float = DEFAULT_Z_MULTIPLIER,
-) -> tuple[ModelLeaderboard, dict[ModelKind, FittedModel]]:
-    """Fit and score every spec; kinds that cannot fit are skipped with a warning."""
-    fitted: dict[ModelKind, FittedModel] = {}
+) -> tuple[ModelLeaderboard, dict[ModelKind, np.ndarray]]:
+    """Fit and score every spec; kinds that cannot fit are skipped with a warning.
+
+    Returns the leaderboard and each ranked kind's test residuals (actual
+    minus prediction), which size its forecast band.
+    """
+    residuals: dict[ModelKind, np.ndarray] = {}
     rows: list[LeaderboardRow] = []
     for spec in specs:
         try:
-            model = fit(spec, train)
-            predicted = model.predict(test)
-            lci, uci = residual_band(predicted, test.y - predicted, z)
+            predicted = fit(spec, train).predict(test)
+            errors = test.y - predicted
+            lci, uci = residual_band(predicted, errors, z)
             rows.append(
                 LeaderboardRow(
                     spec=spec,
@@ -385,9 +331,9 @@ def evaluate_zoo(
                     correlation=prediction_correlation(predicted, test.y),
                 )
             )
-            fitted[spec.kind] = model
+            residuals[spec.kind] = errors
         except (ValidationError, NumericError) as exc:
             log.warning("skipping %s: %s", spec.label(), exc)
     if not rows:
         raise ValidationError("no model in the zoo could be fitted and evaluated")
-    return rank_models(rows), fitted
+    return rank_models(rows), residuals

@@ -42,6 +42,7 @@ from .core import (
     align,
 )
 from .cycle_store import CycleRecord, CycleStore, PlannerChoice
+from .encode import to_json
 from .errors import NumericError, ValidationError
 from .ewa import EwaInput, EwaReport, run_ewa
 from .models import (
@@ -83,6 +84,46 @@ class CycleOutcome:
     previous_forecast: Optional[ForecastSeries]
     ewa: EwaReport
     record: CycleRecord
+
+    def to_dict(self) -> dict:
+        """Every stage artifact as JSON data, one key per artifact; the CLI
+        stages write these (the table in `returncast.cli`)."""
+        return to_json(
+            {
+                "outliers": outlier_screen(self.donor, self.normalization, self.outliers),
+                "analysis": {
+                    "donor": self.donor.name,
+                    "correlations": self.correlations.rows,
+                    "selected_predictors": self.selected,
+                    "phases": self.phases,
+                },
+                "leaderboard": self.leaderboard,
+                "forecast": self.forecast_raw,
+                "ewa": self.ewa,
+                "adjust": self.adjustments,
+                "record": self.record,
+            }
+        )
+
+
+@dataclass(frozen=True)
+class PreparedHistories:
+    """The genealogy donor and both generations' histories, cleaned, masked
+    and with the donor rescaled to the current generation's volume."""
+
+    donor_id: GenerationId
+    donor: GenerationSeries
+    current: GenerationSeries
+    outliers: tuple[OutlierReport, ...]
+    normalization: float
+
+
+def outlier_screen(
+    donor: GenerationId, normalization: float, outliers: tuple[OutlierReport, ...]
+) -> dict:
+    """The prepare stage's artifact, for `to_json`: donor, volume factor and
+    the donor's outlier screens."""
+    return {"donor": donor.name, "normalization_factor": normalization, "outliers": outliers}
 
 
 # ------------------------------------------------------------------ stages
@@ -169,6 +210,31 @@ def normalize_to_current(
     for channel in ("shipments", "upgrades", "new_receipts", "gross_returns"):
         scaled = scaled.replace_channel(channel, scaled.channel(channel) * factor)
     return scaled, factor
+
+
+def prepare_histories(
+    history: list[GenerationSeries],
+    calendar: GaCalendar,
+    generation: GenerationId,
+    cycle_month: MonthIndex,
+    config: AppConfig,
+) -> PreparedHistories:
+    """Pick the donor by genealogy, then clean both generations' visible
+    history and put the donor on the current generation's volume."""
+    visible = visible_history(history, cycle_month)
+    by_name = {s.generation.name: s for s in visible}
+    if generation.name not in by_name:
+        raise ValidationError(f"no visible history for {generation.name} before {cycle_month}")
+    current_raw = by_name[generation.name]
+
+    candidates = donor_candidates(visible, generation, calendar)
+    donor_id = genealogy_match(
+        current_raw, candidates, calendar, config.analysis.min_genealogy_overlap
+    )
+    current, _ = prepare_generation(current_raw, calendar, config, repair=False)
+    donor, outliers = prepare_generation(by_name[donor_id.name], calendar, config, repair=True)
+    donor, factor = normalize_to_current(donor, current, calendar)
+    return PreparedHistories(donor_id, donor, current, outliers, factor)
 
 
 def build_predictors(series: GenerationSeries, config: AppConfig) -> list[FeatureSeries]:
@@ -301,22 +367,8 @@ def run_cycle(
     if isinstance(generation, str):
         generation = calendar.resolve(generation)
     trigger = calendar.ga_of_next(generation)
-
-    visible = visible_history(history, cycle_month)
-    by_name = {s.generation.name: s for s in visible}
-    if generation.name not in by_name:
-        raise ValidationError(f"no visible history for {generation.name} before {cycle_month}")
-    current_raw = by_name[generation.name]
-
-    candidates = donor_candidates(visible, generation, calendar)
-    donor_id = genealogy_match(
-        current_raw, candidates, calendar, config.analysis.min_genealogy_overlap
-    )
-    donor_raw = by_name[donor_id.name]
-
-    current, _ = prepare_generation(current_raw, calendar, config, repair=False)
-    donor, outlier_reports = prepare_generation(donor_raw, calendar, config, repair=True)
-    donor, norm_factor = normalize_to_current(donor, current, calendar)
+    prepared = prepare_histories(history, calendar, generation, cycle_month, config)
+    donor_id, donor, current = prepared.donor_id, prepared.donor, prepared.current
 
     donor_trigger = calendar.ga_of_next(donor_id)
     phases = segment_lifecycle(
@@ -356,7 +408,7 @@ def run_cycle(
         )
     train, test = split_chronological(matrix, config.models.train_fraction)
     zoo = _zoo(config, rebase_phases(phases, donor_trigger))
-    leaderboard, fitted = evaluate_zoo(zoo, train, test, config.models.z_multiplier)
+    leaderboard, residuals = evaluate_zoo(zoo, train, test, config.models.z_multiplier)
 
     # horizon predictors: current generation's features at future months
     horizon_matrix = FeatureMatrix(
@@ -368,7 +420,7 @@ def run_cycle(
     )
 
     forecast_raw = _winner_forecast(
-        leaderboard, fitted, matrix, test, horizon_matrix, horizon, config
+        leaderboard, residuals, matrix, horizon_matrix, horizon, config
     )
 
     seasonal = _donor_seasonality(donor, config)
@@ -414,7 +466,7 @@ def run_cycle(
         forecast=adjusted.forecast,
         choice=choice,
         realized_actuals=actuals,
-        ewa=ewa_report.to_dict(),
+        ewa=to_json(ewa_report),
     )
     if store is not None and persist:
         store.store_cycle(record)
@@ -423,8 +475,8 @@ def run_cycle(
         generation=generation,
         cycle_month=cycle_month,
         donor=donor_id,
-        outliers=outlier_reports,
-        normalization=norm_factor,
+        outliers=prepared.outliers,
+        normalization=prepared.normalization,
         correlations=table,
         selected=tuple(p.name for p in chosen),
         phases=phases,
@@ -441,22 +493,21 @@ def run_cycle(
 
 def _winner_forecast(
     leaderboard: ModelLeaderboard,
-    fitted: dict,
+    residuals: dict[ModelKind, np.ndarray],
     matrix: FeatureMatrix,
-    test: FeatureMatrix,
     horizon_matrix: FeatureMatrix,
     horizon: MonthInterval,
     config: AppConfig,
 ) -> ForecastSeries:
     """Refit the leaderboard winner on the full donor matrix and predict the
-    horizon; the control band keeps the held-out residual spread. Falls to
+    horizon; the control band keeps the held-out residual spread that
+    `evaluate_zoo` measured. Falls to
     the next-ranked model if the winner cannot cover the horizon."""
     last_error: Exception | None = None
     for row in leaderboard:
         try:
-            residuals = test.y - fitted[row.spec.kind].predict(test)
             best = fit(row.spec, matrix).predict(horizon_matrix)
-            lci, uci = residual_band(best, residuals, config.models.z_multiplier)
+            lci, uci = residual_band(best, residuals[row.spec.kind], config.models.z_multiplier)
             return ForecastSeries(
                 start=horizon.start,
                 best_fit=best,

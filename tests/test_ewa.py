@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from returncast.cycle_store import PlannerChoice
+from returncast.encode import to_json
 from returncast.errors import NumericError, ValidationError
 from returncast.ewa import (
     SIGNED_WEIGHTS,
@@ -236,7 +237,7 @@ def test_ewa_needs_enough_overlap():
 
 def test_report_serializes_to_json():
     report = run_ewa(_cycle_inputs(+0.30, planner_choice=PlannerChoice.BEST_FIT))
-    blob = json.dumps(report.to_dict())
+    blob = json.dumps(to_json(report))
     back = json.loads(blob)
     assert back["alert"] == "OverForecast"
     assert back["recommendation"] == "UseLCI"

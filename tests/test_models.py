@@ -10,22 +10,20 @@ from returncast.analysis import LifecyclePhases
 from returncast.config import AppConfig
 from returncast.core import FeatureMatrix, MonthInterval
 from returncast.errors import NumericError, ValidationError
+from returncast.encode import to_json
 from returncast.models import (
-    FittedModel,
     ForecastSeries,
-    LeaderboardRow,
     ModelKind,
     ModelSpec,
-    control_intervals,
     evaluate_mape,
     evaluate_zoo,
     fit,
     fit_phasewise,
     phasewise_spec,
-    prediction_correlation,
-    rank_models,
+    residual_band,
     split_chronological,
 )
+from returncast.models.base import LeaderboardRow, prediction_correlation, rank_models
 from returncast.models.cart import best_split
 from returncast.models.neural import loss_and_grad, unpack_params
 from returncast.pipeline import _zoo
@@ -419,7 +417,7 @@ def test_phasewise_spec_fits_like_fit_phasewise():
 def test_phasewise_spec_survives_the_record_roundtrip():
     train, phases = _phasewise_case()
     spec = phasewise_spec(phases)
-    again = ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    again = ModelSpec.from_dict(json.loads(json.dumps(to_json(spec))))
     assert again == spec
     assert np.array_equal(fit(again, train).predict(train), fit(spec, train).predict(train))
 
@@ -442,30 +440,15 @@ def test_phasewise_predicts_outside_segmented_domain():
 # ------------------------------------------------------------ bands and zoo
 
 
-class _ConstantModel(FittedModel):
-    def __init__(self, value, names, window):
-        super().__init__(ModelSpec(ModelKind.LINEAR), names, window)
-        self.value = value
-
-    def _predict_raw(self, m):
-        return np.full(len(m), self.value)
-
-
-def test_control_intervals_exact_band():
-    test = matrix(np.arange(3.0), np.array([40.0, 50.0, 60.0]))
-    horizon = matrix(np.arange(4.0), start="2011-01")
-    model = _ConstantModel(50.0, test.predictor_names, test.interval)
-    lci, uci = control_intervals(model, test, horizon, z=1.96)
-    half = 1.96 * np.std([-10.0, 0.0, 10.0])
+def test_residual_band_exact_band():
+    residuals = np.array([-10.0, 0.0, 10.0])
+    lci, uci = residual_band(np.full(4, 50.0), residuals, z=1.96)
+    half = 1.96 * np.std(residuals)
     assert np.allclose(lci, 50.0 - half, atol=1e-12)
     assert np.allclose(uci, 50.0 + half, atol=1e-12)
     # the band is floored at zero
-    low = _ConstantModel(5.0, test.predictor_names, test.interval)
-    lo_test = matrix(np.arange(3.0), np.array([5.0, 45.0, 85.0]))
-    lci, _ = control_intervals(low, lo_test, horizon, z=1.96)
+    lci, _ = residual_band(np.full(4, 5.0), np.array([0.0, 40.0, 80.0]), z=1.96)
     assert (lci == 0.0).all()
-    with pytest.raises(ValidationError):
-        control_intervals(model, test.slice_rows(0, 0), horizon)
 
 
 def test_forecast_series_invariants():
@@ -493,7 +476,7 @@ def test_forecast_series_invariants():
 
     cut = f.restrict(MonthInterval(month("2011-02"), month("2011-03")))
     assert len(cut) == 1 and cut.start == month("2011-02")
-    again = ForecastSeries.from_dict(f.to_dict())
+    again = ForecastSeries.from_dict(to_json(f))
     assert again.start == f.start
     assert np.array_equal(again.best_fit, f.best_fit)
     assert again.model == f.model
@@ -508,9 +491,9 @@ def test_evaluate_zoo_full_and_degraded():
     train, test = split_chronological(full)
     phases = _phases("2010-01", "2011-04", "2012-02", "2013-05")
     seeded = AppConfig(models=replace(AppConfig().models, seed=1))
-    board, fitted = evaluate_zoo(_zoo(seeded, phases), train, test)
+    board, residuals = evaluate_zoo(_zoo(seeded, phases), train, test)
     assert len(board) == 5
-    assert set(fitted) == {
+    assert set(residuals) == {
         ModelKind.LINEAR, ModelKind.CART, ModelKind.CHAID, ModelKind.NEURAL, ModelKind.TIMESERIES,
     }
     mapes = [r.mape_best_fit for r in board]
@@ -519,8 +502,8 @@ def test_evaluate_zoo_full_and_degraded():
     # 8 training rows: only the line and the smoother clear their row minimums
     small_train = full.slice_rows(0, 8)
     small_test = full.slice_rows(8, 14)
-    board, fitted = evaluate_zoo(_zoo(AppConfig(), phases), small_train, small_test)
-    assert set(fitted) == {ModelKind.LINEAR, ModelKind.TIMESERIES}
+    board, residuals = evaluate_zoo(_zoo(AppConfig(), phases), small_train, small_test)
+    assert set(residuals) == {ModelKind.LINEAR, ModelKind.TIMESERIES}
 
     with pytest.raises(ValidationError):
         evaluate_zoo(_zoo(AppConfig(), phases), full.slice_rows(0, 2), small_test)
@@ -530,12 +513,13 @@ def test_evaluate_zoo_scores_phasewise_like_any_kind():
     train, phases = _phasewise_case()
     test = matrix(np.arange(34.0, 40.0), np.linspace(18, 8, 6), start="2012-11")
     flags = AppConfig(models=replace(AppConfig().models, include_phasewise=True))
-    board, fitted = evaluate_zoo(_zoo(flags, phases), train, test)
+    board, residuals = evaluate_zoo(_zoo(flags, phases), train, test)
     row = next(r for r in board if r.spec.kind is ModelKind.PHASEWISE)
     assert row.spec == phasewise_spec(phases)
-    predicted = fitted[ModelKind.PHASEWISE].predict(test)
+    predicted = fit(row.spec, train).predict(test)
+    assert np.array_equal(residuals[ModelKind.PHASEWISE], test.y - predicted)
     assert row.mape_best_fit == evaluate_mape(test.y, predicted)
-    lci, uci = control_intervals(fitted[ModelKind.PHASEWISE], test, test)
+    lci, uci = residual_band(predicted, residuals[ModelKind.PHASEWISE])
     assert (row.mape_lci, row.mape_uci) == (evaluate_mape(test.y, lci), evaluate_mape(test.y, uci))
 
 

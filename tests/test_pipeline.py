@@ -8,6 +8,7 @@ import pytest
 from returncast.config import AppConfig
 from returncast.core import MonthInterval
 from returncast.cycle_store import CycleStore, PlannerChoice
+from returncast.encode import json_text
 from returncast.errors import ValidationError
 from returncast.pipeline import (
     coverage_greedy,
@@ -158,9 +159,7 @@ def test_run_cycle_is_deterministic(scenario):
     assert a.selected == b.selected
     assert [r.spec.kind for r in a.leaderboard] == [r.spec.kind for r in b.leaderboard]
     # dict equality trips over NaN != NaN, so compare serialized form
-    assert json.dumps(a.record.to_dict(), sort_keys=True) == json.dumps(
-        b.record.to_dict(), sort_keys=True
-    )
+    assert json_text(a.to_dict()) == json_text(b.to_dict())
 
 
 def test_run_cycle_rejects_generation_without_trigger(scenario):
