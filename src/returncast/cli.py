@@ -195,11 +195,11 @@ def cmd_stage(args) -> int:
         emit_report(outcome, path)
     else:
         path.write_text(json_text(outcome.to_dict()[key]))
-    written = [path]
+    written = str(path)
     if persist:
-        written.append(store.path_for(outcome.generation, outcome.cycle_month))
+        written += f", {store.path_for(outcome.generation, outcome.cycle_month)}"
     head = f"{summary(outcome)} -> " if summary else ""
-    print(f"{args.command}: {head}{', '.join(map(str, written))}")
+    print(f"{args.command}: {head}{written}")
     return 0
 
 

@@ -1,0 +1,61 @@
+"""Every name a package exports has a caller.
+
+A name in a package's `__all__` must be referenced somewhere in `src/`
+outside the module that defines it (and the `__init__` that re-exports it),
+or be imported by the acceptance criteria. An export that nothing uses is
+dead weight: drop it from `__all__`, or the code with it.
+"""
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "returncast"
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+PACKAGES = ("returncast", "returncast.models")
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+SOURCES = {path: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+DEFINED_IN = {path: _top_level_names(ast.parse(text)) for path, text in SOURCES.items()}
+ACCEPTANCE_IMPORTS = {
+    alias.asname or alias.name
+    for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+    if isinstance(node, ast.ImportFrom)
+    for alias in node.names
+}
+EXPORTS = [
+    (package, name)
+    for package in PACKAGES
+    for name in importlib.import_module(package).__all__
+]
+
+
+@pytest.mark.parametrize("package,name", EXPORTS, ids=[f"{p}.{n}" for p, n in EXPORTS])
+def test_exported_name_has_a_caller(package, name):
+    exporter = SRC.joinpath(*package.split(".")[1:], "__init__.py")
+    owners = [path for path, names in DEFINED_IN.items() if name in names]
+    assert owners, f"{package}.{name} is not defined at the top level of any module"
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    callers = [
+        path
+        for path, text in SOURCES.items()
+        if path not in owners and path != exporter and pattern.search(text)
+    ]
+    assert callers or name in ACCEPTANCE_IMPORTS, (
+        f"{package}.{name} is exported but nothing in src/ outside its module uses it, "
+        "and the acceptance criteria do not import it"
+    )

@@ -1,5 +1,4 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
-import json
 from dataclasses import replace
 
 import numpy as np
