@@ -109,8 +109,9 @@ class CycleStore:
     """
 
     def __init__(self, root: str | Path):
+        # the directory appears with the first stored record; reads of a
+        # missing store find no records
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _generation_dir(self, generation: GenerationId) -> Path:
         return self.root / urllib.parse.quote(generation.name, safe="")

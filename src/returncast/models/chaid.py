@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..core import FeatureMatrix
 from .base import FittedModel, ModelKind, ModelSpec, register_fitter, require_rows
@@ -36,7 +36,8 @@ def _anova_p(groups: list[np.ndarray]) -> float:
     if ssw <= 1e-300:
         return 0.0 if ssb > 1e-12 else 1.0
     f_stat = (ssb / (k - 1)) / (ssw / (n - k))
-    return float(stats.f.sf(f_stat, k - 1, n - k))
+    # the F survival function; scipy.stats.f.sf evaluates this same call
+    return float(special.fdtrc(k - 1, n - k, f_stat))
 
 
 def _decile_edges(x: np.ndarray) -> np.ndarray:
@@ -51,6 +52,12 @@ def _decile_edges(x: np.ndarray) -> np.ndarray:
 
 def _bin_ids(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, x, side="right")
+
+
+def _in_group(bins: np.ndarray, g) -> np.ndarray:
+    """Row mask of a group: a run of adjacent occupied bins, so a range test
+    selects the same rows, in the same order, as membership in ``g``."""
+    return (bins >= g[0]) & (bins <= g[-1])
 
 
 @dataclass(frozen=True)
@@ -73,19 +80,18 @@ def _merge_bins(
     """
     # bin 0 (strictly below the lowest edge) is empty when that edge is the
     # minimum; seed the merge from the occupied bins only
-    groups: list[list[int]] = [[b] for b in range(n_bins) if np.any(bins == b)]
+    groups: list[list[int]] = [
+        [b] for b in np.flatnonzero(np.bincount(bins, minlength=n_bins)).tolist()
+    ]
     occupied = len(groups)
-
-    def group_values(g: list[int]) -> np.ndarray:
-        return y[np.isin(bins, g)]
+    # each group's values and each adjacent pair's p-value carry over between
+    # passes; a merge rescores only the two pairs beside the merged group
+    values = [y[bins == g[0]] for g in groups]
+    pair_ps = [_anova_p([values[i], values[i + 1]]) for i in range(len(groups) - 1)]
 
     while len(groups) > 1:
-        pair_ps = [
-            _anova_p([group_values(groups[i]), group_values(groups[i + 1])])
-            for i in range(len(groups) - 1)
-        ]
         multiplier = len(pair_ps)
-        undersized = [i for i, g in enumerate(groups) if len(group_values(g)) < min_segment]
+        undersized = [i for i, v in enumerate(values) if len(v) < min_segment]
         if undersized:
             i = undersized[0]
             # merge toward the more similar neighbor
@@ -98,12 +104,16 @@ def _merge_bins(
                 break
             at = best
         groups[at] = groups[at] + groups[at + 1]
-        del groups[at + 1]
+        del groups[at + 1], values[at + 1], pair_ps[at]
+        values[at] = y[_in_group(bins, groups[at])]
+        if at > 0:
+            pair_ps[at - 1] = _anova_p([values[at - 1], values[at]])
+        if at < len(pair_ps):
+            pair_ps[at] = _anova_p([values[at], values[at + 1]])
 
     if len(groups) < 2:
         return None
-    final = [group_values(g) for g in groups]
-    p_raw = _anova_p(final)
+    p_raw = _anova_p(values)
     # Bonferroni cost of reducing the occupied ordered bins to these groups
     p_adj = min(1.0, p_raw * math.comb(occupied - 1, len(groups) - 1))
     return _MergeResult(groups=tuple(tuple(g) for g in groups), p_adjusted=p_adj)
@@ -161,7 +171,7 @@ def _grow(
     bins = _bin_ids(X[:, j], edges)
     children = []
     for g in merged.groups:
-        mask = np.isin(bins, list(g))
+        mask = _in_group(bins, g)
         children.append(
             _grow(X[mask], y[mask], depth + 1, min_segment, merge_alpha, split_alpha, max_depth)
         )

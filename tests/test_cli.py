@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import returncast
 import returncast.cli as cli
 from returncast.errors import NumericError
 
@@ -78,6 +83,26 @@ def test_stage_commands_do_not_persist_cycles(data_dir, tmp_path):
     out = tmp_path / "probe"
     assert cli.main(["forecast", *_cycle_args(data_dir, out)]) == 0
     assert not (out / "cycles" / "gen2" / "2012-09.json").exists()
+
+
+def test_inspection_stage_creates_no_store(data_dir, tmp_path):
+    out = tmp_path / "empty"
+    out.mkdir()
+    assert cli.main(["analyze", *_cycle_args(data_dir, out)]) == 0
+    assert not (out / "cycles").exists()
+    assert [p.name for p in out.iterdir()] == ["analysis.json"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats would be most of the CLI's cold start; CHAID needs only scipy.special
+    src = str(Path(returncast.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, returncast.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_reruns_are_byte_identical(data_dir, tmp_path):

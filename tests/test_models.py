@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from returncast.analysis import LifecyclePhases
 from returncast.config import AppConfig
@@ -25,6 +28,7 @@ from returncast.models import (
 )
 from returncast.models.base import LeaderboardRow, prediction_correlation, rank_models
 from returncast.models.cart import best_split
+from returncast.models.chaid import _anova_p, _merge_bins, _MergeResult
 from returncast.models.neural import loss_and_grad, unpack_params
 from returncast.pipeline import _zoo
 
@@ -266,6 +270,104 @@ def test_chaid_constant_target_is_single_leaf():
 def test_chaid_requires_enough_rows():
     with pytest.raises(ValidationError):
         fit(ModelSpec(ModelKind.CHAID, {"min_segment": 5}), matrix(np.arange(9.0), np.arange(9.0)))
+
+
+def _anova_p_reference(groups):
+    """The F-test through scipy.stats, as the tree computed it before."""
+    groups = [g for g in groups if len(g)]
+    k = len(groups)
+    n = sum(len(g) for g in groups)
+    if k < 2 or n - k <= 0:
+        return 1.0
+    grand = float(np.concatenate(groups).mean())
+    ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
+    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+    if ssw <= 1e-300:
+        return 0.0 if ssb > 1e-12 else 1.0
+    f_stat = (ssb / (k - 1)) / (ssw / (n - k))
+    return float(stats.f.sf(f_stat, k - 1, n - k))
+
+
+def test_anova_p_equals_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in (2, 3, 5, 9):
+        for _ in range(40):
+            sizes = rng.integers(1, 15, size=k)
+            shift = rng.choice([0.0, 0.1, 1.0, 10.0])
+            cases.append([rng.normal(shift * i, rng.uniform(0.01, 5.0), size=s)
+                          for i, s in enumerate(sizes)])
+    cases += [
+        [np.array([1.0, 3.0]), np.array([2.0, 2.0])],  # equal means: F = 0
+        [np.full(4, 2.0), np.full(3, 5.0)],  # ssw == 0, means differ
+        [np.full(4, 2.0), np.full(3, 2.0), np.full(2, 2.0)],  # ssw == 0, means equal
+        [np.arange(5.0), np.array([])],  # one non-empty group
+        [np.array([]), np.array([])],
+        [np.array([1.0]), np.array([2.0])],  # n - k == 0
+        [np.array([3.0, 1.0, 2.0]), np.array([1e6, 1e6 + 1.0]), np.array([-4.0])],
+    ]
+    for groups in cases:
+        assert _anova_p(groups) == _anova_p_reference(groups)
+
+
+def _merge_bins_reference(bins, y, n_bins, min_segment, merge_alpha):
+    """The merge as first written: regroup rows with np.isin and rescore
+    every adjacent pair on every pass."""
+    groups = [[b] for b in range(n_bins) if np.any(bins == b)]
+    occupied = len(groups)
+
+    def values(g):
+        return y[np.isin(bins, g)]
+
+    while len(groups) > 1:
+        pair_ps = [_anova_p([values(groups[i]), values(groups[i + 1])])
+                   for i in range(len(groups) - 1)]
+        undersized = [i for i, g in enumerate(groups) if len(values(g)) < min_segment]
+        if undersized:
+            i = undersized[0]
+            left_p = pair_ps[i - 1] if i > 0 else -1.0
+            right_p = pair_ps[i] if i < len(pair_ps) else -1.0
+            at = i - 1 if left_p >= right_p else i
+        else:
+            best = max(range(len(pair_ps)), key=lambda i: pair_ps[i])
+            if min(1.0, pair_ps[best] * len(pair_ps)) <= merge_alpha:
+                break
+            at = best
+        groups[at] = groups[at] + groups[at + 1]
+        del groups[at + 1]
+    if len(groups) < 2:
+        return None
+    p_raw = _anova_p([values(g) for g in groups])
+    p_adj = min(1.0, p_raw * math.comb(occupied - 1, len(groups) - 1))
+    return _MergeResult(groups=tuple(tuple(g) for g in groups), p_adjusted=p_adj)
+
+
+@st.composite
+def _binned_targets(draw):
+    n_bins = draw(st.integers(2, 11))
+    # bin 0 is often left empty, as when the lowest decile edge is the minimum
+    occupied = draw(st.lists(st.integers(0, n_bins - 1), min_size=1, max_size=n_bins,
+                             unique=True))
+    n = draw(st.integers(1, 60))
+    bins = np.array(draw(st.lists(st.sampled_from(sorted(occupied)), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    # few distinct levels tie values, noise on some rows makes sums depend on
+    # row order, and some bins hold one constant value
+    levels = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    y = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    noise = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    y = y + np.array(draw(st.lists(noise, min_size=n, max_size=n)))
+    for b in draw(st.lists(st.sampled_from(sorted(occupied)), unique=True)):
+        y[bins == b] = draw(st.sampled_from(levels))
+    min_segment = draw(st.integers(1, 8))
+    merge_alpha = draw(st.sampled_from([0.01, 0.05, 0.3, 1.0]))
+    return bins, y, n_bins, min_segment, merge_alpha
+
+
+@given(case=_binned_targets())
+@settings(max_examples=300, deadline=None)
+def test_merge_bins_matches_full_rescore(case):
+    assert _merge_bins(*case) == _merge_bins_reference(*case)
 
 
 # ------------------------------------------------------------ neural network
