@@ -5,12 +5,14 @@ output itself, so a refactor that changes any written byte fails here. Pinned:
 both cycles' report.csv; for the README demo also its cycle record, every
 stage artifact and the stdout summary lines; and for a second cycle scored
 against the first in one store (EWA on a real previous forecast), its record
-and its ewa.json. Regenerate the fixtures (only for a deliberate output
+and its ewa.json; and every cycle of a lifecycle sweep, one line each, which
+pins the order in which a cycle decides its refusals. Regenerate the fixtures (only for a deliberate output
 change, noted in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
 import contextlib
+import hashlib
 import io
 import sys
 import tempfile
@@ -19,6 +21,12 @@ from pathlib import Path
 import pytest
 
 import returncast.cli as cli
+from returncast.cycle_store import CycleStore
+from returncast.encode import json_text
+from returncast.errors import NumericError, ValidationError
+from returncast.pipeline import run_cycle
+from returncast.report import render_report
+from returncast.synth import ScenarioSpec, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,6 +58,9 @@ STAGE_ARTIFACTS = (
 )
 DEMO_FILES = sorted(["record.json", "stdout.txt", *STAGE_ARTIFACTS])
 TWO_CYCLE_FILES = ["ewa.json", "record.json"]
+# every month of every generation, one store per generation: reports, and
+# every refusal kind (missing GA, genealogy, all-zero test actuals, EWA)
+SWEEP = ScenarioSpec(generations=3, months_after_final_ga=30, seed=0)
 
 
 def _synth(work: Path, synth_flags: list[str]) -> Path:
@@ -113,6 +124,27 @@ def run_two_cycle_files(work: Path) -> dict[str, bytes]:
     }
 
 
+def run_sweep(work: Path) -> str:
+    """One line per cycle: generation, month, then either the SHA-256 of the
+    rendered report followed by `json_text(outcome.to_dict())`, or the
+    refusal's exception type and message."""
+    history, calendar, _ = generate(SWEEP)
+    lines = []
+    for series in sorted(history, key=lambda s: s.generation.ordinal):
+        store = CycleStore(work / series.generation.name)
+        for j in range(1, len(series) + 1):
+            month = series.start + j
+            try:
+                outcome = run_cycle(history, calendar, series.generation.name, month, store=store)
+            except (ValidationError, NumericError) as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            else:
+                blob = render_report(outcome) + json_text(outcome.to_dict())
+                result = "report " + hashlib.sha256(blob.encode()).hexdigest()
+            lines.append(f"{series.generation.name} {month} {result}\n")
+    return "".join(lines)
+
+
 @pytest.fixture(scope="module")
 def demo_files(tmp_path_factory):
     return run_demo_files(tmp_path_factory.mktemp("demo"))
@@ -139,6 +171,11 @@ def test_two_cycle_file_matches_golden_bytes(name, two_cycle_files):
     assert two_cycle_files[name] == (FIXTURES / "two_cycles" / name).read_bytes()
 
 
+def test_sweep_outcomes_match_golden_lines(tmp_path):
+    expected = (FIXTURES / "sweep.txt").read_text().splitlines()
+    assert run_sweep(tmp_path).splitlines() == expected
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name in sorted(CYCLES):
@@ -150,3 +187,5 @@ if __name__ == "__main__":
             for name, blob in run(Path(work) / folder).items():
                 (FIXTURES / folder / name).write_bytes(blob)
                 print(f"wrote {FIXTURES / folder / name}", file=sys.stderr)
+        (FIXTURES / "sweep.txt").write_text(run_sweep(Path(work) / "sweep"))
+        print(f"wrote {FIXTURES / 'sweep.txt'}", file=sys.stderr)
