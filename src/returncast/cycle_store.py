@@ -80,6 +80,19 @@ class CycleRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CycleRecord":
+        ewa = doc.get("ewa")
+        if ewa is not None and not isinstance(ewa, dict):
+            raise ValidationError(
+                f"record field 'ewa' must be an object or null, got {type(ewa).__name__}"
+            )
+        forecast = ForecastSeries.from_dict(doc["forecast"])
+        # EWA scores the planner's series month by month against the forecast's
+        selected = np.array(doc["selected_series"], dtype=float)
+        if selected.shape != (len(forecast),):
+            raise ValidationError(
+                f"record field 'selected_series' must hold {len(forecast)} values, "
+                f"one per forecast month, got {selected.size}"
+            )
         actuals = None
         if doc.get("realized_actuals") is not None:
             blob = doc["realized_actuals"]
@@ -93,11 +106,11 @@ class CycleRecord:
         return cls(
             cycle_month=MonthIndex.parse(doc["cycle_month"]),
             generation=GenerationId(doc["generation"]["name"], int(doc["generation"]["ordinal"])),
-            forecast=ForecastSeries.from_dict(doc["forecast"]),
+            forecast=forecast,
             planner_selected=PlannerChoice(doc["planner_selected"]),
-            selected_series=np.array(doc["selected_series"], dtype=float),
+            selected_series=selected,
             realized_actuals=actuals,
-            ewa=doc.get("ewa"),
+            ewa=ewa,
         )
 
 

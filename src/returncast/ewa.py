@@ -267,30 +267,49 @@ def _score_step(
     )
 
 
-def run_ewa(inputs: EwaInput, thresholds: EwaThresholds = EwaThresholds()) -> EwaReport:
-    """The 3-step validation: score the previous forecast, score the planner's
-    choice, then pick an alert and recommendation from step 1."""
-    if inputs.previous_forecast is None:
-        return _first_cycle_report(inputs.cycle_month)
+def score_previous(
+    actuals: FeatureSeries,
+    previous_forecast: Optional[ForecastSeries],
+    planner_series: Optional[FeatureSeries] = None,
+    thresholds: EwaThresholds = EwaThresholds(),
+) -> Optional[tuple[StepResult, Optional[StepResult]]]:
+    """Steps 1 and 2: score the previous forecast, then the series the
+    planner committed to, against the actuals. None on a first cycle.
 
-    prev = inputs.previous_forecast
-    step1 = _score_step(inputs.actuals, prev.start, prev.best_fit, thresholds)
+    This is the only part of EWA that can refuse, and it reads nothing of
+    this cycle's forecast, so a cycle can run it before training a model.
+    """
+    if previous_forecast is None:
+        return None
+    step1 = _score_step(actuals, previous_forecast.start, previous_forecast.best_fit, thresholds)
     if step1 is None:
         raise ValidationError(
             f"EWA needs {thresholds.lookback_months} months of actuals overlapping "
-            f"the previous forecast {prev.interval}"
+            f"the previous forecast {previous_forecast.interval}"
         )
-
     step2 = None
-    if inputs.planner_series is not None:
-        step2 = _score_step(
-            inputs.actuals, inputs.planner_series.start, inputs.planner_series.values, thresholds
-        )
+    if planner_series is not None:
+        step2 = _score_step(actuals, planner_series.start, planner_series.values, thresholds)
+    return step1, step2
+
+
+def recommend(
+    cycle_month: MonthIndex,
+    actuals: FeatureSeries,
+    current_forecast: ForecastSeries,
+    steps: Optional[tuple[StepResult, Optional[StepResult]]],
+    thresholds: EwaThresholds = EwaThresholds(),
+) -> EwaReport:
+    """Step 3 on the steps `score_previous` scored: the score, the alert and
+    recommendation from step 1, and the projection of this cycle's forecast."""
+    if steps is None:
+        return _first_cycle_report(cycle_month)
+    step1, step2 = steps
     steps_disagree = step2 is not None and step2.alert is not step1.alert
     if steps_disagree:
         log.warning(
             "EWA steps disagree at %s: forecast says %s, planner selection says %s",
-            inputs.cycle_month, step1.alert, step2.alert,
+            cycle_month, step1.alert, step2.alert,
         )
 
     score = mape_score(step1.colors[-thresholds.score_window :], thresholds.weights)
@@ -301,12 +320,10 @@ def run_ewa(inputs: EwaInput, thresholds: EwaThresholds = EwaThresholds()) -> Ew
 
     proj = None
     w = thresholds.projection_window
-    defined = np.flatnonzero(inputs.actuals.defined_mask)
-    future = inputs.current_forecast.restrict(
-        MonthInterval(inputs.cycle_month, inputs.cycle_month + w)
-    )
+    defined = np.flatnonzero(actuals.defined_mask)
+    future = current_forecast.restrict(MonthInterval(cycle_month, cycle_month + w))
     if len(defined) >= w and len(future) == w:
-        recent = inputs.actuals.values[defined[-w:]]
+        recent = actuals.values[defined[-w:]]
         proj = projection(recent, future.best_fit, w)
 
     alert = step1.alert
@@ -320,7 +337,7 @@ def run_ewa(inputs: EwaInput, thresholds: EwaThresholds = EwaThresholds()) -> Ew
         recommendation = Recommendation.USE_UCI
 
     return EwaReport(
-        cycle_month=inputs.cycle_month,
+        cycle_month=cycle_month,
         first_cycle=False,
         step1=step1,
         step2=step2,
@@ -330,4 +347,15 @@ def run_ewa(inputs: EwaInput, thresholds: EwaThresholds = EwaThresholds()) -> Ew
         projection=proj,
         alert=alert,
         recommendation=recommendation,
+    )
+
+
+def run_ewa(inputs: EwaInput, thresholds: EwaThresholds = EwaThresholds()) -> EwaReport:
+    """The 3-step validation: score the previous forecast, score the planner's
+    choice, then pick an alert and recommendation from step 1."""
+    steps = score_previous(
+        inputs.actuals, inputs.previous_forecast, inputs.planner_series, thresholds
+    )
+    return recommend(
+        inputs.cycle_month, inputs.actuals, inputs.current_forecast, steps, thresholds
     )

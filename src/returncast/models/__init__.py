@@ -11,6 +11,7 @@ from .base import (
     evaluate_mape,
     evaluate_zoo,
     fit,
+    require_scorable,
     residual_band,
     split_chronological,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "fit",
     "fit_phasewise",
     "phasewise_spec",
+    "require_scorable",
     "residual_band",
     "split_chronological",
 ]

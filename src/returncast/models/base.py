@@ -148,6 +148,11 @@ def split_chronological(
 # ------------------------------------------------------------------ metrics
 
 
+def _percentage_defined(actual: np.ndarray) -> np.ndarray:
+    """Months a percentage error can score: those with a nonzero actual."""
+    return actual != 0.0
+
+
 def evaluate_mape(actual, forecast) -> float:
     """Mean absolute percentage error; zero-actual months are excluded."""
     a = np.asarray(actual, dtype=float)
@@ -156,7 +161,7 @@ def evaluate_mape(actual, forecast) -> float:
         raise ValidationError(f"actual and forecast must be equal-length vectors, got {a.shape} vs {f.shape}")
     if len(a) < 1:
         raise ValidationError("need at least one month to evaluate")
-    nonzero = a != 0.0
+    nonzero = _percentage_defined(a)
     if not nonzero.any():
         raise NumericError("every actual is zero; percentage error is undefined")
     if not nonzero.all():
@@ -304,6 +309,16 @@ def rank_models(rows: Sequence[LeaderboardRow]) -> ModelLeaderboard:
     return ModelLeaderboard(rows=tuple(sorted(rows, key=key)))
 
 
+_NO_MODEL = "no model in the zoo could be fitted and evaluated"
+
+
+def require_scorable(test: FeatureMatrix) -> None:
+    """Refuse a test split whose every actual is zero: MAPE is undefined on
+    it, so no model could be ranked, whatever it predicts."""
+    if not _percentage_defined(test.y).any():
+        raise ValidationError(_NO_MODEL)
+
+
 def evaluate_zoo(
     specs: Sequence[ModelSpec],
     train: FeatureMatrix,
@@ -311,10 +326,12 @@ def evaluate_zoo(
     z: float = DEFAULT_Z_MULTIPLIER,
 ) -> tuple[ModelLeaderboard, dict[ModelKind, np.ndarray]]:
     """Fit and score every spec; kinds that cannot fit are skipped with a warning.
+    A test split no model could be scored on is refused before any fit.
 
     Returns the leaderboard and each ranked kind's test residuals (actual
     minus prediction), which size its forecast band.
     """
+    require_scorable(test)
     residuals: dict[ModelKind, np.ndarray] = {}
     rows: list[LeaderboardRow] = []
     for spec in specs:
@@ -335,5 +352,5 @@ def evaluate_zoo(
         except (ValidationError, NumericError) as exc:
             log.warning("skipping %s: %s", spec.label(), exc)
     if not rows:
-        raise ValidationError("no model in the zoo could be fitted and evaluated")
+        raise ValidationError(_NO_MODEL)
     return rank_models(rows), residuals

@@ -5,6 +5,9 @@ history, build lag/average transforms, keep predictors that are strongly
 correlated AND observable over the horizon, race the model zoo on a 70/30
 chronological split, forecast with the winner, apply adjustment rules, then
 validate the previous cycle's forecast (EWA) and persist the record.
+Refusals that cannot depend on a fitted model (a test split MAPE cannot
+score, a previous forecast EWA cannot score) are decided before the zoo
+trains.
 
 Cross-generation transfer works on a shifted time axis: donor and current
 months are both rebased so month 0 is each generation's returns trigger,
@@ -44,7 +47,7 @@ from .core import (
 from .cycle_store import CycleRecord, CycleStore, PlannerChoice
 from .encode import to_json
 from .errors import NumericError, ValidationError
-from .ewa import EwaInput, EwaReport, run_ewa
+from .ewa import EwaReport, recommend, score_previous
 from .models import (
     ForecastSeries,
     ModelKind,
@@ -53,6 +56,7 @@ from .models import (
     evaluate_zoo,
     fit,
     phasewise_spec,
+    require_scorable,
     residual_band,
     split_chronological,
 )
@@ -407,6 +411,21 @@ def run_cycle(
             f"aligned donor matrix has only {matrix.n_rows} rows; not enough to train"
         )
     train, test = split_chronological(matrix, config.models.train_fraction)
+
+    # refusals no fitted model can change are decided before any training:
+    # a test split MAPE cannot score, then the previous cycle's EWA scoring
+    require_scorable(test)
+    actuals = current.feature("gross_returns")
+    previous = store.load_previous_cycle(generation, cycle_month) if store else None
+    ewa_steps = None  # a first cycle has nothing to score
+    if previous is not None:
+        planner = FeatureSeries(
+            name="planner_selected",
+            start=previous.forecast.start,
+            values=previous.selected_series,
+        )
+        ewa_steps = score_previous(actuals, previous.forecast, planner, config.ewa)
+
     zoo = _zoo(config, rebase_phases(phases, donor_trigger))
     leaderboard, residuals = evaluate_zoo(zoo, train, test, config.models.z_multiplier)
 
@@ -426,7 +445,7 @@ def run_cycle(
     seasonal = _donor_seasonality(donor, config)
     adjusted = adjust_forecast(
         forecast_raw,
-        actuals=current.feature("gross_returns"),
+        actuals=actuals,
         calendar=calendar,
         generation=generation,
         seasonal=seasonal,
@@ -438,27 +457,7 @@ def run_cycle(
         onset_months=config.adjust.onset_months,
     )
 
-    actuals = current.feature("gross_returns")
-    previous = store.load_previous_cycle(generation, cycle_month) if store else None
-    ewa_report = run_ewa(
-        EwaInput(
-            cycle_month=cycle_month,
-            actuals=actuals,
-            current_forecast=adjusted.forecast,
-            previous_forecast=previous.forecast if previous else None,
-            planner_choice=previous.planner_selected if previous else None,
-            planner_series=(
-                FeatureSeries(
-                    name="planner_selected",
-                    start=previous.forecast.start,
-                    values=previous.selected_series,
-                )
-                if previous
-                else None
-            ),
-        ),
-        config.ewa,
-    )
+    ewa_report = recommend(cycle_month, actuals, adjusted.forecast, ewa_steps, config.ewa)
 
     record = CycleRecord.create(
         cycle_month=cycle_month,

@@ -141,6 +141,25 @@ def test_validation_failure_exits_1(data_dir, tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, damage",
+    [("ewa", lambda doc: doc.update(ewa=["not", "an", "object"])),
+     ("selected_series", lambda doc: doc.update(selected_series=doc["selected_series"][:-2]))],
+)
+def test_damaged_previous_record_exits_1(data_dir, tmp_path, capsys, field, damage):
+    out = tmp_path / "damaged"
+    assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 0
+    # a month-earlier record, hand-damaged, is the one the next cycle scores
+    folder = out / "cycles" / "gen2"
+    doc = json.loads((folder / "2012-09.json").read_text())
+    damage(doc)
+    (folder / "2012-08.json").write_text(json.dumps(doc))
+    (folder / "2012-09.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 1
+    assert f"record field '{field}'" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(data_dir, tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericError("degenerate input")

@@ -1,9 +1,13 @@
 """Persistence of per-cycle planning records."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from returncast.core import GenerationId
 from returncast.cycle_store import CycleRecord, CycleStore, PlannerChoice
+from returncast.encode import json_text, to_json
 from returncast.errors import ValidationError
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
 
@@ -66,6 +70,21 @@ def test_record_roundtrip_with_and_without_actuals(tmp_path):
     assert got.start == month("2012-01")
     assert got.values[1] != got.values[1]  # NaN survives the JSON roundtrip
     assert got.values[2] == 29.0
+
+
+@pytest.mark.parametrize("name", ["demo/record.json", "two_cycles/record.json"])
+def test_valid_record_loads_byte_identically(name):
+    text = (Path(__file__).parent / "fixtures" / name).read_text()
+    assert json_text(CycleRecord.from_dict(json.loads(text))) == text
+
+
+def test_damaged_record_names_the_field():
+    doc = to_json(CycleRecord.create(month("2012-04"), GEN, forecast_of([1.0, 2.0, 3.0])))
+    for field, value in (("ewa", "Green"), ("ewa", 3), ("selected_series", [1.0, 2.0]),
+                         ("selected_series", 1.0)):
+        with pytest.raises(ValidationError, match=f"record field '{field}'"):
+            CycleRecord.from_dict({**doc, field: value})
+    assert CycleRecord.from_dict({**doc, "ewa": None}).ewa is None
 
 
 def test_store_lists_and_finds_previous_cycles(tmp_path):

@@ -6,8 +6,8 @@ both cycles' report.csv; for the README demo also its cycle record, every
 stage artifact and the stdout summary lines; and for a second cycle scored
 against the first in one store (EWA on a real previous forecast), its record
 and its ewa.json; and every cycle of a lifecycle sweep, one line each, which
-pins the order in which a cycle decides its refusals. Regenerate the fixtures (only for a deliberate output
-change, noted in CHANGES.md) with:
+pins the order in which a cycle decides its refusals. Regenerate the fixtures
+(only for a deliberate output change, noted in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """

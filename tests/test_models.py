@@ -26,6 +26,7 @@ from returncast.models import (
     residual_band,
     split_chronological,
 )
+from returncast.models import base
 from returncast.models.base import LeaderboardRow, prediction_correlation, rank_models
 from returncast.models.cart import best_split
 from returncast.models.chaid import _anova_p, _merge_bins, _MergeResult
@@ -609,6 +610,32 @@ def test_evaluate_zoo_full_and_degraded():
 
     with pytest.raises(ValidationError):
         evaluate_zoo(_zoo(AppConfig(), phases), full.slice_rows(0, 2), small_test)
+
+
+def test_evaluate_zoo_refuses_all_zero_test_actuals_before_fitting(monkeypatch):
+    calls = []
+
+    def counting(kind, fitter):
+        def fitter_counted(spec, train):
+            calls.append(kind)
+            return fitter(spec, train)
+
+        return fitter_counted
+
+    monkeypatch.setattr(
+        base, "_FITTERS", {kind: counting(kind, f) for kind, f in base._FITTERS.items()}
+    )
+    t = np.arange(20.0)
+    full = matrix(t, np.concatenate([1.0 + t[:14], np.zeros(6)]))
+    train, test = split_chronological(full)
+    assert (test.y == 0.0).all()
+    zoo = _zoo(AppConfig(), _phases("2010-01", "2010-06", "2010-12", "2011-08"))
+    with pytest.raises(ValidationError, match="^no model in the zoo could be fitted and evaluated$"):
+        evaluate_zoo(zoo, train, test)
+    assert calls == []
+    # the counting fitters are live: a scorable split calls each kind once
+    evaluate_zoo(zoo, train, full.slice_rows(8, 14))
+    assert sorted(k.value for k in calls) == sorted(s.kind.value for s in zoo)
 
 
 def test_evaluate_zoo_scores_phasewise_like_any_kind():

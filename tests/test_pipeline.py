@@ -1,14 +1,19 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from returncast import pipeline
 from returncast.config import AppConfig
 from returncast.core import MonthInterval
 from returncast.cycle_store import CycleStore, PlannerChoice
 from returncast.encode import json_text
-from returncast.errors import ValidationError
+from returncast.errors import MissingGaError, NumericError, ValidationError
 from returncast.pipeline import (
     coverage_greedy,
     donor_candidates,
@@ -19,6 +24,7 @@ from returncast.pipeline import (
     visible_history,
 )
 from returncast.analysis import LifecyclePhases, build_correlation_table
+from returncast.report import render_report, validate_report
 from returncast.synth import ScenarioSpec, generate
 
 from helpers import family_calendar, fs, gen_series, month
@@ -140,6 +146,34 @@ def test_run_cycle_second_cycle_validates_the_first(tmp_path):
     assert outcome.ewa.score is not None
 
 
+def test_run_cycle_ewa_refusal_trains_no_model(tmp_path, monkeypatch):
+    series, calendar, _ = generate(
+        ScenarioSpec(generations=3, months_after_final_ga=14, seed=0)
+    )
+    store = CycleStore(tmp_path / "cycles")
+    run_cycle(series, calendar, "gen2", month("2012-09"), store=store)
+
+    def no_zoo(*args, **kwargs):
+        raise AssertionError("evaluate_zoo called for a cycle EWA refuses")
+
+    monkeypatch.setattr(pipeline, "evaluate_zoo", no_zoo)
+    # one month on, the stored forecast overlaps a single month of actuals
+    with pytest.raises(ValidationError, match="^EWA needs 3 months of actuals"):
+        run_cycle(series, calendar, "gen2", month("2012-10"), store=store)
+
+
+def test_run_cycle_all_zero_test_split_refuses_before_ewa(tmp_path):
+    # at 2014-01 the donor's test split is all zero and the record stored at
+    # 2013-12 overlaps one month of actuals: the zoo refusal comes first
+    series, calendar, _ = generate(
+        ScenarioSpec(generations=3, months_after_final_ga=30, seed=1)
+    )
+    store = CycleStore(tmp_path / "cycles")
+    run_cycle(series, calendar, "gen2", month("2013-12"), store=store)
+    with pytest.raises(ValidationError, match="^no model in the zoo could be fitted"):
+        run_cycle(series, calendar, "gen2", month("2014-01"), store=store)
+
+
 def test_run_cycle_no_persist_leaves_store_untouched(scenario, tmp_path):
     series, calendar, _ = scenario
     store = CycleStore(tmp_path / "cycles")
@@ -175,3 +209,56 @@ def test_run_cycle_phasewise_flag_adds_a_contender(scenario):
     labels = [r.spec.label() for r in outcome.leaderboard]
     assert "PhaseWise" in labels
     assert len(outcome.leaderboard) == 6
+
+
+# every documented refusal, in the order a cycle decides them (README,
+# "Refusals"): exception type and the first words of its message
+REFUSALS = (
+    (MissingGaError, "no GA entry for "),
+    (ValidationError, "no history visible before "),
+    (ValidationError, "no visible history for "),
+    (ValidationError, "genealogy match needs at least one candidate"),
+    (ValidationError, "no candidate generation has "),
+    (ValidationError, "no predictor is observable across the horizon "),
+    (ValidationError, "every usable predictor is degenerate on the donor history"),
+    (ValidationError, "aligned donor matrix has only "),
+    (ValidationError, "no model in the zoo could be fitted and evaluated"),
+    (ValidationError, "EWA needs "),
+    (ValidationError, "record field "),
+    (NumericError, "every actual is zero; percentage deviation is undefined"),
+    (NumericError, "window actuals sum to zero; aggregate pad undefined"),
+    (ValidationError, "no ranked model can forecast the horizon: "),
+)
+
+
+@given(
+    seed=st.integers(0, 2**20),
+    generations=st.integers(2, 4),
+    amplitude=st.floats(0.0, 0.3),
+)
+# four gens cost ~2 s each; four examples keep the test near 4 s
+@settings(max_examples=4, deadline=None)
+def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude):
+    """Every month of every generation, one store per generation, ends in a
+    report that validates or in a documented refusal; never anything else."""
+    series, calendar, _ = generate(
+        ScenarioSpec(
+            generations=generations,
+            seasonal_amplitude=amplitude,
+            months_after_final_ga=30,
+            seed=seed,
+        )
+    )
+    with tempfile.TemporaryDirectory() as work:
+        for s in series:
+            store = CycleStore(Path(work) / s.generation.name)
+            for j in range(1, len(s) + 1):
+                try:
+                    outcome = run_cycle(series, calendar, s.generation.name, s.start + j, store=store)
+                except (ValidationError, NumericError) as exc:
+                    assert any(
+                        type(exc) is kind and str(exc).startswith(prefix)
+                        for kind, prefix in REFUSALS
+                    ), f"undocumented refusal {type(exc).__name__}: {exc}"
+                else:
+                    validate_report(render_report(outcome))
