@@ -148,7 +148,16 @@ class CycleStore:
         path = self._path(generation, month)
         if not path.exists():
             return None
-        return CycleRecord.from_dict(json.loads(path.read_text()))
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"cycle record {path} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError(f"cycle record {path} is not a JSON object")
+        try:
+            return CycleRecord.from_dict(doc)
+        except KeyError as exc:
+            raise ValidationError(f"cycle record {path} has no field {exc}") from None
 
     def list_cycle_months(self, generation: GenerationId) -> list[MonthIndex]:
         folder = self._generation_dir(generation)

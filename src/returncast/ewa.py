@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FeatureSeries, MonthIndex, MonthInterval
-from .cycle_store import PlannerChoice
 from .errors import NumericError, ValidationError
 from .models import ForecastSeries
 
@@ -173,7 +172,7 @@ def window_pad(actual: np.ndarray, forecast: np.ndarray) -> float:
 class EwaInput:
     """Feeds for one validation cycle.
 
-    `previous_forecast` and the planner fields are None on the very first
+    `previous_forecast` and `planner_series` are None on the very first
     cycle, when there is nothing to validate yet.
     """
 
@@ -181,7 +180,6 @@ class EwaInput:
     actuals: FeatureSeries
     current_forecast: ForecastSeries
     previous_forecast: Optional[ForecastSeries] = None
-    planner_choice: Optional[PlannerChoice] = None
     planner_series: Optional[FeatureSeries] = None
 
 

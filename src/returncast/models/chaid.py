@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from ..core import FeatureMatrix
+from ..errors import NumericError
 from .base import FittedModel, ModelKind, ModelSpec, register_fitter, require_rows
 
 DEFAULT_MIN_SEGMENT = 5
@@ -21,6 +21,59 @@ DEFAULT_MERGE_ALPHA = 0.05
 DEFAULT_SPLIT_ALPHA = 0.05
 DEFAULT_MAX_DEPTH = 4
 DECILES = tuple(i / 10.0 for i in range(1, 10))
+
+_CF_TINY = 1e-300  # keeps a Lentz denominator off zero
+_CF_EPS = 1e-16  # stop when a step changes the fraction by less than this
+_CF_MAX_STEPS = 10_000
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta I_x(a, b), modified Lentz.
+
+    Converges quickly for x < (a + 1) / (a + b + 2), in O(sqrt(max(a, b)))
+    steps; the caller switches to the symmetric form above that point.
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            step = c * d
+            h *= step
+        if abs(step - 1.0) < _CF_EPS:
+            return h
+    raise NumericError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
+
+
+def _f_sf(f: float, d1: float, d2: float) -> float:
+    """Survival function of the F(d1, d2) distribution at f.
+
+    P(F > f) = I_x(d2/2, d1/2) with x = d2 / (d2 + d1 f), the regularized
+    incomplete beta. x and 1 - x are formed separately so neither loses
+    digits to the other's rounding.
+    """
+    ratio = d1 * f / d2
+    if ratio <= 0.0:  # f <= 0, or an f so small that d1 f / d2 underflows
+        return 1.0
+    a, b = d2 / 2.0, d1 / 2.0
+    x, y = 1.0 / (1.0 + ratio), ratio / (1.0 + ratio)
+    # log of x^a (1-x)^b / B(a, b)
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        - a * math.log1p(ratio) - b * math.log1p(1.0 / ratio)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_cf(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_cf(b, a, y) / b
 
 
 def _anova_p(groups: list[np.ndarray]) -> float:
@@ -36,8 +89,7 @@ def _anova_p(groups: list[np.ndarray]) -> float:
     if ssw <= 1e-300:
         return 0.0 if ssb > 1e-12 else 1.0
     f_stat = (ssb / (k - 1)) / (ssw / (n - k))
-    # the F survival function; scipy.stats.f.sf evaluates this same call
-    return float(special.fdtrc(k - 1, n - k, f_stat))
+    return _f_sf(f_stat, k - 1, n - k)
 
 
 def _decile_edges(x: np.ndarray) -> np.ndarray:

@@ -93,16 +93,37 @@ def test_inspection_stage_creates_no_store(data_dir, tmp_path):
     assert [p.name for p in out.iterdir()] == ["analysis.json"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats would be most of the CLI's cold start; CHAID needs only scipy.special
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports this checkout's package."""
     src = str(Path(returncast.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, returncast.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy would be most of the cold start
+    code = (
+        "import sys, returncast.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    assert proc.stdout.strip() == "False"
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_demo_cycle_runs_without_scipy(data_dir, tmp_path):
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    out = tmp_path / "run"
+    args = ["run-cycle", *_cycle_args(data_dir, out)]
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        f"from returncast.cli import main; sys.exit(main({args!r}))"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    golden = Path(__file__).parent / "fixtures" / "demo_report.csv"
+    assert (out / "report.csv").read_bytes() == golden.read_bytes()
 
 
 def test_reruns_are_byte_identical(data_dir, tmp_path):
@@ -141,23 +162,46 @@ def test_validation_failure_exits_1(data_dir, tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def _rerun_after_damage(data_dir, out, damage) -> int:
+    """Run the demo cycle, move its record a month back through `damage`
+    (record text in, text out), then rerun the cycle, which scores it."""
+    assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 0
+    folder = out / "cycles" / "gen2"
+    (folder / "2012-08.json").write_text(damage((folder / "2012-09.json").read_text()))
+    (folder / "2012-09.json").unlink()
+    return cli.main(["run-cycle", *_cycle_args(data_dir, out)])
+
+
 @pytest.mark.parametrize(
     "field, damage",
     [("ewa", lambda doc: doc.update(ewa=["not", "an", "object"])),
      ("selected_series", lambda doc: doc.update(selected_series=doc["selected_series"][:-2]))],
 )
 def test_damaged_previous_record_exits_1(data_dir, tmp_path, capsys, field, damage):
-    out = tmp_path / "damaged"
-    assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 0
-    # a month-earlier record, hand-damaged, is the one the next cycle scores
-    folder = out / "cycles" / "gen2"
-    doc = json.loads((folder / "2012-09.json").read_text())
-    damage(doc)
-    (folder / "2012-08.json").write_text(json.dumps(doc))
-    (folder / "2012-09.json").unlink()
-    capsys.readouterr()
-    assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 1
+    def edit(text):
+        doc = json.loads(text)
+        damage(doc)
+        return json.dumps(doc)
+
+    assert _rerun_after_damage(data_dir, tmp_path / "damaged", edit) == 1
     assert f"record field '{field}'" in capsys.readouterr().err
+
+
+def _drop_forecast(text):
+    doc = json.loads(text)
+    del doc["forecast"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(lambda text: text[: len(text) // 2], "2012-08.json is not valid JSON"),
+     (_drop_forecast, "2012-08.json has no field 'forecast'")],
+    ids=["truncated", "no_forecast"],
+)
+def test_unreadable_previous_record_exits_1(data_dir, tmp_path, capsys, damage, message):
+    assert _rerun_after_damage(data_dir, tmp_path / "unreadable", damage) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_3(data_dir, tmp_path, monkeypatch, capsys):

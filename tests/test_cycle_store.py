@@ -87,6 +87,20 @@ def test_damaged_record_names_the_field():
     assert CycleRecord.from_dict({**doc, "ewa": None}).ewa is None
 
 
+def test_unreadable_record_names_the_file(tmp_path):
+    store = CycleStore(tmp_path)
+    path = store.store_cycle(CycleRecord.create(month("2012-04"), GEN, forecast_of([1.0, 2.0])))
+    text = path.read_text()
+    doc = json.loads(text)
+    del doc["forecast"]
+    for damaged, message in ((text[:-10], "is not valid JSON"),
+                             (json.dumps(doc), "has no field 'forecast'"),
+                             ("[]", "is not a JSON object")):
+        path.write_text(damaged)
+        with pytest.raises(ValidationError, match=f"{path.name} {message}"):
+            store.load_cycle(GEN, month("2012-04"))
+
+
 def test_store_lists_and_finds_previous_cycles(tmp_path):
     store = CycleStore(tmp_path)
     for m in ("2012-06", "2012-01", "2012-04"):

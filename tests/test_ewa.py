@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from returncast.cycle_store import PlannerChoice
 from returncast.encode import to_json
 from returncast.errors import NumericError, ValidationError
 from returncast.ewa import (
@@ -215,7 +214,6 @@ def test_planner_step_can_disagree():
         actuals=actuals,
         current_forecast=forecast_of([100.0] * 12, start="2012-04"),
         previous_forecast=forecast_of([130.0] * 3, start="2012-01"),
-        planner_choice=PlannerChoice.LCI,
         planner_series=fs([100.0] * 3, start="2012-01", name="planner"),
     )
     report = run_ewa(inputs)
@@ -236,7 +234,7 @@ def test_ewa_needs_enough_overlap():
 
 
 def test_report_serializes_to_json():
-    report = run_ewa(_cycle_inputs(+0.30, planner_choice=PlannerChoice.BEST_FIT))
+    report = run_ewa(_cycle_inputs(+0.30))
     blob = json.dumps(to_json(report))
     back = json.loads(blob)
     assert back["alert"] == "OverForecast"
