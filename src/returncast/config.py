@@ -11,6 +11,7 @@ does.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, get_type_hints
@@ -59,20 +60,30 @@ class AnalysisConfig:
     min_genealogy_overlap: int = MIN_GENEALOGY_OVERLAP
 
 
+# Field metadata `accepts`: (test, message) for a value the loader takes. A
+# value outside it would crash a fit or leave a model untrained.
+_AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
+_FINITE_POSITIVE = {
+    "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
+}
+
+
 @dataclass(frozen=True)
 class ModelsConfig:
     train_fraction: float = TRAIN_FRACTION
     z_multiplier: float = DEFAULT_Z_MULTIPLIER
-    cart_min_leaf: int = cart.DEFAULT_MIN_LEAF
+    cart_min_leaf: int = field(default=cart.DEFAULT_MIN_LEAF, metadata=_AT_LEAST_ONE)
     cart_max_depth: int = cart.DEFAULT_MAX_DEPTH
     chaid_min_segment: int = chaid.DEFAULT_MIN_SEGMENT
     chaid_merge_alpha: float = chaid.DEFAULT_MERGE_ALPHA
     chaid_split_alpha: float = chaid.DEFAULT_SPLIT_ALPHA
-    nn_hidden_units: int = neural.DEFAULT_HIDDEN_UNITS
-    nn_epochs: int = neural.DEFAULT_EPOCHS
-    nn_learning_rate: float = neural.DEFAULT_LEARNING_RATE
+    nn_hidden_units: int = field(default=neural.DEFAULT_HIDDEN_UNITS, metadata=_AT_LEAST_ONE)
+    nn_epochs: int = field(default=neural.DEFAULT_EPOCHS, metadata=_AT_LEAST_ONE)
+    nn_learning_rate: float = field(
+        default=neural.DEFAULT_LEARNING_RATE, metadata=_FINITE_POSITIVE
+    )
     ts_seasonal: bool = False
-    ts_period: int = timeseries.DEFAULT_PERIOD
+    ts_period: int = field(default=timeseries.DEFAULT_PERIOD, metadata=_AT_LEAST_ONE)
     seed: int = 0
     include_polynomial: bool = False
     include_phasewise: bool = False
@@ -188,12 +199,15 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
     for name in names:
         section = getattr(defaults, name)
         kinds = {key: kind for key, kind, _ in _keys(section)}
+        ranges = {f.name: f.metadata["accepts"] for f in fields(section) if f.metadata}
         values = {}
         for key, raw in parser.items(name) if parser.has_section(name) else ():
             if key not in kinds:
                 raise ValidationError(f"unknown config key [{name}] {key}")
             try:
                 values[key] = _parse(kinds[key], raw)
+                if key in ranges and not ranges[key][0](values[key]):
+                    raise ValueError(ranges[key][1])
             except ValueError as exc:
                 raise ValidationError(
                     f"bad config value [{name}] {key} = {raw!r}: {exc}"

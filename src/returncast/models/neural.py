@@ -2,6 +2,11 @@
 
 Inputs and target are standardized so one learning rate works across widely
 different predictor scales. Everything is seeded and deterministic.
+
+Training is bound by numpy's per-call overhead, not arithmetic: the network
+is small and each epoch is a few dozen array calls. So parameters and
+gradient live in two flat buffers, every intermediate has a preallocated
+home, and an epoch allocates nothing.
 """
 from __future__ import annotations
 
@@ -17,34 +22,65 @@ MIN_ROWS = 10
 
 
 def unpack_params(flat: np.ndarray, n_inputs: int, hidden: int):
-    """Split a flat parameter vector into (W1, b1, W2, b2)."""
+    """Views (W1, b1, W2, b2) of a flat parameter vector; b2 is 0-d."""
     k = n_inputs * hidden
     w1 = flat[:k].reshape(n_inputs, hidden)
     b1 = flat[k : k + hidden]
     w2 = flat[k + hidden : k + 2 * hidden]
-    b2 = flat[-1]
+    b2 = flat[-1, ...]
     return w1, b1, w2, b2
+
+
+def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
+    """The half-MSE gradient as a reusable kernel over fixed buffers.
+
+    Returns `(grad, err, step)`: calling `step()` writes the gradient at the
+    current contents of `flat` into `grad` and the residuals into `err`,
+    allocating nothing. `flat` may be updated in place between calls.
+    """
+    n, p = X.shape
+    w1, b1, w2, b2 = unpack_params(flat, p, hidden)
+    grad = np.empty_like(flat)
+    g_w1, g_b1, g_w2, g_b2 = unpack_params(grad, p, hidden)
+    z = np.empty((n, hidden))
+    d_z = np.empty((n, hidden))
+    slope = np.empty((n, hidden))
+    err = np.empty(n)
+    d_out = np.empty(n)
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    divide, tanh, reduce = np.divide, np.tanh, np.add.reduce
+    Xt, zt, d_out_col = X.T, z.T, d_out[:, None]
+    rows = float(n)  # exact, and a float divisor is the cheaper ufunc call
+
+    def step() -> None:
+        # z = tanh(X @ w1 + b1); err = z @ w2 + b2 - y
+        matmul(X, w1, z)
+        add(z, b1, z)
+        tanh(z, z)
+        matmul(z, w2, err)
+        add(err, b2, err)
+        subtract(err, y, err)
+        divide(err, rows, d_out)
+        matmul(zt, d_out, g_w2)
+        reduce(d_out, 0, None, g_b2)
+        # d_z = outer(d_out, w2) * (1 - z * z)
+        multiply(d_out_col, w2, d_z)
+        multiply(z, z, slope)
+        subtract(1.0, slope, slope)
+        multiply(d_z, slope, d_z)
+        matmul(Xt, d_z, g_w1)
+        reduce(d_z, 0, None, g_b1)
+
+    return grad, err, step
 
 
 def loss_and_grad(
     flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int
 ) -> tuple[float, np.ndarray]:
     """Half-MSE loss and its analytic gradient for the flat parameter vector."""
-    n, p = X.shape
-    w1, b1, w2, b2 = unpack_params(flat, p, hidden)
-    z = np.tanh(X @ w1 + b1)
-    out = z @ w2 + b2
-    err = out - y
-    loss = 0.5 * float(err @ err) / n
-
-    d_out = err / n
-    g_w2 = z.T @ d_out
-    g_b2 = float(d_out.sum())
-    d_z = np.outer(d_out, w2) * (1.0 - z * z)
-    g_w1 = X.T @ d_z
-    g_b1 = d_z.sum(axis=0)
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
-    return loss, grad
+    grad, err, step = _backprop(flat, X, y, hidden)
+    step()
+    return 0.5 * float(err @ err) / len(y), grad
 
 
 def _standardizer(values: np.ndarray, axis=0):
@@ -89,9 +125,15 @@ def fit_neural(spec: ModelSpec, train: FeatureMatrix) -> NeuralModel:
             np.zeros(1),
         ]
     )
-    for _ in range(epochs):
-        _, grad = loss_and_grad(flat, xs, ys, hidden)
-        flat = flat - lr * grad
+    grad, _, step = _backprop(flat, xs, ys, hidden)
+    delta = np.empty_like(flat)
+    multiply, subtract = np.multiply, np.subtract
+    # a diverging net ends in non-finite predictions, which the zoo skips
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            step()
+            multiply(lr, grad, delta)
+            subtract(flat, delta, flat)
 
     return NeuralModel(
         spec, train.predictor_names, train.interval, flat, (x_mean, x_sd, y_mean, y_sd), hidden

@@ -72,6 +72,19 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         ("[prep]\nlags = 24, x\n", "[prep] lags"),
         ("[ewa]\nweights = heavy\n", "[ewa] weights"),
         ("[adjust]\npad_threshold = 10%\n", "[adjust] pad_threshold"),
+        # values that crash a fit
+        ("[models]\nnn_hidden_units = -1\n", "[models] nn_hidden_units"),
+        ("[models]\nts_seasonal = true\nts_period = 0\n", "[models] ts_period"),
+        ("[models]\nts_period = -3\n", "[models] ts_period"),
+        ("[models]\ncart_min_leaf = 0\n", "[models] cart_min_leaf"),
+        # values that silently train nothing
+        ("[models]\nnn_hidden_units = 0\n", "[models] nn_hidden_units"),
+        ("[models]\nnn_epochs = 0\n", "[models] nn_epochs"),
+        ("[models]\nnn_epochs = -5\n", "[models] nn_epochs"),
+        ("[models]\nnn_learning_rate = 0\n", "[models] nn_learning_rate"),
+        ("[models]\nnn_learning_rate = -0.01\n", "[models] nn_learning_rate"),
+        ("[models]\nnn_learning_rate = nan\n", "[models] nn_learning_rate"),
+        ("[models]\nnn_learning_rate = inf\n", "[models] nn_learning_rate"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
@@ -106,3 +119,28 @@ def test_cli_exits_1_on_an_unknown_key(tmp_path, capsys):
     assert code == 1
     assert "include_phasewsie" in capsys.readouterr().err
 
+
+def test_smallest_accepted_model_values_load(tmp_path):
+    config = _load(
+        tmp_path,
+        "[models]\ncart_min_leaf = 1\nnn_hidden_units = 1\nnn_epochs = 1\n"
+        "nn_learning_rate = 1e-9\nts_period = 1\n",
+    )
+    m = config.models
+    assert (m.cart_min_leaf, m.nn_hidden_units, m.nn_epochs, m.ts_period) == (1, 1, 1, 1)
+    assert m.nn_learning_rate == 1e-9
+
+
+def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--generations", "3", "--out", str(data)]) == 0
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[models]\nts_seasonal = true\nts_period = 0\n")
+    code = cli.main([
+        "run-cycle", "--history", str(data / "history.csv"), "--ga", str(data / "ga.csv"),
+        "--generation", "gen2", "--cycle", "2012-09", "--config", str(ini),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert "[models] ts_period = '0': must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

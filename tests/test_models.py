@@ -1,6 +1,7 @@
 """Model zoo: split, metrics, the five fitters, bands, ranking."""
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,8 @@ from returncast.models import base
 from returncast.models.base import LeaderboardRow, prediction_correlation, rank_models
 from returncast.models.cart import best_split
 from returncast.models.chaid import _anova_p, _f_sf, _merge_bins, _MergeResult
-from returncast.models.neural import loss_and_grad, unpack_params
+from returncast.models.neural import _standardizer, loss_and_grad, unpack_params
+from returncast.models.timeseries import WEIGHT_GRID
 from returncast.pipeline import _zoo
 
 from helpers import fs, month
@@ -428,6 +430,88 @@ def test_neural_gradient_matches_finite_differences():
         assert abs(numeric - grad[i]) <= 1e-4 * max(1.0, abs(grad[i]))
 
 
+def _loss_and_grad_reference(flat, X, y, hidden):
+    """The gradient as plain allocating numpy expressions."""
+    n, p = X.shape
+    w1, b1, w2, b2 = unpack_params(flat, p, hidden)
+    z = np.tanh(X @ w1 + b1)
+    out = z @ w2 + b2
+    err = out - y
+    d_out = err / n
+    d_z = np.outer(d_out, w2) * (1.0 - z * z)
+    grad = np.concatenate([(X.T @ d_z).ravel(), d_z.sum(axis=0), z.T @ d_out, [d_out.sum()]])
+    return 0.5 * float(err @ err) / n, grad
+
+
+def _neural_case(rng):
+    n, p, hidden = int(rng.integers(10, 61)), int(rng.integers(1, 9)), int(rng.integers(1, 13))
+    X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(0.1, 50.0, p) + rng.uniform(-5.0, 5.0, p)
+    y = 40.0 + X @ rng.normal(0.0, 2.0, p) + rng.normal(0.0, 1.0, n)
+    return X, y, hidden
+
+
+def test_loss_and_grad_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        X, y, hidden = _neural_case(rng)
+        flat = rng.normal(0.0, 0.5, X.shape[1] * hidden + 2 * hidden + 1)
+        loss, grad = loss_and_grad(flat, X, y, hidden)
+        ref_loss, ref_grad = _loss_and_grad_reference(flat, X, y, hidden)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
+def _fit_neural_reference(spec, train):
+    """Parameters after descent by a loop that builds a new vector per epoch."""
+    hidden, epochs, lr = (spec.param(k, None) for k in ("hidden_units", "epochs", "learning_rate"))
+    x_mean, x_sd = _standardizer(train.X)
+    y_mean, y_sd = _standardizer(train.y)
+    xs = (train.X - x_mean) / x_sd
+    ys = (train.y - y_mean) / y_sd
+    p = xs.shape[1]
+    rng = np.random.default_rng(spec.seed)
+    flat = np.concatenate([
+        rng.standard_normal(p * hidden) / np.sqrt(max(p, 1)),
+        np.zeros(hidden),
+        rng.standard_normal(hidden) / np.sqrt(hidden),
+        np.zeros(1),
+    ])
+    for _ in range(epochs):
+        flat = flat - lr * loss_and_grad(flat, xs, ys, hidden)[1]
+    return flat
+
+
+@pytest.mark.parametrize("epochs, cases", [(1, 40), (2000, 8)])
+def test_neural_fit_matches_reference_loop_bit_for_bit(epochs, cases):
+    rng = np.random.default_rng(epochs)
+    for seed in range(cases):
+        X, y, hidden = _neural_case(rng)
+        spec = ModelSpec(
+            ModelKind.NEURAL,
+            {"hidden_units": hidden, "epochs": epochs, "learning_rate": 0.01},
+            seed=seed,
+        )
+        train = matrix(X, y)
+        assert fit(spec, train).params.tobytes() == _fit_neural_reference(spec, train).tobytes()
+
+
+def test_diverging_net_is_skipped_without_runtime_warnings(caplog):
+    rng = np.random.default_rng(13)
+    t = np.arange(40.0)
+    X = np.column_stack([t, 50 + 10 * np.sin(t / 3)])
+    y = 30.0 + 2.0 * t + 0.3 * X[:, 1] + rng.normal(0, 1.0, 40)
+    train, test = split_chronological(matrix(X, y))
+    phases = _phases("2010-01", "2011-04", "2012-02", "2013-05")
+    diverging = AppConfig(models=replace(AppConfig().models, nn_learning_rate=50.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        board, residuals = evaluate_zoo(_zoo(diverging, phases), train, test)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert ModelKind.NEURAL not in residuals
+    assert ModelKind.NEURAL not in {row.spec.kind for row in board}
+    assert "skipping NeuralNet: NeuralNet: non-finite prediction" in caplog.text
+
+
 def test_unpack_params_shapes():
     w1, b1, w2, b2 = unpack_params(np.arange(13.0), n_inputs=2, hidden=3)
     assert w1.shape == (2, 3) and b1.shape == (3,) and w2.shape == (3,)
@@ -495,6 +579,91 @@ def test_timeseries_seasonal_tracks_cycle():
     # seasonal smoothing should beat a plain trend line on this shape
     line = fit(ModelSpec(ModelKind.LINEAR), train)
     assert evaluate_mape(y, pred) < evaluate_mape(y, line.predict(train))
+
+
+def _holt_reference(y, alpha, beta):
+    n = len(y)
+    fitted = np.empty(n)
+    fitted[0] = y[0]
+    level, trend = y[0], y[1] - y[0]
+    sse = 0.0
+    for t in range(1, n):
+        f = level + trend
+        fitted[t] = f
+        err = y[t] - f
+        sse += err * err
+        new_level = alpha * y[t] + (1.0 - alpha) * (level + trend)
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        level = new_level
+    return sse, fitted, level, trend, np.zeros(0)
+
+
+def _holt_winters_reference(y, alpha, beta, gamma, period):
+    n = len(y)
+    fitted = np.empty(n)
+    seasonal = np.empty(n)
+    first = float(y[:period].mean())
+    second = float(y[period : 2 * period].mean())
+    level, trend = first, (second - first) / period
+    seasonal[:period] = y[:period] - first
+    fitted[:period] = y[:period]
+    sse = 0.0
+    for t in range(period, n):
+        f = level + trend + seasonal[t - period]
+        fitted[t] = f
+        err = y[t] - f
+        sse += err * err
+        new_level = alpha * (y[t] - seasonal[t - period]) + (1.0 - alpha) * (level + trend)
+        seasonal[t] = gamma * (y[t] - new_level) + (1.0 - gamma) * seasonal[t - period]
+        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        level = new_level
+    return sse, fitted, level, trend, seasonal[n - period :].copy()
+
+
+def _smoothing_reference(y, seasonal, period):
+    """(weights, run) of the grid point a nested scalar loop keeps: the first
+    strictly smaller SSE wins."""
+    best = None
+    for a in WEIGHT_GRID:
+        for b in WEIGHT_GRID:
+            for g in WEIGHT_GRID if seasonal else (0.0,):
+                run = (_holt_winters_reference(y, a, b, g, period) if seasonal
+                       else _holt_reference(y, a, b))
+                if best is None or run[0] < best[1][0]:
+                    best = ((a, b, g), run)
+    return best
+
+
+def _smoothing_cases():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        n = int(rng.integers(4, 40))
+        yield rng.gamma(2.0, 50.0, n) + 3.0 * np.arange(n), False, 12
+    for period in (2, 3, 6):
+        t = np.arange(period * int(rng.integers(2, 4)) + int(rng.integers(0, period)))
+        y = 100.0 + t + 10.0 * np.sin(2 * np.pi * t / period) + rng.normal(0.0, 2.0, len(t))
+        yield y, True, period
+    # every SSE is exactly zero (not so for every constant: 7.0 leaves
+    # rounding residue), so the first grid point must win
+    yield np.full(9, 100.0), False, 12
+    yield np.full(8, 100.0), True, 4
+
+
+@pytest.mark.parametrize("y, seasonal, period", list(_smoothing_cases()))
+def test_timeseries_grid_matches_nested_scalar_loops(y, seasonal, period):
+    model = fit(
+        ModelSpec(ModelKind.TIMESERIES, {"seasonal": seasonal, "period": period}), matrix(y, y)
+    )
+    weights, (sse, fitted, level, trend, seasonals) = _smoothing_reference(y, seasonal, period)
+    assert (model.alpha, model.beta, model.gamma) == weights
+    if (y == y[0]).all():
+        assert sse == 0.0
+        assert weights == (WEIGHT_GRID[0], WEIGHT_GRID[0], WEIGHT_GRID[0] if seasonal else 0.0)
+    state = model.state
+    assert state.sse == sse
+    assert state.fitted.tobytes() == fitted.tobytes()
+    assert (state.level, state.trend) == (level, trend)
+    assert state.seasonals.tobytes() == seasonals.tobytes()
 
 
 # ---------------------------------------------------------------- phase-wise
