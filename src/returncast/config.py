@@ -61,17 +61,21 @@ class AnalysisConfig:
 
 
 # Field metadata `accepts`: (test, message) for a value the loader takes. A
-# value outside it would crash a fit or leave a model untrained.
+# value outside it would crash a fit, leave a model untrained, or leave a
+# cycle with no valid band or no forecast month after the zoo has trained.
 _AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
 _FINITE_POSITIVE = {
     "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
+}
+_FINITE_NON_NEGATIVE = {
+    "accepts": (lambda value: math.isfinite(value) and value >= 0, "must be finite and >= 0")
 }
 
 
 @dataclass(frozen=True)
 class ModelsConfig:
     train_fraction: float = TRAIN_FRACTION
-    z_multiplier: float = DEFAULT_Z_MULTIPLIER
+    z_multiplier: float = field(default=DEFAULT_Z_MULTIPLIER, metadata=_FINITE_NON_NEGATIVE)
     cart_min_leaf: int = field(default=cart.DEFAULT_MIN_LEAF, metadata=_AT_LEAST_ONE)
     cart_max_depth: int = cart.DEFAULT_MAX_DEPTH
     chaid_min_segment: int = chaid.DEFAULT_MIN_SEGMENT
@@ -101,9 +105,9 @@ class AdjustConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    horizon_months: int = 12
+    horizon_months: int = field(default=12, metadata=_AT_LEAST_ONE)
     min_matrix_rows: int = 16
-    max_predictors: int = 8
+    max_predictors: int = field(default=8, metadata=_AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)

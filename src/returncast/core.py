@@ -3,6 +3,11 @@
 Everything here is an immutable value object; instances are safe to share
 across threads. Undefined months inside a series are carried as NaN so that
 business-rule exclusions can punch holes without changing series length.
+
+A series is validated once, when it is built from outside values: the values
+are copied into a read-only array and checked. Every series derived from it
+(a restriction, shift, lag, channel or truncation) is a read-only view of
+those arrays, so a derivation neither copies nor rescans the data.
 """
 from __future__ import annotations
 
@@ -191,11 +196,16 @@ class GaCalendar:
 
 
 def _as_value_array(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A read-only copy of outside values.
+
+    The copy is returned as a view, so neither it nor anything sliced from
+    it can be made writeable again.
+    """
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1:
         raise ValidationError("series values must be one-dimensional")
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True)
@@ -217,6 +227,13 @@ class FeatureSeries:
         if np.isinf(arr).any():
             raise ValidationError(f"feature {self.name!r} contains infinite values")
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _view(cls, name: str, start: MonthIndex, values: np.ndarray) -> "FeatureSeries":
+        """A series over `values`, a read-only view of validated values."""
+        series = object.__new__(cls)
+        series.__dict__.update(name=name, start=start, values=values)
+        return series
 
     def __len__(self) -> int:
         return len(self.values)
@@ -250,14 +267,14 @@ class FeatureSeries:
         clipped = self.interval.intersect(interval)
         i0 = clipped.start - self.start
         i1 = clipped.end - self.start
-        return replace(self, start=clipped.start, values=self.values[i0:i1])
+        return self._view(self.name, clipped.start, self.values[i0:i1])
 
-    def shift(self, months: int) -> "FeatureSeries":
-        """Same values, domain moved forward by `months`."""
-        return replace(self, start=self.start + months)
+    def shift(self, months: int, name: Optional[str] = None) -> "FeatureSeries":
+        """Same values, domain moved forward by `months`; renamed if `name` is given."""
+        return self._view(name or self.name, self.start + months, self.values)
 
     def with_values(self, values: np.ndarray | Sequence[float], **changes) -> "FeatureSeries":
-        return replace(self, values=_as_value_array(values), **changes)
+        return replace(self, values=values, **changes)
 
 
 CHANNELS = ("shipments", "upgrades", "new_receipts", "gross_returns")
@@ -279,20 +296,33 @@ class GenerationSeries:
     gross_returns: np.ndarray
 
     def __post_init__(self):
-        lengths = set()
         for channel in CHANNELS:
-            arr = _as_value_array(getattr(self, channel))
-            if len(arr) < 1:
-                raise ValidationError(f"{self.generation}: channel {channel!r} is empty")
-            if np.isinf(arr).any():
-                raise ValidationError(f"{self.generation}: channel {channel!r} has infinite values")
-            defined = arr[np.isfinite(arr)]
-            if (defined < 0).any():
-                raise ValidationError(f"{self.generation}: channel {channel!r} has negative values")
-            object.__setattr__(self, channel, arr)
-            lengths.add(len(arr))
+            object.__setattr__(self, channel, self._checked(channel, getattr(self, channel)))
+        self._check_lengths({len(self.channel(channel)) for channel in CHANNELS})
+
+    def _checked(self, channel: str, values) -> np.ndarray:
+        """One channel's outside values as a validated read-only array."""
+        arr = _as_value_array(values)
+        if len(arr) < 1:
+            raise ValidationError(f"{self.generation}: channel {channel!r} is empty")
+        if np.isinf(arr).any():
+            raise ValidationError(f"{self.generation}: channel {channel!r} has infinite values")
+        if (arr < 0).any():  # NaN compares False: undefined months pass
+            raise ValidationError(f"{self.generation}: channel {channel!r} has negative values")
+        return arr
+
+    def _check_lengths(self, lengths: set[int]) -> None:
         if len(lengths) != 1:
             raise ValidationError(f"{self.generation}: channels differ in length: {sorted(lengths)}")
+
+    @classmethod
+    def _view(
+        cls, generation: GenerationId, start: MonthIndex, channels: dict[str, np.ndarray]
+    ) -> "GenerationSeries":
+        """A series over `channels`, read-only views of validated values."""
+        series = object.__new__(cls)
+        series.__dict__.update(generation=generation, start=start, **channels)
+        return series
 
     def __len__(self) -> int:
         return len(self.shipments)
@@ -312,11 +342,16 @@ class GenerationSeries:
 
     def feature(self, name: str) -> FeatureSeries:
         """Extract one channel as a raw FeatureSeries."""
-        return FeatureSeries(name=name, start=self.start, values=self.channel(name))
+        return FeatureSeries._view(name, self.start, self.channel(name))
 
     def replace_channel(self, name: str, values: np.ndarray) -> "GenerationSeries":
+        """The same series with one channel's values replaced; only the new
+        channel is validated."""
         self.channel(name)  # validates the name
-        return replace(self, **{name: values})
+        arr = self._checked(name, values)
+        self._check_lengths({len(self), len(arr)})
+        channels = {channel: self.channel(channel) for channel in CHANNELS}
+        return self._view(self.generation, self.start, {**channels, name: arr})
 
     def truncate(self, before: MonthIndex) -> "GenerationSeries":
         """Keep only months strictly before `before` (the data visible to a cycle)."""
@@ -325,9 +360,8 @@ class GenerationSeries:
             raise ValidationError(
                 f"{self.generation}: no data before {before} (series starts {self.start})"
             )
-        return replace(
-            self,
-            **{channel: self.channel(channel)[:n] for channel in CHANNELS},
+        return self._view(
+            self.generation, self.start, {channel: self.channel(channel)[:n] for channel in CHANNELS}
         )
 
 
@@ -404,19 +438,20 @@ class FeatureMatrix:
         )
 
 
+def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) offsets of each run of True, in order."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def _longest_true_run(mask: np.ndarray) -> tuple[int, int]:
     """(offset, length) of the longest run of True; ties go to the latest run."""
-    best_off, best_len = 0, 0
-    run_start = None
-    for i, flag in enumerate(list(mask) + [False]):
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            run_len = i - run_start
-            if run_len >= best_len:
-                best_off, best_len = run_start, run_len
-            run_start = None
-    return best_off, best_len
+    starts, ends = true_runs(mask)
+    if not len(starts):
+        return 0, 0
+    lengths = ends - starts
+    latest = len(lengths) - 1 - int(np.argmax(lengths[::-1]))
+    return int(starts[latest]), int(lengths[latest])
 
 
 def align(series: Iterable[FeatureSeries], target: FeatureSeries) -> FeatureMatrix:
@@ -436,7 +471,7 @@ def align(series: Iterable[FeatureSeries], target: FeatureSeries) -> FeatureMatr
         raise ValidationError(f"target name {target.name!r} collides with a predictor")
 
     def emptied(s: FeatureSeries, at: MonthIndex) -> FeatureSeries:
-        return replace(s, start=at, values=np.empty(0))
+        return FeatureSeries._view(s.name, at, _as_value_array(()))
 
     window = target.interval
     for s in predictors:

@@ -42,6 +42,7 @@ from .core import (
     GenerationSeries,
     MonthIndex,
     MonthInterval,
+    _longest_true_run,
     align,
 )
 from .cycle_store import CycleRecord, CycleStore, PlannerChoice
@@ -286,16 +287,40 @@ def coverage_greedy(
     predictors: list[FeatureSeries], target: FeatureSeries, min_rows: int
 ) -> list[FeatureSeries]:
     """Admit predictors widest-overlap first while the aligned matrix stays
-    at or above the row floor."""
-    floor = min(min_rows, align([], target).n_rows)
+    at or above the row floor.
 
-    def overlap(p: FeatureSeries) -> int:
-        return align([p], target).n_rows
+    Each predictor's defined mask is taken once on the target's interval,
+    where a month outside its domain counts as undefined. The longest run of
+    True in the AND of the target's and the chosen masks is then the row
+    count `align(chosen, target)` would give, and names are checked as
+    `align` checks them.
+    """
+    if any(p.name == target.name for p in predictors):
+        raise ValidationError(f"target name {target.name!r} collides with a predictor")
+    window = target.interval
+    defined = target.defined_mask
+    floor = min(min_rows, _longest_true_run(defined)[1])
 
+    def on_window(p: FeatureSeries) -> np.ndarray:
+        mask = np.zeros(len(window), dtype=bool)
+        part = p.restrict(window)
+        offset = part.start - window.start
+        mask[offset : offset + len(part)] = part.defined_mask
+        return mask
+
+    ranked = sorted(
+        ((p, on_window(p)) for p in predictors),
+        key=lambda pm: (-_longest_true_run(defined & pm[1])[1], pm[0].name),
+    )
     chosen: list[FeatureSeries] = []
-    for p in sorted(predictors, key=lambda s: (-overlap(s), s.name)):
-        if align(chosen + [p], target).n_rows >= floor:
+    running = defined
+    for p, mask in ranked:
+        if any(c.name == p.name for c in chosen):
+            raise ValidationError(f"duplicate feature name {p.name!r}")
+        admitted = running & mask
+        if _longest_true_run(admitted)[1] >= floor:
             chosen.append(p)
+            running = admitted
     return chosen
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval
+from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval, true_runs
 from .errors import ValidationError
 
 RECEIPT_EXCLUSION_MONTHS = 6
@@ -53,18 +53,15 @@ def lag(feature: FeatureSeries, k: int) -> FeatureSeries:
         raise ValidationError(f"lag must be >= 0, got {k}")
     if k == 0:
         return feature
-    return feature.shift(k).with_values(feature.values, name=f"{feature.name}_lag_{k}")
+    return feature.shift(k, name=f"{feature.name}_lag_{k}")
 
 
 def _trailing_mean_run(values: np.ndarray, w: int) -> np.ndarray:
     """Trailing mean of the last w values, shrinking window over the head."""
     csum = np.cumsum(values)
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lo = max(0, i - w + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    total = csum.copy()
+    total[w:] -= csum[:-w]
+    return total / np.minimum(np.arange(1, len(values) + 1), w)
 
 
 def _per_defined_run(values: np.ndarray, func) -> np.ndarray:
@@ -73,17 +70,8 @@ def _per_defined_run(values: np.ndarray, func) -> np.ndarray:
     A masked month resets the computation: windows never straddle a hole.
     """
     out = np.full(len(values), np.nan)
-    mask = np.isfinite(values)
-    i = 0
-    while i < len(values):
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j < len(values) and mask[j]:
-            j += 1
+    for i, j in zip(*true_runs(np.isfinite(values))):
         out[i:j] = func(values[i:j])
-        i = j
     return out
 
 
@@ -100,14 +88,8 @@ def moving_average(feature: FeatureSeries, w: int) -> FeatureSeries:
 def cumulative_sum(feature: FeatureSeries) -> FeatureSeries:
     """Running sum over defined months, starting at the first defined month."""
     values = feature.values
+    defined = np.isfinite(values)
     out = np.full(len(values), np.nan)
-    total = 0.0
-    started = False
-    for i, v in enumerate(values):
-        if np.isfinite(v):
-            total += v
-            started = True
-            out[i] = total
-        elif started:
-            out[i] = np.nan
+    # the leading 0.0 makes the first sum 0.0 + v, as a running total starts
+    out[defined] = np.cumsum(np.concatenate(([0.0], values[defined])))[1:]
     return feature.with_values(out, name=f"{feature.name}_cumsum")

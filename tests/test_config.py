@@ -85,6 +85,15 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         ("[models]\nnn_learning_rate = -0.01\n", "[models] nn_learning_rate"),
         ("[models]\nnn_learning_rate = nan\n", "[models] nn_learning_rate"),
         ("[models]\nnn_learning_rate = inf\n", "[models] nn_learning_rate"),
+        # values that train the whole zoo and then leave nothing to report
+        ("[models]\nz_multiplier = -1\n", "[models] z_multiplier"),
+        ("[models]\nz_multiplier = -0.01\n", "[models] z_multiplier"),
+        ("[models]\nz_multiplier = nan\n", "[models] z_multiplier"),
+        ("[models]\nz_multiplier = inf\n", "[models] z_multiplier"),
+        ("[pipeline]\nhorizon_months = 0\n", "[pipeline] horizon_months"),
+        ("[pipeline]\nhorizon_months = -12\n", "[pipeline] horizon_months"),
+        ("[pipeline]\nmax_predictors = 0\n", "[pipeline] max_predictors"),
+        ("[pipeline]\nmax_predictors = -2\n", "[pipeline] max_predictors"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
@@ -131,6 +140,14 @@ def test_smallest_accepted_model_values_load(tmp_path):
     assert m.nn_learning_rate == 1e-9
 
 
+def test_smallest_accepted_band_and_pipeline_values_load(tmp_path):
+    config = _load(
+        tmp_path, "[models]\nz_multiplier = 0\n[pipeline]\nhorizon_months = 1\nmax_predictors = 1\n"
+    )
+    assert config.models.z_multiplier == 0.0
+    assert (config.pipeline.horizon_months, config.pipeline.max_predictors) == (1, 1)
+
+
 def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
     data = tmp_path / "data"
     assert cli.main(["synth", "--generations", "3", "--out", str(data)]) == 0
@@ -143,4 +160,29 @@ def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
     ])
     assert code == 1
     assert "[models] ts_period = '0': must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[models]\nz_multiplier = nan\n", "[models] z_multiplier = 'nan': must be finite and >= 0"),
+        ("[pipeline]\nhorizon_months = 0\n", "[pipeline] horizon_months = '0': must be >= 1"),
+    ],
+)
+def test_run_cycle_exits_1_before_training_on_a_value_that_leaves_no_report(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--generations", "3", "--out", str(data)]) == 0
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    monkeypatch.setattr(cli, "run_cycle", lambda *a, **k: pytest.fail("the cycle ran"))
+    code = cli.main([
+        "run-cycle", "--history", str(data / "history.csv"), "--ga", str(data / "ga.csv"),
+        "--generation", "gen2", "--cycle", "2012-09", "--config", str(ini),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

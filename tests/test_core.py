@@ -1,4 +1,6 @@
 """Calendar arithmetic, series containers, and matrix alignment."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from returncast.core import (
     GaEntry,
     GaCalendar,
     GenerationId,
+    GenerationSeries,
     MonthIndex,
     MonthInterval,
+    _longest_true_run,
     align,
 )
 from returncast.errors import MissingGaError, ValidationError
@@ -213,3 +217,136 @@ def test_align_matches_brute_force(target, p1, p2):
         assert got.start == best[1]
         for i, mm in enumerate(got.months()):
             assert got.y[i] == target.value_at(mm)
+
+
+# ------------------------------------------------- derivations are views
+
+
+def _reference_longest_true_run(mask) -> tuple[int, int]:
+    """The element-by-element loop `_longest_true_run` replaced."""
+    best_off, best_len = 0, 0
+    run_start = None
+    for i, flag in enumerate(list(mask) + [False]):
+        if flag and run_start is None:
+            run_start = i
+        elif not flag and run_start is not None:
+            run_len = i - run_start
+            if run_len >= best_len:
+                best_off, best_len = run_start, run_len
+            run_start = None
+    return best_off, best_len
+
+
+@pytest.mark.parametrize(
+    "mask, expected",
+    [
+        ([], (0, 0)),
+        ([False, False, False], (0, 0)),
+        ([True], (0, 1)),
+        ([True, True, False, True, True], (3, 2)),  # a tie goes to the latest run
+        ([True, True, True, False, True, True], (0, 3)),
+        ([False, True, False, True, False], (3, 1)),
+    ],
+)
+def test_longest_true_run_cases(mask, expected):
+    assert _longest_true_run(np.array(mask, dtype=bool)) == expected
+    assert _reference_longest_true_run(mask) == expected
+
+
+@given(mask=st.lists(st.booleans(), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_longest_true_run_matches_reference_loop(mask):
+    assert _longest_true_run(np.array(mask, dtype=bool)) == _reference_longest_true_run(mask)
+
+
+def _writeable_raises(values: np.ndarray) -> bool:
+    try:
+        values.flags.writeable = True
+    except ValueError:
+        return True
+    return False
+
+
+def test_restrict_shift_truncate_and_feature_are_read_only_views():
+    s = fs([1.0, np.nan, 3.0, 4.0], start="2010-01")
+    g = gen_series("g", "2010-01", returns=[1, 2, 3, 4], shipments=[5, 6, 7, 8])
+    truncated = g.truncate(month("2010-03"))
+    derived = [
+        ("restrict", s.values, s.restrict(MonthInterval(month("2010-02"), month("2010-04"))).values),
+        ("shift", s.values, s.shift(3).values),
+        ("feature", g.shipments, g.feature("shipments").values),
+    ] + [
+        (f"truncate {c}", g.channel(c), truncated.channel(c))
+        for c in ("shipments", "upgrades", "new_receipts", "gross_returns")
+    ]
+    for what, source, values in derived:
+        assert np.shares_memory(values, source), what
+        assert not values.flags.writeable, what
+        assert _writeable_raises(values), what
+    # built from outside values: a private read-only copy
+    outside = np.array([1.0, 2.0])
+    built = FeatureSeries(name="x", start=month("2010-01"), values=outside)
+    assert not np.shares_memory(built.values, outside)
+    assert _writeable_raises(built.values)
+    outside[0] = 9.0
+    assert built.values[0] == 1.0
+    assert not np.shares_memory(s.with_values([7.0, 8.0]).values, s.values)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1.0, np.inf], "feature 'x' contains infinite values"),
+        ([[1.0, 2.0]], "series values must be one-dimensional"),
+    ],
+)
+def test_feature_series_from_outside_values_is_validated(values, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        FeatureSeries(name="x", start=month("2010-01"), values=values)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fs([1.0, 2.0], name="x").with_values(values)
+
+
+@pytest.mark.parametrize(
+    "returns, message",
+    [
+        ([1.0, np.inf], "g: channel 'gross_returns' has infinite values"),
+        ([1.0, -2.0], "g: channel 'gross_returns' has negative values"),
+        ([[1.0, 2.0]], "series values must be one-dimensional"),
+        ([], "g: channel 'gross_returns' is empty"),
+    ],
+)
+def test_generation_series_from_outside_values_is_validated(returns, message):
+    ok = np.zeros(2)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        GenerationSeries(
+            generation=GenerationId("g"), start=month("2010-01"),
+            shipments=ok, upgrades=ok, new_receipts=ok, gross_returns=returns,
+        )
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1.0, np.inf, 3.0], "g: channel 'upgrades' has infinite values"),
+        ([1.0, -0.5, 3.0], "g: channel 'upgrades' has negative values"),
+        ([1.0, 2.0], "g: channels differ in length: [2, 3]"),
+        ([1.0, 2.0, 3.0, 4.0], "g: channels differ in length: [3, 4]"),
+        ([], "g: channel 'upgrades' is empty"),
+        ([[1.0, 2.0, 3.0]], "series values must be one-dimensional"),
+    ],
+)
+def test_replace_channel_validates_the_new_channel(values, message):
+    g = gen_series("g", "2010-01", returns=[1, 2, 3])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        g.replace_channel("upgrades", np.array(values, dtype=float))
+
+
+def test_replace_channel_copies_the_new_channel_and_keeps_the_rest():
+    g = gen_series("g", "2010-01", returns=[1, 2, 3], shipments=[4, 5, 6])
+    new = np.array([np.nan, 1.0, 2.0])
+    replaced = g.replace_channel("gross_returns", new)
+    assert not np.shares_memory(replaced.gross_returns, new)
+    assert _writeable_raises(replaced.gross_returns)
+    assert replaced.shipments is g.shipments
+    assert (replaced.generation, replaced.start) == (g.generation, g.start)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from returncast import pipeline
 from returncast.config import AppConfig
-from returncast.core import MonthInterval
+from returncast.core import MonthInterval, align
 from returncast.cycle_store import CycleStore, PlannerChoice
 from returncast.encode import json_text
 from returncast.errors import MissingGaError, NumericError, ValidationError
@@ -65,6 +65,67 @@ def test_coverage_greedy_respects_row_floor():
         MonthInterval(month("2011-01"), month("2011-09"))
     ), min_rows=16)
     assert {p.name for p in chosen} == {"wide", "late"}
+
+
+def _reference_coverage_greedy(predictors, target, min_rows):
+    """The align-based loop the mask-based `coverage_greedy` replaced."""
+    floor = min(min_rows, align([], target).n_rows)
+
+    def overlap(p):
+        return align([p], target).n_rows
+
+    chosen = []
+    for p in sorted(predictors, key=lambda s: (-overlap(s), s.name)):
+        if align(chosen + [p], target).n_rows >= floor:
+            chosen.append(p)
+    return chosen
+
+
+def _outcome(func, predictors, target, min_rows):
+    try:
+        return [id(p) for p in func(predictors, target, min_rows)]
+    except ValidationError as exc:
+        return str(exc)
+
+
+@st.composite
+def _holey_series(draw, name):
+    start = draw(st.integers(min_value=0, max_value=12))
+    # mostly defined; a NaN hole splits a run, an all-NaN series never overlaps
+    defined = draw(st.lists(st.booleans() | st.just(True), min_size=0, max_size=24))
+    values = [1.0 if ok else np.nan for ok in defined]
+    return fs(values, start=str(month("2010-01") + start), name=name)
+
+
+@given(
+    target=_holey_series("y"),
+    predictors=st.lists(
+        st.sampled_from("abcdefghijkl").flatmap(_holey_series), min_size=1, max_size=7
+    ),
+    min_rows=st.integers(min_value=-2, max_value=16),
+)
+@settings(max_examples=400, deadline=None)
+def test_coverage_greedy_matches_align_reference(target, predictors, min_rows):
+    # equal overlaps are common (ties go to name order), names may repeat
+    assert _outcome(coverage_greedy, predictors, target, min_rows) == _outcome(
+        _reference_coverage_greedy, predictors, target, min_rows
+    )
+
+
+def test_coverage_greedy_raises_aligns_name_errors():
+    target = fs(np.ones(20), name="y")
+    twins = [fs(np.ones(20), name="x"), fs(np.ones(18), name="x")]
+    for predictors in (twins, [fs(np.ones(20), name="y")]):
+        with pytest.raises(ValidationError) as expected:
+            _reference_coverage_greedy(predictors, target, 16)
+        with pytest.raises(ValidationError) as got:
+            coverage_greedy(predictors, target, 16)
+        assert str(got.value) == str(expected.value)
+    # a twin of a predictor that was never admitted is no error, as in align
+    late = fs(np.ones(3), start="2011-06", name="x")
+    assert coverage_greedy([late, late], target, 16) == _reference_coverage_greedy(
+        [late, late], target, 16
+    ) == []
 
 
 def test_horizon_available_requires_full_coverage():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from returncast.core import FeatureSeries
 from returncast.errors import ValidationError
 from returncast.prep import (
     cumulative_sum,
@@ -132,3 +133,114 @@ def test_cumulative_sum_skips_holes_after_start():
 def test_cumulative_sum_all_undefined():
     out = cumulative_sum(fs([np.nan, np.nan]))
     assert np.isnan(out.values).all()
+
+
+# ------------------------------------- references: the loops these replaced
+
+
+def _reference_lag(feature: FeatureSeries, k: int) -> FeatureSeries:
+    if k == 0:
+        return feature
+    return feature.shift(k).with_values(feature.values, name=f"{feature.name}_lag_{k}")
+
+
+def _reference_trailing_mean_run(values: np.ndarray, w: int) -> np.ndarray:
+    csum = np.cumsum(values)
+    out = np.empty_like(values)
+    for i in range(len(values)):
+        lo = max(0, i - w + 1)
+        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
+        out[i] = total / (i - lo + 1)
+    return out
+
+
+def _reference_per_defined_run(values: np.ndarray, func) -> np.ndarray:
+    out = np.full(len(values), np.nan)
+    mask = np.isfinite(values)
+    i = 0
+    while i < len(values):
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j < len(values) and mask[j]:
+            j += 1
+        out[i:j] = func(values[i:j])
+        i = j
+    return out
+
+
+def _reference_moving_average(feature: FeatureSeries, w: int) -> FeatureSeries:
+    if w == 1:
+        return feature
+    smoothed = _reference_per_defined_run(
+        feature.values, lambda run: _reference_trailing_mean_run(run, w)
+    )
+    return feature.with_values(smoothed, name=f"{feature.name}_ma_{w}")
+
+
+def _reference_cumulative_sum(feature: FeatureSeries) -> FeatureSeries:
+    values = feature.values
+    out = np.full(len(values), np.nan)
+    total = 0.0
+    started = False
+    for i, v in enumerate(values):
+        if np.isfinite(v):
+            total += v
+            started = True
+            out[i] = total
+        elif started:
+            out[i] = np.nan
+    return feature.with_values(out, name=f"{feature.name}_cumsum")
+
+
+def _same_series(got: FeatureSeries, expected: FeatureSeries) -> None:
+    assert (got.name, got.start) == (expected.name, expected.start)
+    assert got.values.tobytes() == expected.values.tobytes()
+
+
+# leading, inner and trailing holes; -0.0 and magnitudes whose sums round
+_HOLEY = st.lists(
+    st.one_of(
+        st.none(),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 0.1, 1e-9, 3.3e5]),
+    ),
+    max_size=40,
+)
+
+
+@given(values=_HOLEY, w=st.integers(min_value=1, max_value=45), k=st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_transforms_match_reference_loops_bit_for_bit(values, w, k):
+    feature = fs([np.nan if v is None else v for v in values], start="2010-03", name="ship")
+    _same_series(lag(feature, k), _reference_lag(feature, k))
+    _same_series(moving_average(feature, w), _reference_moving_average(feature, w))
+    _same_series(cumulative_sum(feature), _reference_cumulative_sum(feature))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [np.nan, np.nan, 1.5, 2.25, np.nan, 0.1, 0.2, 0.3, np.nan],
+        [-0.0, -0.0, 1.0, np.nan, -0.0],
+        [0.1] * 25,
+        [np.nan] * 4,
+        [],
+    ],
+)
+@pytest.mark.parametrize("w", [2, 3, 6, 30])
+def test_transforms_match_reference_loops_on_fixed_holes(values, w):
+    feature = fs(values, name="ship")
+    _same_series(lag(feature, 24), _reference_lag(feature, 24))
+    _same_series(moving_average(feature, w), _reference_moving_average(feature, w))
+    _same_series(cumulative_sum(feature), _reference_cumulative_sum(feature))
+
+
+def test_lag_is_a_renamed_read_only_view():
+    feature = fs([1.0, np.nan, 3.0], start="2010-01", name="ship")
+    lagged = lag(feature, 24)
+    assert (lagged.name, lagged.start) == ("ship_lag_24", month("2012-01"))
+    assert np.shares_memory(lagged.values, feature.values)
+    with pytest.raises(ValueError):
+        lagged.values.flags.writeable = True
