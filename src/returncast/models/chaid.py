@@ -3,6 +3,13 @@
 Each split bins one predictor into deciles, merges adjacent bins that are
 statistically alike, and keeps the split only if the across-group ANOVA
 survives a Bonferroni-adjusted significance test.
+
+A fit scores thousands of small groups, so its cost is per-call overhead,
+not arithmetic. Group means are `np.add.reduce(g) / n`, exactly what
+`ndarray.mean()` computes, without the method's Python wrapper; the merge
+keeps each group's size, mean and sum of squares between passes; the decile
+edges come from the sorted column rather than `np.unique`, which imports
+`numpy.ma`; and the F tail is a standard-library continued fraction.
 """
 from __future__ import annotations
 
@@ -33,22 +40,27 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     Converges quickly for x < (a + 1) / (a + b + 2), in O(sqrt(max(a, b)))
     steps; the caller switches to the symmetric form above that point.
     """
+    tiny = _CF_TINY
     c = 1.0
     d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
     h = d
     for m in range(1, _CF_MAX_STEPS + 1):
         m2 = 2 * m
-        for num in (
-            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
-            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
-        ):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
-            c = 1.0 + num / c
-            c = c if abs(c) > _CF_TINY else _CF_TINY
-            step = c * d
-            h *= step
+        # two Lentz steps per m, written out: the even term, then the odd
+        num = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        h *= c * d
+        num = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        step = c * d
+        h *= step
         if abs(step - 1.0) < _CF_EPS:
             return h
     raise NumericError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
@@ -76,16 +88,34 @@ def _f_sf(f: float, d1: float, d2: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, y) / b
 
 
+def _group_stats(g: np.ndarray) -> tuple[int, float, float]:
+    """(size, mean, within-group sum of squares) of one non-empty group.
+
+    `np.add.reduce(g) / n` is exactly `g.mean()`, the same pairwise sum and
+    one IEEE divide, without the method's Python wrapper; likewise the sum
+    of `d * d` is exactly `(d ** 2).sum()`.
+    """
+    n = len(g)
+    mean = np.add.reduce(g) / n
+    d = g - mean
+    return n, float(mean), float(np.add.reduce(d * d))
+
+
 def _anova_p(groups: list[np.ndarray]) -> float:
     """One-way ANOVA F-test p-value across groups of target values."""
     groups = [g for g in groups if len(g)]
+    return _f_test(groups, [_group_stats(g) for g in groups])
+
+
+def _f_test(groups: list[np.ndarray], stats: list[tuple[int, float, float]]) -> float:
+    """`_anova_p` of non-empty groups whose `_group_stats` are known."""
     k = len(groups)
-    n = sum(len(g) for g in groups)
+    n = sum(size for size, _, _ in stats)
     if k < 2 or n - k <= 0:
         return 1.0
-    grand = float(np.concatenate(groups).mean())
-    ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
-    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+    grand = float(np.add.reduce(np.concatenate(groups)) / n)
+    ssb = sum(size * (mean - grand) ** 2 for size, mean, _ in stats)
+    ssw = sum(ss for _, _, ss in stats)
     if ssw <= 1e-300:
         return 0.0 if ssb > 1e-12 else 1.0
     f_stat = (ssb / (k - 1)) / (ssw / (n - k))
@@ -96,10 +126,18 @@ def _decile_edges(x: np.ndarray) -> np.ndarray:
     """Distinct interior bin edges from order statistics.
 
     Order statistics (not interpolated quantiles) keep the binning
-    equivariant under strictly monotone predictor transforms.
+    equivariant under strictly monotone predictor transforms. The edges are
+    `np.unique(np.quantile(x, DECILES, method="lower"))`, read off the
+    sorted column: the same order statistics, and as they come out sorted,
+    the first of each run of equal values stands for the run. Only the sign
+    of a zero edge may differ, as np.unique picks 0.0 or -0.0 by its hash
+    table; `searchsorted` takes them as equal, so no bin does.
     """
-    edges = np.quantile(x, DECILES, method="lower")
-    return np.unique(edges)
+    ordered = np.sort(x)
+    if ordered[-1] != ordered[-1]:  # a NaN sorts last; np.quantile returns it
+        return ordered[-1:]
+    edges = ordered[[math.floor((len(x) - 1) * q) for q in DECILES]]
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _bin_ids(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -136,14 +174,16 @@ def _merge_bins(
         [b] for b in np.flatnonzero(np.bincount(bins, minlength=n_bins)).tolist()
     ]
     occupied = len(groups)
-    # each group's values and each adjacent pair's p-value carry over between
-    # passes; a merge rescores only the two pairs beside the merged group
+    # each group's values and stats and each adjacent pair's p-value carry
+    # over between passes; a merge rescores only the two pairs beside the
+    # merged group
     values = [y[bins == g[0]] for g in groups]
-    pair_ps = [_anova_p([values[i], values[i + 1]]) for i in range(len(groups) - 1)]
+    stats = [_group_stats(v) for v in values]
+    pair_ps = [_f_test(values[i : i + 2], stats[i : i + 2]) for i in range(len(groups) - 1)]
 
     while len(groups) > 1:
         multiplier = len(pair_ps)
-        undersized = [i for i, v in enumerate(values) if len(v) < min_segment]
+        undersized = [i for i, (size, _, _) in enumerate(stats) if size < min_segment]
         if undersized:
             i = undersized[0]
             # merge toward the more similar neighbor
@@ -156,16 +196,17 @@ def _merge_bins(
                 break
             at = best
         groups[at] = groups[at] + groups[at + 1]
-        del groups[at + 1], values[at + 1], pair_ps[at]
+        del groups[at + 1], values[at + 1], stats[at + 1], pair_ps[at]
         values[at] = y[_in_group(bins, groups[at])]
+        stats[at] = _group_stats(values[at])
         if at > 0:
-            pair_ps[at - 1] = _anova_p([values[at - 1], values[at]])
+            pair_ps[at - 1] = _f_test(values[at - 1 : at + 1], stats[at - 1 : at + 1])
         if at < len(pair_ps):
-            pair_ps[at] = _anova_p([values[at], values[at + 1]])
+            pair_ps[at] = _f_test(values[at : at + 2], stats[at : at + 2])
 
     if len(groups) < 2:
         return None
-    p_raw = _anova_p(values)
+    p_raw = _f_test(values, stats)
     # Bonferroni cost of reducing the occupied ordered bins to these groups
     p_adj = min(1.0, p_raw * math.comb(occupied - 1, len(groups) - 1))
     return _MergeResult(groups=tuple(tuple(g) for g in groups), p_adjusted=p_adj)

@@ -6,7 +6,9 @@ different predictor scales. Everything is seeded and deterministic.
 Training is bound by numpy's per-call overhead, not arithmetic: the network
 is small and each epoch is a few dozen array calls. So parameters and
 gradient live in two flat buffers, every intermediate has a preallocated
-home, and an epoch allocates nothing.
+home, and an epoch allocates nothing. The four matrix products go through
+`np.dot` with `out`: it calls the same BLAS routines as `np.matmul`, bit for
+bit, with less overhead per call than the generalized-ufunc entry point.
 """
 from __future__ import annotations
 
@@ -47,28 +49,28 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
     slope = np.empty((n, hidden))
     err = np.empty(n)
     d_out = np.empty(n)
-    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
     divide, tanh, reduce = np.divide, np.tanh, np.add.reduce
     Xt, zt, d_out_col = X.T, z.T, d_out[:, None]
     rows = float(n)  # exact, and a float divisor is the cheaper ufunc call
 
     def step() -> None:
         # z = tanh(X @ w1 + b1); err = z @ w2 + b2 - y
-        matmul(X, w1, z)
+        dot(X, w1, z)
         add(z, b1, z)
         tanh(z, z)
-        matmul(z, w2, err)
+        dot(z, w2, err)
         add(err, b2, err)
         subtract(err, y, err)
         divide(err, rows, d_out)
-        matmul(zt, d_out, g_w2)
+        dot(zt, d_out, g_w2)
         reduce(d_out, 0, None, g_b2)
         # d_z = outer(d_out, w2) * (1 - z * z)
         multiply(d_out_col, w2, d_z)
         multiply(z, z, slope)
         subtract(1.0, slope, slope)
         multiply(d_z, slope, d_z)
-        matmul(Xt, d_z, g_w1)
+        dot(Xt, d_z, g_w1)
         reduce(d_z, 0, None, g_b1)
 
     return grad, err, step

@@ -7,6 +7,7 @@ spike at the next launch. Everything is deterministic under the seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN passes every ordering check below, so finiteness comes first
+        for name in ("peak_volume", "scale_factor", "seasonal_amplitude", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("generations", "ga_spacing", "ramp_months", "plateau_months",
                      "decline_months", "returns_lag", "months_after_final_ga"):
             if getattr(self, name) < 1:

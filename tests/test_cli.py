@@ -41,6 +41,14 @@ def test_synth_writes_both_csvs(data_dir):
     assert header == "generation_id,month,shipments,upgrades,new_receipts,gross_returns"
 
 
+@pytest.mark.parametrize("flag", ["--noise-sd", "--seasonal-amplitude"])
+def test_synth_refuses_a_non_finite_shape(tmp_path, capsys, flag):
+    out = tmp_path / "synth"
+    assert cli.main(["synth", flag, "nan", "--out", str(out)]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (out / "history.csv").exists()
+
+
 def test_run_cycle_writes_report_and_record(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 0
@@ -124,6 +132,32 @@ def test_demo_cycle_runs_without_scipy(data_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     golden = Path(__file__).parent / "fixtures" / "demo_report.csv"
     assert (out / "report.csv").read_bytes() == golden.read_bytes()
+
+
+def test_chaid_fit_and_demo_cycle_leave_numpy_ma_unloaded(data_dir, tmp_path):
+    # np.unique reaches for np.ma, whose import adds 15-25 ms to a cold run-cycle
+    out = tmp_path / "run"
+    args = ["run-cycle", *_cycle_args(data_dir, out)]
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from returncast.cli import main\n"
+        "from returncast.core import FeatureMatrix, FeatureSeries, MonthIndex\n"
+        "from returncast.models import ModelKind, ModelSpec, fit\n"
+        "rng = np.random.default_rng(0)\n"
+        "start = MonthIndex.parse('2010-01')\n"
+        "xs = tuple(FeatureSeries(f'x{j}', start, rng.normal(size=40)) for j in range(3))\n"
+        "y = FeatureSeries('gross_returns', start, rng.normal(size=40))\n"
+        "fit(ModelSpec(ModelKind.CHAID), FeatureMatrix(start, y, xs))\n"
+        "print('numpy.ma' in sys.modules)\n"
+        f"code = main({args!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()  # run-cycle prints its own lines between
+    assert (lines[0], lines[-1]) == ("False", "False")
 
 
 def test_reruns_are_byte_identical(data_dir, tmp_path):

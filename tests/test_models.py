@@ -30,7 +30,19 @@ from returncast.models import (
 from returncast.models import base
 from returncast.models.base import LeaderboardRow, prediction_correlation, rank_models
 from returncast.models.cart import best_split
-from returncast.models.chaid import _anova_p, _f_sf, _merge_bins, _MergeResult
+from returncast.models.chaid import (
+    DECILES,
+    _CF_EPS,
+    _CF_MAX_STEPS,
+    _CF_TINY,
+    _anova_p,
+    _beta_cf,
+    _bin_ids,
+    _decile_edges,
+    _f_sf,
+    _merge_bins,
+    _MergeResult,
+)
 from returncast.models.neural import _standardizer, loss_and_grad, unpack_params
 from returncast.models.timeseries import WEIGHT_GRID
 from returncast.pipeline import _zoo
@@ -348,6 +360,110 @@ def test_f_tail_decides_near_alpha_as_scipy_does(d1, d2):
         assert (_f_sf(f, d1, d2) <= alpha) == (special.fdtrc(d1, d2, f) <= alpha)
 
 
+def _anova_p_mean_reference(groups):
+    """The F-test with means from ndarray.mean(), as first written."""
+    groups = [g for g in groups if len(g)]
+    k = len(groups)
+    n = sum(len(g) for g in groups)
+    if k < 2 or n - k <= 0:
+        return 1.0
+    grand = float(np.concatenate(groups).mean())
+    ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
+    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+    if ssw <= 1e-300:
+        return 0.0 if ssb > 1e-12 else 1.0
+    f_stat = (ssb / (k - 1)) / (ssw / (n - k))
+    return _f_sf(f_stat, k - 1, n - k)
+
+
+# few distinct levels make ties, constant groups and signed zeros common;
+# the wide floats make sums depend on their order
+_LEVELS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e6, 1e6)),
+    min_size=1, max_size=5,
+)
+
+
+@st.composite
+def _target_groups(draw):
+    levels = draw(_LEVELS)
+    sizes = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    noisy = st.one_of(st.sampled_from(levels), st.floats(-1e3, 1e3))
+    groups = []
+    for size in sizes:
+        value = st.sampled_from(levels) if draw(st.booleans()) else noisy
+        groups.append(np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=float))
+    return groups
+
+
+@given(groups=_target_groups())
+@settings(max_examples=400, deadline=None)
+def test_anova_p_equals_the_mean_formulation(groups):
+    assert _anova_p(groups) == _anova_p_mean_reference(groups)
+
+
+@st.composite
+def _predictor_columns(draw):
+    n = draw(st.integers(2, 60))
+    levels = draw(_LEVELS)
+    x = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)), dtype=float)
+    if draw(st.booleans()):  # a strided column, as the tree passes X[:, j]
+        x = np.column_stack([x, np.zeros(n)])[:, 0]
+    return x
+
+
+@given(x=_predictor_columns())
+@settings(max_examples=400, deadline=None)
+def test_decile_edges_equal_unique_lower_quantiles(x):
+    ref = np.unique(np.quantile(x, DECILES, method="lower"))
+    ours = _decile_edges(x)
+    # from a run of zeros np.unique keeps 0.0 or -0.0 by its hash table's
+    # order; adding 0.0 turns -0.0 into 0.0 and leaves every other bit
+    assert (ours + 0.0).tobytes() == (ref + 0.0).tobytes()
+    assert _bin_ids(x, ours).tobytes() == _bin_ids(x, ref).tobytes()
+
+
+def test_decile_edges_of_a_column_with_nan_match_quantile():
+    x = np.array([3.0, np.nan, -0.0, 0.0, 1.0])
+    ref = np.unique(np.quantile(x, DECILES, method="lower"))
+    assert _decile_edges(x).tobytes() == ref.tobytes()
+
+
+def _beta_cf_reference(a, b, x):
+    """The Lentz continued fraction with both terms of a step in one loop."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            step = c * d
+            h *= step
+        if abs(step - 1.0) < _CF_EPS:
+            return h
+    raise NumericError("no convergence")
+
+
+@given(
+    d1=st.integers(1, 9), d2=st.integers(1, 299), t=st.floats(0.0, 1.0, exclude_max=True)
+)
+@settings(max_examples=500, deadline=None)
+def test_beta_cf_equals_the_two_term_loop(d1, d2, t):
+    # _f_sf calls the fraction in the direct and the symmetric form, each
+    # anywhere below that form's switch point
+    for a, b in ((d2 / 2.0, d1 / 2.0), (d1 / 2.0, d2 / 2.0)):
+        x = t * (a + 1.0) / (a + b + 2.0)
+        assert _beta_cf(a, b, x) == _beta_cf_reference(a, b, x)
+
+
 def _merge_bins_reference(bins, y, n_bins, min_segment, merge_alpha):
     """The merge as first written: regroup rows with np.isin and rescore
     every adjacent pair on every pass."""
@@ -493,6 +609,31 @@ def test_neural_fit_matches_reference_loop_bit_for_bit(epochs, cases):
         )
         train = matrix(X, y)
         assert fit(spec, train).params.tobytes() == _fit_neural_reference(spec, train).tobytes()
+
+
+def test_neural_fit_matches_plain_expressions_bit_for_bit():
+    # _fit_neural_reference descends through fit_neural's own kernel; this
+    # loop takes every one of the 2000 steps with the plain expressions
+    rng = np.random.default_rng(2000)
+    for seed in range(4):
+        X, y, hidden = _neural_case(rng)
+        spec = ModelSpec(
+            ModelKind.NEURAL,
+            {"hidden_units": hidden, "epochs": 2000, "learning_rate": 0.01},
+            seed=seed,
+        )
+        model = fit(spec, matrix(X, y))
+        xs, ys = (X - model.x_mean) / model.x_sd, (y - model.y_mean) / model.y_sd
+        p, init = X.shape[1], np.random.default_rng(seed)
+        flat = np.concatenate([
+            init.standard_normal(p * hidden) / np.sqrt(max(p, 1)),
+            np.zeros(hidden),
+            init.standard_normal(hidden) / np.sqrt(hidden),
+            np.zeros(1),
+        ])
+        for _ in range(2000):
+            flat = flat - 0.01 * _loss_and_grad_reference(flat, xs, ys, hidden)[1]
+        assert model.params.tobytes() == flat.tobytes()
 
 
 def test_diverging_net_is_skipped_without_runtime_warnings(caplog):

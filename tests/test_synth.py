@@ -96,6 +96,13 @@ def test_scenario_spec_validation():
         ScenarioSpec(ga_spacing=0)
 
 
+@pytest.mark.parametrize("field", ["noise_sd", "seasonal_amplitude", "peak_volume", "scale_factor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_scenario_spec_rejects_non_finite_shape(field, value):
+    with pytest.raises(ValidationError, match=field):
+        ScenarioSpec(**{field: value})
+
+
 def test_truth_lookup():
     _, _, truth = generate(ScenarioSpec(generations=2))
     assert truth.truth_for("gen1").generation.name == "gen1"
