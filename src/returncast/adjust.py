@@ -8,16 +8,17 @@ zeroed because hardware cannot come back before it has aged.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import FeatureSeries, GaCalendar, GenerationId, MonthIndex
+from .core import FeatureSeries, GaCalendar, GenerationId, MonthIndex, MonthInterval, defined_on
 from .errors import MissingGaError
 from .analysis import SeasonalDecomposition
-from .ewa import EwaThresholds, deviation, pad
+from .ewa import EwaThresholds
 from .models import ForecastSeries
+from .models.base import deviation, pad
 
 log = logging.getLogger(__name__)
 
@@ -52,30 +53,13 @@ class AdjustResult:
         return "; ".join(n.describe() for n in self.notes) if self.notes else "none"
 
 
-def _rebuild(forecast: ForecastSeries, best, lci, uci) -> ForecastSeries:
-    return ForecastSeries(
-        start=forecast.start,
-        best_fit=best,
-        lci=lci,
-        uci=uci,
-        model=forecast.model,
-        test_mape=forecast.test_mape,
-        test_correlation=forecast.test_correlation,
-    )
-
-
 def _lookback_months(
     forecast: ForecastSeries, actuals: FeatureSeries, decision_point: MonthIndex, lookback: int
-) -> list[MonthIndex]:
-    """Last `lookback` months before the decision point with both an actual
-    and a forecast value."""
-    window = forecast.interval.intersect(actuals.interval)
-    months = [
-        m
-        for m in window
-        if m < decision_point and np.isfinite(actuals.value_at(m))
-    ]
-    return months[-lookback:]
+) -> np.ndarray:
+    """Forecast offsets of the last `lookback` months before the decision
+    point with both an actual and a forecast value."""
+    window = MonthInterval(forecast.start, min(forecast.interval.end, decision_point))
+    return np.flatnonzero(defined_on(actuals, window))[-lookback:]
 
 
 def adjust_forecast(
@@ -107,19 +91,19 @@ def adjust_forecast(
         decision_point = actuals.end if actuals is not None else forecast.start
 
     # rules 1/2: recent mean absolute deviation beyond threshold -> rescale
-    months = (
+    offsets = (
         _lookback_months(forecast, actuals, decision_point, lookback)
         if actuals is not None
         else []
     )
-    if len(months) < lookback:
+    if actuals is None or len(offsets) < lookback:
         log.warning(
             "adjust: only %d of %d lookback months available; skipping rescale",
-            len(months), lookback,
+            len(offsets), lookback,
         )
     else:
-        a = np.array([actuals.value_at(m) for m in months])
-        f = np.array([forecast.value_at(m) for m in months])
+        a = actuals.values[offsets + (forecast.start - actuals.start)]
+        f = forecast.best_fit[offsets]
         if (a == 0.0).all() or f.sum() == 0.0:
             log.warning("adjust: degenerate lookback window; skipping rescale")
         else:
@@ -136,7 +120,8 @@ def adjust_forecast(
                 )
                 log.info(
                     "adjust: mean |pad| %.1f%% over %s..%s, rescaling by %.4f",
-                    mean_abs_pad, months[0], months[-1], factor,
+                    mean_abs_pad, forecast.start + offsets[0], forecast.start + offsets[-1],
+                    factor,
                 )
 
     # rule 3: layer in seasonality, dampened while the generation is active
@@ -166,4 +151,5 @@ def adjust_forecast(
             uci[:cut] = 0.0
             notes.append(AdjustmentNote("zero_before_onset", None, tuple(zeroed)))
 
-    return AdjustResult(forecast=_rebuild(forecast, best, lci, uci), notes=tuple(notes))
+    adjusted = replace(forecast, best_fit=best, lci=lci, uci=uci)
+    return AdjustResult(forecast=adjusted, notes=tuple(notes))

@@ -215,14 +215,6 @@ def build_correlation_table(
     return CorrelationTable(rows=tuple(rows))
 
 
-def select_predictors(table: CorrelationTable) -> set[str]:
-    """Keep only strongly correlated predictors; redundancy is the models' problem."""
-    selected = {row.predictor for row in table.strong()}
-    if not selected:
-        log.warning("no strongly correlated predictors; selection is empty")
-    return selected
-
-
 # ---------------------------------------------------------------- genealogy
 
 

@@ -37,16 +37,39 @@ from .prep import RECEIPT_EXCLUSION_MONTHS
 from .preprocess import DEFAULT_SIGMA_MULTIPLIER, DEFAULT_SMOOTHING_WINDOW
 
 
+# Field metadata `accepts`: (test, message) for a value the loader takes. A
+# value outside it would crash a fit, leave a model untrained, refuse a
+# cycle with a message that names no key, or leave a cycle with no valid
+# band or no forecast month after the zoo has trained.
+_AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
+_NON_NEGATIVE = {"accepts": (lambda value: value >= 0, "must be >= 0")}
+_POSITIVE = {"accepts": (lambda value: value > 0, "must be > 0")}
+_FINITE_POSITIVE = {
+    "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
+}
+_FINITE_NON_NEGATIVE = {
+    "accepts": (lambda value: math.isfinite(value) and value >= 0, "must be finite and >= 0")
+}
+_FRACTION = {"accepts": (lambda value: 0 < value < 1, "must be strictly between 0 and 1")}
+_LAGS = {
+    "accepts": (
+        lambda value: all(k >= 0 for k in value) and len(set(value)) == len(value),
+        "every lag must be >= 0, none repeated",
+    )
+}
+_WINDOWS = {"accepts": (lambda value: all(w >= 1 for w in value), "every window must be >= 1")}
+
+
 @dataclass(frozen=True)
 class PrepConfig:
-    lags: tuple[int, ...] = (24, 30, 42, 48, 54)
-    moving_averages: tuple[int, ...] = (3, 6)
+    lags: tuple[int, ...] = field(default=(24, 30, 42, 48, 54), metadata=_LAGS)
+    moving_averages: tuple[int, ...] = field(default=(3, 6), metadata=_WINDOWS)
     receipt_exclusion_months: int = RECEIPT_EXCLUSION_MONTHS
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER
+    sigma_multiplier: float = field(default=DEFAULT_SIGMA_MULTIPLIER, metadata=_POSITIVE)
     smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
 
 
@@ -54,27 +77,15 @@ class PreprocessConfig:
 class AnalysisConfig:
     # INI keys `medium_at` and `strong_at`, directly under [analysis]
     strength: StrengthThresholds = field(default_factory=StrengthThresholds)
-    ramp_up_months: int = DEFAULT_RAMP_UP_MONTHS
+    ramp_up_months: int = field(default=DEFAULT_RAMP_UP_MONTHS, metadata=_NON_NEGATIVE)
     plateau_months: int = DEFAULT_PLATEAU_MONTHS
     seasonal_period: int = DEFAULT_SEASONAL_PERIOD
     min_genealogy_overlap: int = MIN_GENEALOGY_OVERLAP
 
 
-# Field metadata `accepts`: (test, message) for a value the loader takes. A
-# value outside it would crash a fit, leave a model untrained, or leave a
-# cycle with no valid band or no forecast month after the zoo has trained.
-_AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
-_FINITE_POSITIVE = {
-    "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
-}
-_FINITE_NON_NEGATIVE = {
-    "accepts": (lambda value: math.isfinite(value) and value >= 0, "must be finite and >= 0")
-}
-
-
 @dataclass(frozen=True)
 class ModelsConfig:
-    train_fraction: float = TRAIN_FRACTION
+    train_fraction: float = field(default=TRAIN_FRACTION, metadata=_FRACTION)
     z_multiplier: float = field(default=DEFAULT_Z_MULTIPLIER, metadata=_FINITE_NON_NEGATIVE)
     cart_min_leaf: int = field(default=cart.DEFAULT_MIN_LEAF, metadata=_AT_LEAST_ONE)
     cart_max_depth: int = cart.DEFAULT_MAX_DEPTH

@@ -454,42 +454,34 @@ def _longest_true_run(mask: np.ndarray) -> tuple[int, int]:
     return int(starts[latest]), int(lengths[latest])
 
 
+def defined_on(series: FeatureSeries, window: MonthInterval) -> np.ndarray:
+    """Which months of `window` the series defines: one bool per month,
+    False outside the series' domain."""
+    w0, s0 = window.start.value, series.start.value
+    lo, hi = max(w0, s0), min(window.end.value, s0 + len(series))
+    mask = np.zeros(len(window), dtype=bool)
+    if lo < hi:
+        mask[lo - w0 : hi - w0] = np.isfinite(series.values[lo - s0 : hi - s0])
+    return mask
+
+
 def align(series: Iterable[FeatureSeries], target: FeatureSeries) -> FeatureMatrix:
     """Build the maximal contiguous fully-defined matrix of target + predictors.
 
     Disjoint domains yield an empty matrix, not an error. When exclusion
     holes split the overlap, the longest contiguous run wins (ties go to the
-    most recent months). Duplicate feature names are rejected.
+    most recent months). `FeatureMatrix` rejects duplicate feature names
+    and a predictor named like the target.
     """
     predictors = sorted(series, key=lambda s: s.name)
-    seen: set[str] = set()
+    mask = target.defined_mask
     for s in predictors:
-        if s.name in seen:
-            raise ValidationError(f"duplicate feature name {s.name!r}")
-        seen.add(s.name)
-    if target.name in seen:
-        raise ValidationError(f"target name {target.name!r} collides with a predictor")
+        mask &= defined_on(s, target.interval)
+    off, length = _longest_true_run(mask)
+    start = target.start + off
 
-    def emptied(s: FeatureSeries, at: MonthIndex) -> FeatureSeries:
-        return FeatureSeries._view(s.name, at, _as_value_array(()))
+    def run(s: FeatureSeries) -> FeatureSeries:
+        # every series defines the whole run; an empty run cuts nothing
+        return FeatureSeries._view(s.name, start, s.values[start - s.start :][:length])
 
-    window = target.interval
-    for s in predictors:
-        window = window.intersect(s.interval)
-    if not window.is_empty:
-        mask = target.restrict(window).defined_mask.copy()
-        for s in predictors:
-            mask &= s.restrict(window).defined_mask
-        off, length = _longest_true_run(mask)
-        if length > 0:
-            run = MonthInterval(window.start + off, window.start + off + length)
-            return FeatureMatrix(
-                start=run.start,
-                target=target.restrict(run),
-                predictors=tuple(p.restrict(run) for p in predictors),
-            )
-    return FeatureMatrix(
-        start=target.start,
-        target=emptied(target, target.start),
-        predictors=tuple(emptied(p, target.start) for p in predictors),
-    )
+    return FeatureMatrix(start=start, target=run(target), predictors=tuple(map(run, predictors)))

@@ -129,15 +129,12 @@ class CycleStore:
     def _generation_dir(self, generation: GenerationId) -> Path:
         return self.root / urllib.parse.quote(generation.name, safe="")
 
-    def _path(self, generation: GenerationId, month: MonthIndex) -> Path:
-        return self._generation_dir(generation) / f"{month}.json"
-
     def path_for(self, generation: GenerationId, month: MonthIndex) -> Path:
         """Where the record for (generation, month) lives (whether or not it exists)."""
-        return self._path(generation, month)
+        return self._generation_dir(generation) / f"{month}.json"
 
     def store_cycle(self, record: CycleRecord) -> Path:
-        path = self._path(record.generation, record.cycle_month)
+        path = self.path_for(record.generation, record.cycle_month)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json_text(record))
@@ -145,7 +142,7 @@ class CycleStore:
         return path
 
     def load_cycle(self, generation: GenerationId, month: MonthIndex) -> Optional[CycleRecord]:
-        path = self._path(generation, month)
+        path = self.path_for(generation, month)
         if not path.exists():
             return None
         try:

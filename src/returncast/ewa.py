@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureSeries, MonthIndex, MonthInterval
+from .core import FeatureSeries, MonthIndex, MonthInterval, defined_on
 from .errors import NumericError, ValidationError
 from .models import ForecastSeries
+from .models.base import deviation, pad  # re-exported: the one percentage error
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +65,10 @@ SIGNED_WEIGHTS = ScoreWeights(red=-3.0, yellow=1.0, green=3.0)
 
 @dataclass(frozen=True)
 class EwaThresholds:
-    lookback_months: int = 3
+    # `accepts` is the range the config loader takes, as in `returncast.config`
+    lookback_months: int = field(
+        default=3, metadata={"accepts": (lambda value: value >= 1, "must be >= 1")}
+    )
     red_cut: float = -10.0  # signed pad below this is a red month
     under_forecast_pad: float = 20.0
     retrain_pad: float = 30.0
@@ -74,31 +78,6 @@ class EwaThresholds:
 
 
 # -------------------------------------------------------------- primitives
-
-
-def deviation(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
-    """Element-wise actual minus forecast; negative means over-forecast."""
-    a = np.asarray(actual, dtype=float)
-    f = np.asarray(forecast, dtype=float)
-    if a.shape != f.shape or a.ndim != 1:
-        raise ValidationError(f"deviation needs aligned vectors, got {a.shape} vs {f.shape}")
-    return a - f
-
-
-def pad(deviations: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(signed, absolute) percentage deviation; zero-actual months become NaN."""
-    d = np.asarray(deviations, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    if d.shape != a.shape or d.ndim != 1:
-        raise ValidationError(f"pad needs aligned vectors, got {d.shape} vs {a.shape}")
-    nonzero = a != 0.0
-    if not nonzero.any():
-        raise NumericError("every actual is zero; percentage deviation is undefined")
-    if not nonzero.all():
-        log.warning("pad: excluding %d zero-actual months", int((~nonzero).sum()))
-    signed = np.full(len(a), np.nan)
-    signed[nonzero] = d[nonzero] / a[nonzero] * 100.0
-    return signed, np.abs(signed)
 
 
 def color(pad_value: float, red_cut: float = EwaThresholds.red_cut) -> Color:
@@ -241,21 +220,19 @@ def _score_step(
     thresholds: EwaThresholds,
 ) -> Optional[StepResult]:
     """Deviations, pads, colors, and the lookback-window alert for one series."""
-    window = actuals.interval.intersect(
-        MonthInterval(forecast_start, forecast_start + len(forecast_values))
-    )
-    months = [m for m in window if math.isfinite(actuals.value_at(m))]
-    if len(months) < thresholds.lookback_months:
+    span = MonthInterval(forecast_start, forecast_start + len(forecast_values))
+    offsets = np.flatnonzero(defined_on(actuals, span))
+    if len(offsets) < thresholds.lookback_months:
         return None
-    months = months[-max(thresholds.lookback_months, thresholds.score_window) :]
-    a = np.array([actuals.value_at(m) for m in months])
-    f = np.array([float(forecast_values[m - forecast_start]) for m in months])
+    offsets = offsets[-max(thresholds.lookback_months, thresholds.score_window) :]
+    a = actuals.values[offsets + (forecast_start - actuals.start)]
+    f = np.asarray(forecast_values, dtype=float)[offsets]
     devs = deviation(a, f)
     signed, absolute = pad(devs, a)
-    recent = slice(len(months) - thresholds.lookback_months, len(months))
+    recent = slice(len(offsets) - thresholds.lookback_months, len(offsets))
     wp = window_pad(a[recent], f[recent])
     return StepResult(
-        months=tuple(months),
+        months=tuple(forecast_start + int(i) for i in offsets),
         deviations=tuple(float(v) for v in devs),
         pad_signed=tuple(float(v) for v in signed),
         pad_absolute=tuple(float(v) for v in absolute),

@@ -9,7 +9,7 @@ import abc
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -148,25 +148,43 @@ def split_chronological(
 # ------------------------------------------------------------------ metrics
 
 
-def _percentage_defined(actual: np.ndarray) -> np.ndarray:
-    """Months a percentage error can score: those with a nonzero actual."""
-    return actual != 0.0
+def deviation(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
+    """Element-wise actual minus forecast; negative means over-forecast."""
+    a = np.asarray(actual, dtype=float)
+    f = np.asarray(forecast, dtype=float)
+    if a.shape != f.shape or a.ndim != 1:
+        raise ValidationError(f"deviation needs aligned vectors, got {a.shape} vs {f.shape}")
+    return a - f
+
+
+def pad(deviations: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(signed, absolute) percentage deviation; zero-actual months become NaN.
+
+    The one percentage error: MAPE, EWA's month scores and the adjust
+    rescale test all read it.
+    """
+    d = np.asarray(deviations, dtype=float)
+    a = np.asarray(actual, dtype=float)
+    if d.shape != a.shape or d.ndim != 1:
+        raise ValidationError(f"pad needs aligned vectors, got {d.shape} vs {a.shape}")
+    nonzero = a != 0.0
+    if not nonzero.any():
+        raise NumericError("every actual is zero; percentage deviation is undefined")
+    if not nonzero.all():
+        log.warning("pad: excluding %d zero-actual months", int((~nonzero).sum()))
+    signed = np.full(len(a), np.nan)
+    signed[nonzero] = d[nonzero] / a[nonzero] * 100.0
+    return signed, np.abs(signed)
 
 
 def evaluate_mape(actual, forecast) -> float:
     """Mean absolute percentage error; zero-actual months are excluded."""
     a = np.asarray(actual, dtype=float)
-    f = np.asarray(forecast, dtype=float)
-    if a.shape != f.shape or a.ndim != 1:
-        raise ValidationError(f"actual and forecast must be equal-length vectors, got {a.shape} vs {f.shape}")
-    if len(a) < 1:
+    devs = deviation(a, forecast)
+    if len(devs) < 1:
         raise ValidationError("need at least one month to evaluate")
-    nonzero = _percentage_defined(a)
-    if not nonzero.any():
-        raise NumericError("every actual is zero; percentage error is undefined")
-    if not nonzero.all():
-        log.warning("excluding %d zero-actual months from percentage error", int((~nonzero).sum()))
-    return float(np.abs((a[nonzero] - f[nonzero]) / a[nonzero] * 100.0).mean())
+    _, absolute = pad(devs, a)
+    return float(absolute[a != 0.0].mean())
 
 
 def prediction_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -232,16 +250,9 @@ class ForecastSeries:
 
     def restrict(self, interval: MonthInterval) -> "ForecastSeries":
         window = self.interval.intersect(interval)
-        i0, i1 = window.start - self.start, window.end - self.start
-        return ForecastSeries(
-            start=window.start,
-            best_fit=self.best_fit[i0:i1],
-            lci=self.lci[i0:i1],
-            uci=self.uci[i0:i1],
-            model=self.model,
-            test_mape=self.test_mape,
-            test_correlation=self.test_correlation,
-        )
+        cut = slice(window.start - self.start, window.end - self.start)
+        return replace(self, start=window.start, best_fit=self.best_fit[cut],
+                       lci=self.lci[cut], uci=self.uci[cut])
 
     @classmethod
     def from_dict(cls, data: dict) -> "ForecastSeries":
@@ -315,7 +326,7 @@ _NO_MODEL = "no model in the zoo could be fitted and evaluated"
 def require_scorable(test: FeatureMatrix) -> None:
     """Refuse a test split whose every actual is zero: MAPE is undefined on
     it, so no model could be ranked, whatever it predicts."""
-    if not _percentage_defined(test.y).any():
+    if not (test.y != 0.0).any():
         raise ValidationError(_NO_MODEL)
 
 

@@ -25,11 +25,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 def _sse(y: np.ndarray) -> float:
     if len(y) == 0:

@@ -41,14 +41,6 @@ class LinearModel(FittedModel):
         self.beta = beta
         self.quadratic = quadratic
 
-    @property
-    def intercept(self) -> float:
-        return float(self.beta[0])
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.beta[1:]
-
     def _design(self, X: np.ndarray) -> np.ndarray:
         return _expand_quadratic(X) if self.quadratic else X
 

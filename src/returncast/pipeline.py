@@ -30,7 +30,6 @@ from .analysis import (
     decompose_seasonal,
     genealogy_match,
     segment_lifecycle,
-    select_predictors,
 )
 from .adjust import AdjustResult, adjust_forecast
 from .config import AppConfig
@@ -44,6 +43,7 @@ from .core import (
     MonthInterval,
     _longest_true_run,
     align,
+    defined_on,
 )
 from .cycle_store import CycleRecord, CycleStore, PlannerChoice
 from .encode import to_json
@@ -275,12 +275,7 @@ def horizon_available(
     predictors: list[FeatureSeries], horizon: MonthInterval
 ) -> list[FeatureSeries]:
     """Predictors with a defined value at every horizon month."""
-    out = []
-    for p in predictors:
-        window = p.restrict(horizon)
-        if len(window) == len(horizon) and window.defined_mask.all():
-            out.append(p)
-    return out
+    return [p for p in predictors if defined_on(p, horizon).all()]
 
 
 def coverage_greedy(
@@ -289,27 +284,17 @@ def coverage_greedy(
     """Admit predictors widest-overlap first while the aligned matrix stays
     at or above the row floor.
 
-    Each predictor's defined mask is taken once on the target's interval,
-    where a month outside its domain counts as undefined. The longest run of
-    True in the AND of the target's and the chosen masks is then the row
-    count `align(chosen, target)` would give, and names are checked as
-    `align` checks them.
+    Each predictor's defined mask is taken once on the target's interval
+    (`defined_on`). The longest run of True in the AND of the target's and
+    the chosen masks is then the row count `align(chosen, target)` would
+    give, and names are rejected with `FeatureMatrix`'s messages.
     """
     if any(p.name == target.name for p in predictors):
         raise ValidationError(f"target name {target.name!r} collides with a predictor")
-    window = target.interval
     defined = target.defined_mask
     floor = min(min_rows, _longest_true_run(defined)[1])
-
-    def on_window(p: FeatureSeries) -> np.ndarray:
-        mask = np.zeros(len(window), dtype=bool)
-        part = p.restrict(window)
-        offset = part.start - window.start
-        mask[offset : offset + len(part)] = part.defined_mask
-        return mask
-
     ranked = sorted(
-        ((p, on_window(p)) for p in predictors),
+        ((p, defined_on(p, target.interval)) for p in predictors),
         key=lambda pm: (-_longest_true_run(defined & pm[1])[1], pm[0].name),
     )
     chosen: list[FeatureSeries] = []
@@ -361,15 +346,11 @@ def select_for_model(
     table: CorrelationTable, candidates: list[FeatureSeries], cap: int
 ) -> list[FeatureSeries]:
     """Strong predictors, best first, truncated to the cap; top-correlated
-    fallback when nothing clears the bar."""
-    strong = select_predictors(table)
-    rows = [r for r in table if r.predictor in strong]
+    fallback when nothing clears the bar. Redundancy is the models' problem."""
+    rows = table.strong()
     if not rows:
         rows = sorted(table, key=lambda r: -abs(r.pearson_r))[:3]
-        if rows:
-            log.warning(
-                "no strong predictors; falling back to top %d by |r|", len(rows)
-            )
+        log.warning("no strong predictors; falling back to top %d by |r|", len(rows))
     rows = sorted(rows, key=lambda r: (-abs(r.pearson_r), r.predictor))[:cap]
     names = {r.predictor for r in rows}
     return [p for p in candidates if p.name in names]

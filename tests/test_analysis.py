@@ -11,9 +11,9 @@ from returncast.analysis import (
     genealogy_match,
     pearson,
     segment_lifecycle,
-    select_predictors,
 )
 from returncast.core import MonthInterval
+from returncast.pipeline import select_for_model
 from returncast.errors import NumericError, ValidationError
 
 from helpers import family_calendar, fs, gen_series, month
@@ -97,7 +97,8 @@ def test_correlation_table_and_selection():
     assert abs(table.entry("weak_one").pearson_r) < 0.186
     with pytest.raises(KeyError):
         table.entry("flat")
-    assert select_predictors(table) == {"strong_one"}
+    chosen = select_for_model(table, [weak, strong, flat], cap=8)
+    assert [p.name for p in chosen] == ["strong_one"]
 
 
 def test_segment_lifecycle_with_known_next_launch():

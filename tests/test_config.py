@@ -94,6 +94,17 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         ("[pipeline]\nhorizon_months = -12\n", "[pipeline] horizon_months"),
         ("[pipeline]\nmax_predictors = 0\n", "[pipeline] max_predictors"),
         ("[pipeline]\nmax_predictors = -2\n", "[pipeline] max_predictors"),
+        # values a cycle refuses with a message that names no key
+        ("[prep]\nlags = -1\n", "[prep] lags"),
+        ("[prep]\nlags = 24, 24\n", "[prep] lags"),
+        ("[prep]\nmoving_averages = 3, 0\n", "[prep] moving_averages"),
+        ("[models]\ntrain_fraction = 0\n", "[models] train_fraction"),
+        ("[models]\ntrain_fraction = 1\n", "[models] train_fraction"),
+        ("[models]\ntrain_fraction = nan\n", "[models] train_fraction"),
+        ("[preprocess]\nsigma_multiplier = 0\n", "[preprocess] sigma_multiplier"),
+        ("[preprocess]\nsigma_multiplier = -1\n", "[preprocess] sigma_multiplier"),
+        ("[analysis]\nramp_up_months = -1\n", "[analysis] ramp_up_months"),
+        ("[ewa]\nlookback_months = 0\n", "[ewa] lookback_months"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
@@ -138,6 +149,20 @@ def test_smallest_accepted_model_values_load(tmp_path):
     m = config.models
     assert (m.cart_min_leaf, m.nn_hidden_units, m.nn_epochs, m.ts_period) == (1, 1, 1, 1)
     assert m.nn_learning_rate == 1e-9
+
+
+def test_smallest_accepted_prep_and_cycle_values_load(tmp_path):
+    config = _load(
+        tmp_path,
+        "[prep]\nlags = 0, 1\nmoving_averages = 1\n[preprocess]\nsigma_multiplier = 1e-9\n"
+        "[analysis]\nramp_up_months = 0\n[models]\ntrain_fraction = 0.01\n"
+        "[ewa]\nlookback_months = 1\n",
+    )
+    assert (config.prep.lags, config.prep.moving_averages) == ((0, 1), (1,))
+    assert config.preprocess.sigma_multiplier == 1e-9
+    assert config.analysis.ramp_up_months == 0
+    assert config.models.train_fraction == 0.01
+    assert config.ewa.lookback_months == 1
 
 
 def test_smallest_accepted_band_and_pipeline_values_load(tmp_path):

@@ -1,4 +1,5 @@
 """Calendar arithmetic, series containers, and matrix alignment."""
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from returncast.core import (
     MonthInterval,
     _longest_true_run,
     align,
+    defined_on,
 )
 from returncast.errors import MissingGaError, ValidationError
 
@@ -235,6 +237,39 @@ def _reference_longest_true_run(mask) -> tuple[int, int]:
                 best_off, best_len = run_start, run_len
             run_start = None
     return best_off, best_len
+
+
+@given(
+    series=_series_with_holes("x"),
+    placement=st.sampled_from(("left", "across_start", "inside", "across_end", "right")),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_defined_on_matches_per_month_lookup(series, placement, data):
+    lo, hi = series.start.value, series.end.value
+
+    def between(a, b):
+        return data.draw(st.integers(min_value=a, max_value=b))
+
+    if placement == "left":
+        end = between(lo - 6, lo)
+        start = between(end - 8, end)
+    elif placement == "across_start":
+        start = between(lo - 8, lo - 1)
+        end = between(lo + 1, hi + 8)
+    elif placement == "inside":
+        start = between(lo, hi)
+        end = between(start, hi)
+    elif placement == "across_end":
+        start = between(lo, hi - 1)
+        end = between(hi + 1, hi + 8)
+    else:
+        start = between(hi, hi + 6)
+        end = between(start, start + 8)
+    window = MonthInterval(MonthIndex(start), MonthIndex(end))
+    got = defined_on(series, window)
+    assert got.dtype == bool
+    assert got.tolist() == [math.isfinite(series.value_at(m)) for m in window]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from returncast.core import FeatureSeries, MonthIndex, MonthInterval
 from returncast.encode import to_json
 from returncast.errors import NumericError, ValidationError
 from returncast.ewa import (
@@ -24,6 +27,7 @@ from returncast.ewa import (
     run_ewa,
     six_month_stats,
     window_pad,
+    _score_step,
 )
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
 
@@ -240,3 +244,48 @@ def test_report_serializes_to_json():
     assert back["alert"] == "OverForecast"
     assert back["recommendation"] == "UseLCI"
     assert back["step1"]["colors"] == ["Red", "Red", "Red"]
+
+
+def _scored_months_by_lookup(actuals, forecast_start, forecast_values, thresholds):
+    """Months, deviations and window pad as `_score_step` found them month by
+    month with `value_at`, before it read `defined_on`."""
+    window = actuals.interval.intersect(
+        MonthInterval(forecast_start, forecast_start + len(forecast_values))
+    )
+    months = [m for m in window if math.isfinite(actuals.value_at(m))]
+    if len(months) < thresholds.lookback_months:
+        return None
+    months = months[-max(thresholds.lookback_months, thresholds.score_window) :]
+    a = np.array([actuals.value_at(m) for m in months])
+    f = np.array([float(forecast_values[m - forecast_start]) for m in months])
+    recent = slice(len(months) - thresholds.lookback_months, len(months))
+    return tuple(months), tuple(float(v) for v in deviation(a, f)), window_pad(a[recent], f[recent])
+
+
+@given(
+    actual=st.lists(
+        st.one_of(st.none(), st.floats(min_value=0.5, max_value=500.0)), min_size=1, max_size=18
+    ),
+    forecast=st.lists(st.floats(min_value=0.0, max_value=500.0), max_size=18),
+    offset=st.integers(min_value=-12, max_value=12),
+    lookback=st.integers(min_value=1, max_value=4),
+    score_window=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_score_step_months_and_deviations_match_the_lookup(
+    actual, forecast, offset, lookback, score_window
+):
+    actuals = FeatureSeries(
+        "gross_returns",
+        month("2012-01"),
+        np.array([np.nan if v is None else v for v in actual], dtype=float),
+    )
+    start = MonthIndex(month("2012-01").value + offset)
+    values = np.array(forecast, dtype=float)
+    thresholds = EwaThresholds(lookback_months=lookback, score_window=score_window)
+    got = _score_step(actuals, start, values, thresholds)
+    expected = _scored_months_by_lookup(actuals, start, values, thresholds)
+    if expected is None:
+        assert got is None
+    else:
+        assert (got.months, got.deviations, got.window_pad) == expected

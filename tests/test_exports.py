@@ -1,9 +1,14 @@
-"""Every name a package exports has a caller.
+"""Every name a package exports has a caller, and so does every public
+top-level function and class.
 
 A name in a package's `__all__` must be referenced somewhere in `src/`
 outside the module that defines it (and the `__init__` that re-exports it),
 or be imported by the acceptance criteria. An export that nothing uses is
 dead weight: drop it from `__all__`, or the code with it.
+
+A public top-level function or class must be referenced somewhere in `src/`
+besides its own definition (a re-export in an `__init__` does not count),
+or be imported by the acceptance criteria.
 """
 import ast
 import importlib
@@ -57,5 +62,28 @@ def test_exported_name_has_a_caller(package, name):
     ]
     assert callers or name in ACCEPTANCE_IMPORTS, (
         f"{package}.{name} is exported but nothing in src/ outside its module uses it, "
+        "and the acceptance criteria do not import it"
+    )
+
+
+PUBLIC = [
+    (path, node.name)
+    for path, text in SOURCES.items()
+    for node in ast.parse(text).body
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+]
+
+
+@pytest.mark.parametrize(
+    "path,name", PUBLIC, ids=[f"{p.relative_to(SRC).with_suffix('')}.{n}" for p, n in PUBLIC]
+)
+def test_public_definition_has_a_caller(path, name):
+    pattern = re.compile(rf"\b{re.escape(name)}\b")
+    uses = sum(
+        len(pattern.findall(text)) for p, text in SOURCES.items() if p.name != "__init__.py"
+    )
+    # one occurrence is the definition itself
+    assert uses > 1 or name in ACCEPTANCE_IMPORTS, (
+        f"{name} in {path.relative_to(SRC)} is defined but nothing in src/ uses it, "
         "and the acceptance criteria do not import it"
     )

@@ -96,6 +96,36 @@ def test_percentage_error_zero_actuals():
         evaluate_mape([0, 0], [1, 2])
     with pytest.raises(ValidationError):
         evaluate_mape([1, 2], [1, 2, 3])
+    with pytest.raises(ValidationError, match="at least one month"):
+        evaluate_mape([], [])
+
+
+def _evaluate_mape_masked_mean(actual, forecast) -> float:
+    """MAPE as it was computed before it read `pad`: the mean over the
+    nonzero-actual months of |(a - f) / a * 100|."""
+    a = np.asarray(actual, dtype=float)
+    f = np.asarray(forecast, dtype=float)
+    nonzero = a != 0.0
+    return float(np.abs((a[nonzero] - f[nonzero]) / a[nonzero] * 100.0).mean())
+
+
+# zero, or a magnitude from 1e-6 to 1e6: no percentage overflows
+_MONTH_VALUE = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: abs(v) >= 1e-6),
+    st.floats(min_value=1e-6, max_value=1e-3),
+)
+
+
+@given(
+    pairs=st.lists(st.tuples(_MONTH_VALUE, _MONTH_VALUE), min_size=1, max_size=40).filter(
+        lambda pairs: any(a != 0.0 for a, _ in pairs)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_mape_equals_the_masked_mean(pairs):
+    actual, forecast = (np.array(column) for column in zip(*pairs))
+    assert evaluate_mape(actual, forecast) == _evaluate_mape_masked_mean(actual, forecast)
 
 
 def test_prediction_correlation():

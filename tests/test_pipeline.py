@@ -23,7 +23,13 @@ from returncast.pipeline import (
     select_for_model,
     visible_history,
 )
-from returncast.analysis import LifecyclePhases, build_correlation_table
+from returncast.analysis import (
+    CorrelationEntry,
+    CorrelationTable,
+    LifecyclePhases,
+    Strength,
+    build_correlation_table,
+)
 from returncast.report import render_report, validate_report
 from returncast.synth import ScenarioSpec, generate
 
@@ -154,6 +160,20 @@ def test_select_for_model_caps_and_falls_back():
     table = build_correlation_table([weak, weak2], y)
     got = select_for_model(table, [weak, weak2], cap=8)
     assert {p.name for p in got} == {"w1", "w2"}
+
+
+def test_select_for_model_warns_once_when_nothing_is_strong(caplog):
+    weak = [fs(np.arange(4.0), name=name) for name in ("w1", "w2")]
+    table = CorrelationTable(
+        rows=tuple(
+            CorrelationEntry(p.name, "gross_returns", r, Strength.WEAK)
+            for p, r in zip(weak, (0.1, -0.12))
+        )
+    )
+    with caplog.at_level("DEBUG", logger="returncast"):
+        select_for_model(table, weak, cap=8)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "no strong predictors" in caplog.records[0].getMessage()
 
 
 def test_rebase_phases_shifts_to_relative_months():
