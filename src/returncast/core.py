@@ -78,7 +78,7 @@ class MonthInterval:
     end: MonthIndex
 
     def __post_init__(self):
-        if self.end < self.start:
+        if self.end.value < self.start.value:
             object.__setattr__(self, "end", self.start)  # normalize to empty
 
     def __len__(self) -> int:
@@ -240,7 +240,7 @@ class FeatureSeries:
 
     @property
     def end(self) -> MonthIndex:
-        return self.start + len(self.values)
+        return MonthIndex(self.start.value + len(self.values))
 
     @property
     def interval(self) -> MonthInterval:
@@ -263,15 +263,21 @@ class FeatureSeries:
         return float(self.values[month - self.start])
 
     def restrict(self, interval: MonthInterval) -> "FeatureSeries":
-        """Slice to the overlap with `interval` (may be empty)."""
-        clipped = self.interval.intersect(interval)
-        i0 = clipped.start - self.start
-        i1 = clipped.end - self.start
-        return self._view(self.name, clipped.start, self.values[i0:i1])
+        """Slice to the overlap with `interval` (may be empty).
+
+        The slice starts at the later of the two starts, also when the
+        overlap is empty.
+        """
+        s0, w0 = self.start.value, interval.start.value
+        i0 = max(0, w0 - s0)
+        i1 = min(len(self.values), interval.end.value - s0)
+        start = self.start if s0 >= w0 else interval.start
+        return self._view(self.name, start, self.values[i0:max(i0, i1)])
 
     def shift(self, months: int, name: Optional[str] = None) -> "FeatureSeries":
         """Same values, domain moved forward by `months`; renamed if `name` is given."""
-        return self._view(name or self.name, self.start + months, self.values)
+        start = MonthIndex(self.start.value + int(months))
+        return self._view(name or self.name, start, self.values)
 
     def with_values(self, values: np.ndarray | Sequence[float], **changes) -> "FeatureSeries":
         return replace(self, values=values, **changes)
@@ -439,9 +445,14 @@ class FeatureMatrix:
 
 
 def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end (exclusive) offsets of each run of True, in order."""
-    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    """Start and end (exclusive) offsets of each run of True, in order.
+
+    Padded with False at both ends, the mask changes value at every run's
+    start and end, alternately: starts are the even edges, ends the odd ones.
+    """
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2]
 
 
 def _longest_true_run(mask: np.ndarray) -> tuple[int, int]:

@@ -9,6 +9,8 @@ gradient live in two flat buffers, every intermediate has a preallocated
 home, and an epoch allocates nothing. The four matrix products go through
 `np.dot` with `out`: it calls the same BLAS routines as `np.matmul`, bit for
 bit, with less overhead per call than the generalized-ufunc entry point.
+Scalar operands are 0-d arrays built once per fit: a ufunc takes an array
+operand as it is, where a Python float is converted on every call.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
     dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
     divide, tanh, reduce = np.divide, np.tanh, np.add.reduce
     Xt, zt, d_out_col = X.T, z.T, d_out[:, None]
-    rows = float(n)  # exact, and a float divisor is the cheaper ufunc call
+    rows, one = np.array(float(n)), np.array(1.0)  # n is exact as a float
 
     def step() -> None:
         # z = tanh(X @ w1 + b1); err = z @ w2 + b2 - y
@@ -68,7 +70,7 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
         # d_z = outer(d_out, w2) * (1 - z * z)
         multiply(d_out_col, w2, d_z)
         multiply(z, z, slope)
-        subtract(1.0, slope, slope)
+        subtract(one, slope, slope)
         multiply(d_z, slope, d_z)
         dot(Xt, d_z, g_w1)
         reduce(d_z, 0, None, g_b1)
@@ -110,7 +112,7 @@ def fit_neural(spec: ModelSpec, train: FeatureMatrix) -> NeuralModel:
     require_rows(spec.kind, train, MIN_ROWS)
     hidden = int(spec.param("hidden_units", DEFAULT_HIDDEN_UNITS))
     epochs = int(spec.param("epochs", DEFAULT_EPOCHS))
-    lr = float(spec.param("learning_rate", DEFAULT_LEARNING_RATE))
+    lr = np.array(float(spec.param("learning_rate", DEFAULT_LEARNING_RATE)))
 
     x_mean, x_sd = _standardizer(train.X)
     y_mean, y_sd = _standardizer(train.y)

@@ -1,10 +1,10 @@
 """End-to-end planning cycle: history in, validated forecast out.
 
 Stage order: pick the donor generation by genealogy, clean and rescale its
-history, build lag/average transforms, keep predictors that are strongly
-correlated AND observable over the horizon, race the model zoo on a 70/30
-chronological split, forecast with the winner, apply adjustment rules, then
-validate the previous cycle's forecast (EWA) and persist the record.
+history, build the lag/average transforms observable over the horizon, keep
+the strongly correlated ones, race the model zoo on a 70/30 chronological
+split, forecast with the winner, apply adjustment rules, then validate the
+previous cycle's forecast (EWA) and persist the record.
 Refusals that cannot depend on a fitted model (a test split MAPE cannot
 score, a previous forecast EWA cannot score) are decided before the zoo
 trains.
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,6 +68,9 @@ from .preprocess import OutlierReport, detect_outliers, normalization_factor, re
 log = logging.getLogger(__name__)
 
 PREDICTOR_CHANNELS = ("shipments", "upgrades", "new_receipts")
+
+# per predictor channel, the transforms of it to build, in build order
+PredictorPlan = list[tuple[str, list[Callable[[FeatureSeries], FeatureSeries]]]]
 
 
 @dataclass(frozen=True)
@@ -242,17 +246,43 @@ def prepare_histories(
     return PreparedHistories(donor_id, donor, current, outliers, factor)
 
 
-def build_predictors(series: GenerationSeries, config: AppConfig) -> list[FeatureSeries]:
-    """Raw channels plus every configured lag, moving average, and running sum."""
-    out: list[FeatureSeries] = []
+def observable_predictors(
+    current: GenerationSeries, horizon: MonthInterval, config: AppConfig
+) -> PredictorPlan:
+    """The transforms whose output for the current generation is defined on
+    every horizon month, in build order: per channel, the raw channel, every
+    lag, every moving average, the running sum.
+
+    A transform qualifies when its channel is defined on every month of the
+    horizon moved back by the transform's shift: k for a lag k, 0 for the
+    others, which are defined exactly where their channel is. Only these can
+    feed a forecast, so nothing else is built, for the donor either.
+    """
+    prep = config.prep
+    transforms = [
+        (0, lambda raw: raw),
+        *((k, partial(lag, k=k)) for k in prep.lags),
+        *((0, partial(moving_average, w=w)) for w in prep.moving_averages),
+        (0, cumulative_sum),
+    ]
+    shifts = [shift for shift, _ in transforms]
+    back, n = max(shifts), len(horizon)
+    # one mask per channel covers the horizon under every shift
+    span = MonthInterval(horizon.start - back, horizon.end - min(shifts))
+    plan: PredictorPlan = []
     for channel in PREDICTOR_CHANNELS:
+        defined = defined_on(current.feature(channel), span)
+        kept = [t for shift, t in transforms if defined[back - shift : back - shift + n].all()]
+        plan.append((channel, kept))
+    return plan
+
+
+def build_predictors(series: GenerationSeries, plan: PredictorPlan) -> list[FeatureSeries]:
+    """The planned transforms of the series' channels, in plan order."""
+    out: list[FeatureSeries] = []
+    for channel, transforms in plan:
         raw = series.feature(channel)
-        out.append(raw)
-        for k in config.prep.lags:
-            out.append(lag(raw, k))
-        for w in config.prep.moving_averages:
-            out.append(moving_average(raw, w))
-        out.append(cumulative_sum(raw))
+        out.extend(transform(raw) for transform in transforms)
     return out
 
 
@@ -269,13 +299,6 @@ def rebase_phases(phases: LifecyclePhases, trigger: MonthIndex) -> LifecyclePhas
         plateau=move(phases.plateau),
         ramp_down=move(phases.ramp_down),
     )
-
-
-def horizon_available(
-    predictors: list[FeatureSeries], horizon: MonthInterval
-) -> list[FeatureSeries]:
-    """Predictors with a defined value at every horizon month."""
-    return [p for p in predictors if defined_on(p, horizon).all()]
 
 
 def coverage_greedy(
@@ -389,16 +412,13 @@ def run_cycle(
         config.analysis.plateau_months,
     )
 
-    # transforms, rebased so month 0 is each generation's trigger
-    donor_target = _rebase(donor.feature("gross_returns"), donor_trigger)
-    donor_preds = [_rebase(p, donor_trigger) for p in build_predictors(donor, config)]
-    current_preds = [_rebase(p, trigger) for p in build_predictors(current, config)]
-
+    # the observable transforms, rebased so month 0 is each generation's trigger
     horizon = MonthInterval(cycle_month, cycle_month + config.pipeline.horizon_months)
     horizon_rel = MonthInterval(horizon.start - trigger.value, horizon.end - trigger.value)
-
-    available_names = {p.name for p in horizon_available(current_preds, horizon_rel)}
-    usable = [p for p in donor_preds if p.name in available_names]
+    plan = observable_predictors(current, horizon, config)
+    donor_target = _rebase(donor.feature("gross_returns"), donor_trigger)
+    usable = [_rebase(p, donor_trigger) for p in build_predictors(donor, plan)]
+    current_preds = [_rebase(p, trigger) for p in build_predictors(current, plan)]
     if not usable:
         raise ValidationError(
             f"no predictor is observable across the horizon {horizon}; "

@@ -19,6 +19,7 @@ from returncast.core import (
     _longest_true_run,
     align,
     defined_on,
+    true_runs,
 )
 from returncast.errors import MissingGaError, ValidationError
 
@@ -239,13 +240,11 @@ def _reference_longest_true_run(mask) -> tuple[int, int]:
     return best_off, best_len
 
 
-@given(
-    series=_series_with_holes("x"),
-    placement=st.sampled_from(("left", "across_start", "inside", "across_end", "right")),
-    data=st.data(),
-)
-@settings(max_examples=300, deadline=None)
-def test_defined_on_matches_per_month_lookup(series, placement, data):
+_PLACEMENTS = ("left", "across_start", "inside", "across_end", "right")
+
+
+def _window(series, placement, data) -> MonthInterval:
+    """A window (possibly empty) placed relative to the series' domain."""
     lo, hi = series.start.value, series.end.value
 
     def between(a, b):
@@ -266,7 +265,13 @@ def test_defined_on_matches_per_month_lookup(series, placement, data):
     else:
         start = between(hi, hi + 6)
         end = between(start, start + 8)
-    window = MonthInterval(MonthIndex(start), MonthIndex(end))
+    return MonthInterval(MonthIndex(start), MonthIndex(end))
+
+
+@given(series=_series_with_holes("x"), placement=st.sampled_from(_PLACEMENTS), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_defined_on_matches_per_month_lookup(series, placement, data):
+    window = _window(series, placement, data)
     got = defined_on(series, window)
     assert got.dtype == bool
     assert got.tolist() == [math.isfinite(series.value_at(m)) for m in window]
@@ -292,6 +297,48 @@ def test_longest_true_run_cases(mask, expected):
 @settings(max_examples=300, deadline=None)
 def test_longest_true_run_matches_reference_loop(mask):
     assert _longest_true_run(np.array(mask, dtype=bool)) == _reference_longest_true_run(mask)
+
+
+def _reference_restrict(series: FeatureSeries, interval: MonthInterval) -> FeatureSeries:
+    """The slice through `MonthInterval.intersect` that `restrict` replaced."""
+    clipped = MonthInterval(series.start, series.start + len(series)).intersect(interval)
+    i0 = clipped.start - series.start
+    i1 = clipped.end - series.start
+    return FeatureSeries._view(series.name, clipped.start, series.values[i0:i1])
+
+
+@given(series=_series_with_holes("x"), placement=st.sampled_from(_PLACEMENTS), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_restrict_matches_interval_reference_bit_for_bit(series, placement, data):
+    window = _window(series, placement, data)
+    got, expected = series.restrict(window), _reference_restrict(series, window)
+    # an empty overlap still starts at the later of the two starts
+    assert (got.name, got.start, got.end) == (expected.name, expected.start, expected.end)
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.interval == expected.interval == series.interval.intersect(window)
+
+
+def _reference_true_runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """The two-comparison version `true_runs` replaced."""
+    edges = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
+def _same_runs(mask) -> None:
+    got, expected = true_runs(mask), _reference_true_runs(mask)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("mask", [[], [False] * 5, [True], [True] * 7, [False, True, True]])
+def test_true_runs_cases_match_reference(mask):
+    _same_runs(np.array(mask, dtype=bool))
+
+
+@given(mask=st.lists(st.booleans(), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_true_runs_matches_reference_bit_for_bit(mask):
+    _same_runs(np.array(mask, dtype=bool))
 
 
 def _writeable_raises(values: np.ndarray) -> bool:

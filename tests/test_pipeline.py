@@ -10,14 +10,23 @@ from hypothesis import strategies as st
 
 from returncast import pipeline
 from returncast.config import AppConfig
-from returncast.core import MonthInterval, align
+from returncast.core import (
+    GenerationId,
+    GenerationSeries,
+    MonthIndex,
+    MonthInterval,
+    align,
+    defined_on,
+)
 from returncast.cycle_store import CycleStore, PlannerChoice
 from returncast.encode import json_text
 from returncast.errors import MissingGaError, NumericError, ValidationError
 from returncast.pipeline import (
+    PREDICTOR_CHANNELS,
+    build_predictors,
     coverage_greedy,
     donor_candidates,
-    horizon_available,
+    observable_predictors,
     rebase_phases,
     run_cycle,
     select_for_model,
@@ -30,6 +39,7 @@ from returncast.analysis import (
     Strength,
     build_correlation_table,
 )
+from returncast.prep import cumulative_sum, lag, moving_average
 from returncast.report import render_report, validate_report
 from returncast.synth import ScenarioSpec, generate
 
@@ -134,15 +144,92 @@ def test_coverage_greedy_raises_aligns_name_errors():
     ) == []
 
 
-def test_horizon_available_requires_full_coverage():
-    horizon = MonthInterval(month("2012-01"), month("2012-07"))
-    full = fs(np.ones(18), start="2011-01", name="full")
-    holey_values = np.ones(18)
-    holey_values[14] = np.nan  # 2012-03
-    holey = fs(holey_values, start="2011-01", name="holey")
-    short = fs(np.ones(14), start="2011-01", name="short")  # ends 2012-03
-    got = horizon_available([full, holey, short], horizon)
-    assert [p.name for p in got] == ["full"]
+def _reference_build_predictors(series, config):
+    """Every transform of every predictor channel, as built before the
+    horizon decided which to build."""
+    out = []
+    for channel in PREDICTOR_CHANNELS:
+        raw = series.feature(channel)
+        out.append(raw)
+        for k in config.prep.lags:
+            out.append(lag(raw, k))
+        for w in config.prep.moving_averages:
+            out.append(moving_average(raw, w))
+        out.append(cumulative_sum(raw))
+    return out
+
+
+def _reference_horizon_available(predictors, horizon):
+    """The filter that ran on the built transforms of the current generation."""
+    return [p for p in predictors if defined_on(p, horizon).all()]
+
+
+def _bits(predictors):
+    return [(p.name, p.start, p.values.tobytes()) for p in predictors]
+
+
+@st.composite
+def _generation(draw, name):
+    """Non-negative channels, NaN holes anywhere, some series very short."""
+    start = draw(st.integers(min_value=0, max_value=12))
+    length = draw(st.integers(min_value=1, max_value=20))
+    value = st.none() | st.floats(min_value=0, max_value=1e6) | st.just(1.0)
+    channels = {
+        c: [np.nan if v is None else v
+            for v in draw(st.lists(value, min_size=length, max_size=length))]
+        for c in ("shipments", "upgrades", "new_receipts", "gross_returns")
+    }
+    return GenerationSeries(GenerationId(name), MonthIndex(120 + start), **channels)
+
+
+@given(
+    current=_generation("current"),
+    donor=_generation("donor"),
+    # lags include 0 and lags below the horizon; windows include 1 and repeats
+    lags=st.lists(st.integers(min_value=0, max_value=8), unique=True, max_size=5),
+    windows=st.lists(st.integers(min_value=1, max_value=6), max_size=3),
+    placement=st.sampled_from(("left", "across_start", "inside", "across_end", "right")),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_build_predictors_matches_build_then_filter_reference(
+    current, donor, lags, windows, placement, data
+):
+    config = AppConfig()
+    config = replace(config, prep=replace(config.prep, lags=tuple(lags),
+                                          moving_averages=tuple(windows)))
+    lo, hi = current.start.value, current.end.value
+    size = data.draw(st.integers(min_value=0, max_value=6))
+    first = data.draw({
+        "left": st.integers(lo - 8 - size, lo - size),
+        "across_start": st.integers(lo - size, lo),
+        "inside": st.integers(lo, max(lo, hi - size)),
+        "across_end": st.integers(hi - size, hi),
+        "right": st.integers(hi, hi + 8),
+    }[placement])
+    horizon = MonthInterval(MonthIndex(first), MonthIndex(first + size))
+
+    available = _reference_horizon_available(
+        _reference_build_predictors(current, config), horizon
+    )
+    names = {p.name for p in available}
+    plan = observable_predictors(current, horizon, config)
+    assert _bits(build_predictors(current, plan)) == _bits(available)
+    assert _bits(build_predictors(donor, plan)) == _bits(
+        [p for p in _reference_build_predictors(donor, config) if p.name in names]
+    )
+
+
+@given(values=st.lists(st.none() | st.floats(min_value=0, max_value=1e6), max_size=30),
+       w=st.integers(min_value=1, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_moving_average_and_running_sum_are_defined_where_their_input_is(values, w):
+    # what lets `observable_predictors` decide them from the raw channel;
+    # values are bounded so that no running sum overflows
+    feature = fs([np.nan if v is None else v for v in values])
+    for derived in (moving_average(feature, w), cumulative_sum(feature)):
+        assert derived.start == feature.start
+        assert np.array_equal(derived.defined_mask, feature.defined_mask)
 
 
 def test_select_for_model_caps_and_falls_back():
