@@ -163,7 +163,10 @@ class CycleStore:
         months = []
         for entry in folder.iterdir():
             if entry.suffix == ".json":
-                months.append(MonthIndex.parse(entry.stem))
+                try:
+                    months.append(MonthIndex.parse(entry.stem))
+                except ValidationError as exc:
+                    raise ValidationError(f"cycle store file {entry}: {exc}") from None
         return sorted(months)
 
     def load_previous_cycle(

@@ -11,6 +11,17 @@ home, and an epoch allocates nothing. The four matrix products go through
 bit, with less overhead per call than the generalized-ufunc entry point.
 Scalar operands are 0-d arrays built once per fit: a ufunc takes an array
 operand as it is, where a Python float is converted on every call.
+
+The hidden bias rides inside the two products with the inputs. `[W1; b1]`
+is one contiguous block of the flat buffers, so with a ones column appended
+to the inputs, `[X | 1] @ [W1; b1]` is the forward pre-activation and
+`[X | 1].T @ d_z` writes both gradient blocks, two calls an epoch fewer than
+a separate bias add and column sum. The fold is bit-identical because the
+BLAS matrix-matrix kernel sums each output over K in order: the bias, last,
+is added after the full product, and the ones row sums `d_z` row by row, as
+`np.add` and `np.add.reduce` do. A product with a unit dimension (one input
+or one hidden unit) runs as a matrix-vector kernel that sums in another
+order, so those shapes keep the separate add and reduce.
 """
 from __future__ import annotations
 
@@ -46,6 +57,14 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
     w1, b1, w2, b2 = unpack_params(flat, p, hidden)
     grad = np.empty_like(flat)
     g_w1, g_b1, g_w2, g_b2 = unpack_params(grad, p, hidden)
+    # the bias folds into the input products (see the module docstring)
+    # unless a unit dimension makes them gemv, which sums in another order
+    fold = p >= 2 and hidden >= 2
+    if fold:
+        X1 = np.column_stack((X, np.ones(n)))
+        k = (p + 1) * hidden
+        w1b, g_w1b = flat[:k].reshape(p + 1, hidden), grad[:k].reshape(p + 1, hidden)
+        X1t = X1.T
     z = np.empty((n, hidden))
     d_z = np.empty((n, hidden))
     slope = np.empty((n, hidden))
@@ -58,8 +77,11 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
 
     def step() -> None:
         # z = tanh(X @ w1 + b1); err = z @ w2 + b2 - y
-        dot(X, w1, z)
-        add(z, b1, z)
+        if fold:
+            dot(X1, w1b, z)
+        else:
+            dot(X, w1, z)
+            add(z, b1, z)
         tanh(z, z)
         dot(z, w2, err)
         add(err, b2, err)
@@ -72,8 +94,11 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
         multiply(z, z, slope)
         subtract(one, slope, slope)
         multiply(d_z, slope, d_z)
-        dot(Xt, d_z, g_w1)
-        reduce(d_z, 0, None, g_b1)
+        if fold:
+            dot(X1t, d_z, g_w1b)
+        else:
+            dot(Xt, d_z, g_w1)
+            reduce(d_z, 0, None, g_b1)
 
     return grad, err, step
 

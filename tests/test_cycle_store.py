@@ -1,5 +1,6 @@
 """Persistence of per-cycle planning records."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,16 @@ def test_store_lists_and_finds_previous_cycles(tmp_path):
     assert store.load_previous_cycle(GEN, month("2012-01")) is None
     assert store.load_previous_cycle(GenerationId("other", 1), month("2013-01")) is None
     assert store.load_cycle(GEN, month("2011-01")) is None
+
+
+def test_stray_json_in_a_generation_folder_is_named(tmp_path):
+    store = CycleStore(tmp_path)
+    store.store_cycle(CycleRecord.create(month("2012-09"), GEN, forecast_of([1.0, 2.0])))
+    stray = store.path_for(GEN, month("2012-09")).with_name("notes.json")
+    stray.write_text("{}")
+    message = f"cycle store file {stray}: bad month 'notes'"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        store.load_previous_cycle(GEN, month("2012-10"))
 
 
 def test_store_overwrites_same_cycle(tmp_path):

@@ -607,6 +607,22 @@ def test_loss_and_grad_matches_reference_bit_for_bit():
         assert grad.tobytes() == ref_grad.tobytes()
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("hidden", [1, 2, 3, 8, 12])
+def test_loss_and_grad_matches_reference_at_unit_and_folded_shapes(p, hidden):
+    # the kernel folds the hidden bias into its products only when neither
+    # dimension is 1; both sides of that line must give the reference bits
+    rng = np.random.default_rng(100 * p + hidden)
+    for n in (10, 13, 37, 60):
+        X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(0.1, 50.0, p)
+        y = 40.0 + X @ rng.normal(0.0, 2.0, p) + rng.normal(0.0, 1.0, n)
+        flat = rng.normal(0.0, 0.5, p * hidden + 2 * hidden + 1)
+        loss, grad = loss_and_grad(flat, X, y, hidden)
+        ref_loss, ref_grad = _loss_and_grad_reference(flat, X, y, hidden)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
 def _fit_neural_reference(spec, train):
     """Parameters after descent by a loop that builds a new vector per epoch."""
     hidden, epochs, lr = (spec.param(k, None) for k in ("hidden_units", "epochs", "learning_rate"))
@@ -639,6 +655,19 @@ def test_neural_fit_matches_reference_loop_bit_for_bit(epochs, cases):
         )
         train = matrix(X, y)
         assert fit(spec, train).params.tobytes() == _fit_neural_reference(spec, train).tobytes()
+
+
+@pytest.mark.parametrize("n, p", [(13, 5), (13, 7), (18, 5)])
+def test_neural_fit_matches_reference_loop_at_workload_shapes(n, p):
+    # the training matrices the benchmark cycles fit most, at the default width
+    rng = np.random.default_rng(n * p)
+    X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(0.1, 50.0, p) + rng.uniform(-5.0, 5.0, p)
+    y = 40.0 + X @ rng.normal(0.0, 2.0, p) + rng.normal(0.0, 1.0, n)
+    spec = ModelSpec(
+        ModelKind.NEURAL, {"hidden_units": 8, "epochs": 2000, "learning_rate": 0.01}, seed=p
+    )
+    train = matrix(X, y)
+    assert fit(spec, train).params.tobytes() == _fit_neural_reference(spec, train).tobytes()
 
 
 def test_neural_fit_matches_plain_expressions_bit_for_bit():
