@@ -21,8 +21,9 @@ Every JSON artifact is one key of `CycleOutcome.to_dict()`:
 `prepare` stops after the donor pick and the cleaning, so it writes the
 `outliers` document from `prepare_histories` without running the cycle.
 
-Exit codes: 0 success, 1 validation error, 2 missing input file,
-3 numeric failure.
+Exit codes: 0 success, 1 validation error (undecodable text, an unreadable
+stored record), 2 missing input file (or not a regular file), 3 numeric
+failure.
 """
 from __future__ import annotations
 
@@ -67,18 +68,10 @@ def _add_cycle_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _require(path: str | Path) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    return path
-
-
 def _load(args) -> tuple[list, object, AppConfig]:
-    calendar = load_ga_calendar(_require(args.ga))
-    history = load_history(_require(args.history), calendar)
-    config = load_config(_require(args.config)) if args.config else load_config(None)
-    return history, calendar, config
+    calendar = load_ga_calendar(args.ga)
+    history = load_history(args.history, calendar)
+    return history, calendar, load_config(args.config or None)
 
 
 def _outdir(args) -> Path:

@@ -190,7 +190,8 @@ def _override(section, values: dict):
 
 
 def load_config(path: Optional[str | Path] = None) -> AppConfig:
-    """Read an INI config; a missing path or absent keys keep the defaults.
+    """Read an INI config; no path or absent keys keep the defaults, and a
+    path that is not a regular file is a missing input.
 
     Unknown sections or keys are rejected, so a misspelt key cannot be
     silently ignored.
@@ -198,9 +199,12 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
     # no %-interpolation: a stray `%` is then a bad value, not a traceback
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise FileNotFoundError(f"no input file at {path}")
         try:
-            parser.read_string(Path(path).read_text())
-        except configparser.Error as exc:
+            parser.read_string(path.read_text())
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ValidationError(f"bad config file {path}: {exc}") from exc
 
     defaults = AppConfig()

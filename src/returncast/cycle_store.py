@@ -149,6 +149,8 @@ class CycleStore:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ValidationError(f"cycle record {path} is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cycle record {path} is unreadable: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"cycle record {path} is not a JSON object")
         try:

@@ -6,8 +6,9 @@ GA calendar schema:
     generation_id,family,ordinal,ga_month
 
 Months are YYYY-MM. Quantities must be non-negative decimals. Month gaps
-within a generation are errors, never imputed: the lag/moving-average
-transforms assume contiguous months and silent imputation would corrupt them.
+within a generation are errors, never imputed: the lags and the outlier
+repair's moving average assume contiguous months and silent imputation
+would corrupt them. Text that cannot be decoded is a validation error.
 """
 from __future__ import annotations
 
@@ -26,22 +27,25 @@ GA_HEADER = ["generation_id", "family", "ordinal", "ga_month"]
 
 def _open_rows(path: str | Path, expected_header: list[str]):
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return  # fully empty file: treated as zero rows
-        if [h.strip() for h in header] != expected_header:
-            raise ValidationError(
-                f"{path}: bad header {header!r}, expected {','.join(expected_header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            yield lineno, [cell.strip() for cell in row]
+    if not path.is_file():
+        raise FileNotFoundError(f"no input file at {path}")
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                return  # fully empty file: treated as zero rows
+            if [h.strip() for h in header] != expected_header:
+                raise ValidationError(
+                    f"{path}: bad header {header!r}, expected {','.join(expected_header)}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                yield lineno, [cell.strip() for cell in row]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not readable as text: {exc}") from None
 
 
 def _parse_quantity(text: str, column: str, path, lineno: int) -> float:

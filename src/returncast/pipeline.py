@@ -1,7 +1,7 @@
 """End-to-end planning cycle: history in, validated forecast out.
 
 Stage order: pick the donor generation by genealogy, clean and rescale its
-history, build the lag/average transforms observable over the horizon, keep
+history, build the lagged predictors observable over the horizon, keep
 the strongly correlated ones, race the model zoo on a 70/30 chronological
 split, forecast with the winner, apply adjustment rules, then validate the
 previous cycle's forecast (EWA) and persist the record.
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,15 +61,15 @@ from .models import (
     residual_band,
     split_chronological,
 )
-from .prep import cumulative_sum, exclude_prega_receipts, filter_post_ga, lag, moving_average
+from .prep import exclude_prega_receipts, filter_post_ga, lag
 from .preprocess import OutlierReport, detect_outliers, normalization_factor, repair_outliers
 
 log = logging.getLogger(__name__)
 
 PREDICTOR_CHANNELS = ("shipments", "upgrades", "new_receipts")
 
-# per predictor channel, the transforms of it to build, in build order
-PredictorPlan = list[tuple[str, list[Callable[[FeatureSeries], FeatureSeries]]]]
+# per predictor channel, the lags of it to build, in build order
+PredictorPlan = list[tuple[str, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -249,41 +248,30 @@ def prepare_histories(
 def observable_predictors(
     current: GenerationSeries, horizon: MonthInterval, config: AppConfig
 ) -> PredictorPlan:
-    """The transforms whose output for the current generation is defined on
-    every horizon month, in build order: per channel, the raw channel, every
-    lag, every moving average, the running sum.
+    """Per predictor channel, the `[prep] lags`, in config order, whose lag
+    of the current generation is defined on every horizon month, that is on
+    the horizon moved back by k. Only these are built, for the donor too.
 
-    A transform qualifies when its channel is defined on every month of the
-    horizon moved back by the transform's shift: k for a lag k, 0 for the
-    others, which are defined exactly where their channel is. Only these can
-    feed a forecast, so nothing else is built, for the donor either.
+    The horizon must be non-empty and start at or after the end of the
+    current generation's history, as `run_cycle`'s does. Then nothing that
+    is defined exactly where its channel is (the raw channel, a lag below
+    the horizon's length, a moving average, a running sum) covers a horizon
+    month, so only lags are planned.
     """
-    prep = config.prep
-    transforms = [
-        (0, lambda raw: raw),
-        *((k, partial(lag, k=k)) for k in prep.lags),
-        *((0, partial(moving_average, w=w)) for w in prep.moving_averages),
-        (0, cumulative_sum),
-    ]
-    shifts = [shift for shift, _ in transforms]
-    back, n = max(shifts), len(horizon)
-    # one mask per channel covers the horizon under every shift
-    span = MonthInterval(horizon.start - back, horizon.end - min(shifts))
+    lags = config.prep.lags
+    back, n = max(lags, default=0), len(horizon)
+    # one mask per channel covers the horizon under every lag
+    span = MonthInterval(horizon.start - back, horizon.end)
     plan: PredictorPlan = []
     for channel in PREDICTOR_CHANNELS:
         defined = defined_on(current.feature(channel), span)
-        kept = [t for shift, t in transforms if defined[back - shift : back - shift + n].all()]
-        plan.append((channel, kept))
+        plan.append((channel, tuple(k for k in lags if defined[back - k : back - k + n].all())))
     return plan
 
 
 def build_predictors(series: GenerationSeries, plan: PredictorPlan) -> list[FeatureSeries]:
-    """The planned transforms of the series' channels, in plan order."""
-    out: list[FeatureSeries] = []
-    for channel, transforms in plan:
-        raw = series.feature(channel)
-        out.extend(transform(raw) for transform in transforms)
-    return out
+    """The planned lags of the series' channels, in plan order."""
+    return [lag(series.feature(channel), k) for channel, lags in plan for k in lags]
 
 
 def _rebase(feature: FeatureSeries, trigger: MonthIndex) -> FeatureSeries:
@@ -412,7 +400,7 @@ def run_cycle(
         config.analysis.plateau_months,
     )
 
-    # the observable transforms, rebased so month 0 is each generation's trigger
+    # the observable lags, rebased so month 0 is each generation's trigger
     horizon = MonthInterval(cycle_month, cycle_month + config.pipeline.horizon_months)
     horizon_rel = MonthInterval(horizon.start - trigger.value, horizon.end - trigger.value)
     plan = observable_predictors(current, horizon, config)

@@ -188,6 +188,28 @@ def test_missing_input_exits_2(data_dir, tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, unreadable, code",
+    [("--history", "directory", 2), ("--ga", "directory", 2), ("--config", "directory", 2),
+     ("--history", "not_utf8", 1), ("--ga", "not_utf8", 1), ("--config", "not_utf8", 1)],
+)
+def test_unreadable_input_exits_with_its_code(data_dir, tmp_path, capsys, flag, unreadable, code):
+    # a path that is not a regular file is a missing input; undecodable text
+    # is a validation error; either way the message names the path
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"generation_id\xff\n")
+    args = ["run-cycle", *_cycle_args(data_dir, tmp_path / "out")]
+    if flag in args:
+        args[args.index(flag) + 1] = str(path)
+    else:
+        args += [flag, str(path)]
+    assert cli.main(args) == code
+    assert str(path) in capsys.readouterr().err
+
+
 def test_validation_failure_exits_1(data_dir, tmp_path, capsys):
     # the latest generation has no successor launch, so it cannot be forecast
     args = ["run-cycle", *_cycle_args(data_dir, tmp_path / "v")]

@@ -2,6 +2,7 @@
 import configparser
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,30 @@ def test_reference_text_lists_every_field():
             else:
                 expected.append(g.name)
         assert list(parser[f.name]) == expected, f.name
+
+
+# accepted and validated so that existing config files load, read by nothing
+NO_OP_KEYS = {("prep", "moving_averages")}
+
+
+def test_every_config_key_has_a_reader():
+    package = Path(__file__).parents[1] / "src" / "returncast"
+    code = "\n".join(
+        path.read_text() for path in sorted(package.rglob("*.py")) if path.name != "config.py"
+    )
+    parser = configparser.ConfigParser()
+    parser.read_string(DEFAULT_CONFIG_TEXT)
+    unread = {
+        (section, key)
+        for section in parser.sections()
+        for key in parser[section]
+        if not re.search(rf"\.{key}\b", code)
+    }
+    assert unread == NO_OP_KEYS
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    for section, key in NO_OP_KEYS:
+        row = next(line for line in readme if line.startswith(f"| `[{section}] {key}`"))
+        assert "no-op" in row
 
 
 def test_non_default_values_of_each_type_round_trip(tmp_path):

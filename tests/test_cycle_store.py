@@ -102,6 +102,19 @@ def test_unreadable_record_names_the_file(tmp_path):
             store.load_cycle(GEN, month("2012-04"))
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+def test_unreadable_record_path_is_named(tmp_path, unreadable):
+    store = CycleStore(tmp_path)
+    path = store.path_for(GEN, month("2012-04"))
+    path.parent.mkdir(parents=True)
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"cycle_month": "2012-04\xff"}')
+    with pytest.raises(ValidationError, match=re.escape(f"cycle record {path} is unreadable")):
+        store.load_previous_cycle(GEN, month("2012-05"))
+
+
 def test_store_lists_and_finds_previous_cycles(tmp_path):
     store = CycleStore(tmp_path)
     for m in ("2012-06", "2012-01", "2012-04"):

@@ -624,7 +624,8 @@ def test_loss_and_grad_matches_reference_at_unit_and_folded_shapes(p, hidden):
 
 
 def _fit_neural_reference(spec, train):
-    """Parameters after descent by a loop that builds a new vector per epoch."""
+    """Parameters after descent by a loop that builds a new vector per epoch
+    and takes every step with the plain-expression gradient."""
     hidden, epochs, lr = (spec.param(k, None) for k in ("hidden_units", "epochs", "learning_rate"))
     x_mean, x_sd = _standardizer(train.X)
     y_mean, y_sd = _standardizer(train.y)
@@ -639,7 +640,7 @@ def _fit_neural_reference(spec, train):
         np.zeros(1),
     ])
     for _ in range(epochs):
-        flat = flat - lr * loss_and_grad(flat, xs, ys, hidden)[1]
+        flat = flat - lr * _loss_and_grad_reference(flat, xs, ys, hidden)[1]
     return flat
 
 
@@ -668,31 +669,6 @@ def test_neural_fit_matches_reference_loop_at_workload_shapes(n, p):
     )
     train = matrix(X, y)
     assert fit(spec, train).params.tobytes() == _fit_neural_reference(spec, train).tobytes()
-
-
-def test_neural_fit_matches_plain_expressions_bit_for_bit():
-    # _fit_neural_reference descends through fit_neural's own kernel; this
-    # loop takes every one of the 2000 steps with the plain expressions
-    rng = np.random.default_rng(2000)
-    for seed in range(4):
-        X, y, hidden = _neural_case(rng)
-        spec = ModelSpec(
-            ModelKind.NEURAL,
-            {"hidden_units": hidden, "epochs": 2000, "learning_rate": 0.01},
-            seed=seed,
-        )
-        model = fit(spec, matrix(X, y))
-        xs, ys = (X - model.x_mean) / model.x_sd, (y - model.y_mean) / model.y_sd
-        p, init = X.shape[1], np.random.default_rng(seed)
-        flat = np.concatenate([
-            init.standard_normal(p * hidden) / np.sqrt(max(p, 1)),
-            np.zeros(hidden),
-            init.standard_normal(hidden) / np.sqrt(hidden),
-            np.zeros(1),
-        ])
-        for _ in range(2000):
-            flat = flat - 0.01 * _loss_and_grad_reference(flat, xs, ys, hidden)[1]
-        assert model.params.tobytes() == flat.tobytes()
 
 
 def test_diverging_net_is_skipped_without_runtime_warnings(caplog):

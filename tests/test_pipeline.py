@@ -146,22 +146,20 @@ def test_coverage_greedy_raises_aligns_name_errors():
 
 def _reference_build_predictors(series, config):
     """Every transform of every predictor channel, as built before the
-    horizon decided which to build."""
+    horizon decided which to build, each paired with whether it is a lag."""
     out = []
     for channel in PREDICTOR_CHANNELS:
         raw = series.feature(channel)
-        out.append(raw)
-        for k in config.prep.lags:
-            out.append(lag(raw, k))
-        for w in config.prep.moving_averages:
-            out.append(moving_average(raw, w))
-        out.append(cumulative_sum(raw))
+        out.append((False, raw))
+        out += [(True, lag(raw, k)) for k in config.prep.lags]
+        out += [(False, moving_average(raw, w)) for w in config.prep.moving_averages]
+        out.append((False, cumulative_sum(raw)))
     return out
 
 
 def _reference_horizon_available(predictors, horizon):
     """The filter that ran on the built transforms of the current generation."""
-    return [p for p in predictors if defined_on(p, horizon).all()]
+    return [(is_lag, p) for is_lag, p in predictors if defined_on(p, horizon).all()]
 
 
 def _bits(predictors):
@@ -188,7 +186,9 @@ def _generation(draw, name):
     # lags include 0 and lags below the horizon; windows include 1 and repeats
     lags=st.lists(st.integers(min_value=0, max_value=8), unique=True, max_size=5),
     windows=st.lists(st.integers(min_value=1, max_value=6), max_size=3),
-    placement=st.sampled_from(("left", "across_start", "inside", "across_end", "right")),
+    placement=st.sampled_from(
+        ("left", "across_start", "inside", "across_end", "at_end", "right")
+    ),
     data=st.data(),
 )
 @settings(max_examples=400, deadline=None)
@@ -205,6 +205,7 @@ def test_build_predictors_matches_build_then_filter_reference(
         "across_start": st.integers(lo - size, lo),
         "inside": st.integers(lo, max(lo, hi - size)),
         "across_end": st.integers(hi - size, hi),
+        "at_end": st.just(hi),
         "right": st.integers(hi, hi + 8),
     }[placement])
     horizon = MonthInterval(MonthIndex(first), MonthIndex(first + size))
@@ -212,11 +213,17 @@ def test_build_predictors_matches_build_then_filter_reference(
     available = _reference_horizon_available(
         _reference_build_predictors(current, config), horizon
     )
-    names = {p.name for p in available}
+    lags_available = [p for is_lag, p in available if is_lag]
     plan = observable_predictors(current, horizon, config)
-    assert _bits(build_predictors(current, plan)) == _bits(available)
+    built = build_predictors(current, plan)
+    if size >= 1 and first >= hi:
+        # a cycle's horizon: nothing the full reference keeps is left out
+        assert _bits(built) == _bits([p for _, p in available])
+    assert _bits(built) == _bits(lags_available)
+    names = {p.name for p in lags_available}
     assert _bits(build_predictors(donor, plan)) == _bits(
-        [p for p in _reference_build_predictors(donor, config) if p.name in names]
+        [p for is_lag, p in _reference_build_predictors(donor, config)
+         if is_lag and p.name in names]
     )
 
 
@@ -224,7 +231,8 @@ def test_build_predictors_matches_build_then_filter_reference(
        w=st.integers(min_value=1, max_value=8))
 @settings(max_examples=300, deadline=None)
 def test_moving_average_and_running_sum_are_defined_where_their_input_is(values, w):
-    # what lets `observable_predictors` decide them from the raw channel;
+    # why no cycle can observe them: a cycle's horizon starts where the
+    # current generation's history ends, so neither is defined on it;
     # values are bounded so that no running sum overflows
     feature = fs([np.nan if v is None else v for v in values])
     for derived in (moving_average(feature, w), cumulative_sum(feature)):
@@ -361,6 +369,21 @@ def test_run_cycle_is_deterministic(scenario):
     assert [r.spec.kind for r in a.leaderboard] == [r.spec.kind for r in b.leaderboard]
     # dict equality trips over NaN != NaN, so compare serialized form
     assert json_text(a.to_dict()) == json_text(b.to_dict())
+
+
+def test_prep_values_no_cycle_can_observe_leave_the_demo_cycle_byte_identical(scenario):
+    # moving averages and lags below the horizon's length are never built
+    series, calendar, _ = scenario
+
+    def run(prep):
+        config = replace(AppConfig(), prep=prep)
+        outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=config)
+        return json_text(outcome.to_dict()), render_report(outcome)
+
+    prep = AppConfig().prep
+    expected = run(prep)
+    assert run(replace(prep, moving_averages=(1, 2, 9))) == expected
+    assert run(replace(prep, lags=prep.lags + (0, 1, 6, 11))) == expected
 
 
 def test_run_cycle_rejects_generation_without_trigger(scenario):
