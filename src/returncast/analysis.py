@@ -177,12 +177,6 @@ class CorrelationTable:
     def __iter__(self):
         return iter(self.rows)
 
-    def entry(self, predictor: str) -> CorrelationEntry:
-        for row in self.rows:
-            if row.predictor == predictor:
-                return row
-        raise KeyError(predictor)
-
     def strong(self) -> tuple[CorrelationEntry, ...]:
         return tuple(r for r in self.rows if r.strength is Strength.STRONG)
 

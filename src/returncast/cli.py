@@ -75,15 +75,22 @@ def _load(args) -> tuple[list, object, AppConfig]:
 
 
 def _outdir(args) -> Path:
+    """The --out directory, created if missing; a command calls it before its
+    work, so an unusable path costs nothing."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise ValidationError(f"output path {out} exists and is not a directory") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
 def _run(args, persist: bool):
     history, calendar, config = _load(args)
-    store_dir = args.store if args.store else str(Path(args.out) / "cycles")
-    store = CycleStore(store_dir)
+    out = _outdir(args)
+    store = CycleStore(args.store if args.store else out / "cycles")
     outcome = run_cycle(
         history,
         calendar,
@@ -94,7 +101,7 @@ def _run(args, persist: bool):
         choice=_CHOICES[args.select],
         persist=persist,
     )
-    return outcome, store
+    return outcome, store, out
 
 
 # ------------------------------------------------------------ subcommands
@@ -113,11 +120,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_prepare(args) -> int:
     history, calendar, config = _load(args)
+    out = _outdir(args)
     generation = calendar.resolve(args.generation)
     prepared = prepare_histories(
         history, calendar, generation, MonthIndex.parse(args.cycle), config
     )
-    out = _outdir(args)
     write_history(out / "prepared.csv", [prepared.donor, prepared.current])
     screen = outlier_screen(prepared.donor_id, prepared.normalization, prepared.outliers)
     (out / "outliers.json").write_text(json_text(screen))
@@ -182,8 +189,8 @@ def cmd_stage(args) -> int:
     persists the cycle record."""
     _, artifact, key, summary = _STAGES[args.command]
     persist = args.command == "run-cycle"
-    outcome, store = _run(args, persist=persist)
-    path = _outdir(args) / artifact
+    outcome, store, out = _run(args, persist=persist)
+    path = out / artifact
     if key is None:
         emit_report(outcome, path)
     else:
@@ -204,8 +211,8 @@ def cmd_synth(args) -> int:
         seasonal_amplitude=args.seasonal_amplitude,
         months_after_final_ga=args.months_after_final_ga,
     )
-    series, calendar, _ = generate(spec)
     out = _outdir(args)
+    series, calendar, _ = generate(spec)
     write_history(out / "history.csv", series)
     write_ga_calendar(out / "ga.csv", calendar)
     print(

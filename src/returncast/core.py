@@ -39,12 +39,6 @@ class MonthIndex:
             raise ValidationError(f"bad month {text!r}: month must be 01..12")
         return cls((year - _EPOCH_YEAR) * 12 + (mon - 1))
 
-    @classmethod
-    def of(cls, year: int, month: int) -> "MonthIndex":
-        if not 1 <= month <= 12:
-            raise ValidationError(f"month must be 01..12, got {month}")
-        return cls((year - _EPOCH_YEAR) * 12 + (month - 1))
-
     @property
     def year(self) -> int:
         return _EPOCH_YEAR + self.value // 12

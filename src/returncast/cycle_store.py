@@ -125,6 +125,8 @@ class CycleStore:
         # the directory appears with the first stored record; reads of a
         # missing store find no records
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise ValidationError(f"cycle store {self.root} exists and is not a directory")
 
     def _generation_dir(self, generation: GenerationId) -> Path:
         return self.root / urllib.parse.quote(generation.name, safe="")

@@ -104,6 +104,26 @@ class FittedModel(abc.ABC):
         return np.maximum(out, 0.0)
 
 
+class TreeModel(FittedModel):
+    """A fitted tree. Each row walks from the root to a leaf, whose value is
+    the prediction; an inner node picks the child for a row with
+    `child_for(row)`, and a node with `is_leaf` set ends the walk."""
+
+    def __init__(self, spec: ModelSpec, predictor_names, window: MonthInterval, root):
+        super().__init__(spec, predictor_names, window)
+        self.root = root
+
+    def _predict_one(self, x: np.ndarray) -> float:
+        node = self.root
+        while not node.is_leaf:
+            node = node.child_for(x)
+        return node.value
+
+    def _predict_raw(self, matrix: FeatureMatrix) -> np.ndarray:
+        X = matrix.X
+        return np.array([self._predict_one(X[i]) for i in range(len(X))])
+
+
 _FitterFn = Callable[[ModelSpec, FeatureMatrix], FittedModel]
 _FITTERS: dict[ModelKind, _FitterFn] = {}
 

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FeatureMatrix
-from .base import FittedModel, ModelKind, ModelSpec, register_fitter, require_rows
+from .base import ModelKind, ModelSpec, TreeModel, register_fitter, require_rows
 
 DEFAULT_MIN_LEAF = 5
 DEFAULT_MAX_DEPTH = 4
@@ -24,6 +24,9 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
+
+    def child_for(self, x: np.ndarray) -> "TreeNode":
+        return self.left if x[self.feature] <= self.threshold else self.right
 
 
 def _sse(y: np.ndarray) -> float:
@@ -86,28 +89,12 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, min_leaf: int, max_depth: in
     )
 
 
-class CartModel(FittedModel):
-    def __init__(self, spec: ModelSpec, predictor_names, window, root: TreeNode):
-        super().__init__(spec, predictor_names, window)
-        self.root = root
-
-    def _predict_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def _predict_raw(self, matrix: FeatureMatrix) -> np.ndarray:
-        X = matrix.X
-        return np.array([self._predict_one(X[i]) for i in range(len(X))])
-
-
-def fit_cart(spec: ModelSpec, train: FeatureMatrix) -> CartModel:
+def fit_cart(spec: ModelSpec, train: FeatureMatrix) -> TreeModel:
     min_leaf = int(spec.param("min_leaf", DEFAULT_MIN_LEAF))
     max_depth = int(spec.param("max_depth", DEFAULT_MAX_DEPTH))
     require_rows(spec.kind, train, 2 * min_leaf)
     root = _grow(train.X, train.y, 0, min_leaf, max_depth)
-    return CartModel(spec, train.predictor_names, train.interval, root)
+    return TreeModel(spec, train.predictor_names, train.interval, root)
 
 
 register_fitter(ModelKind.CART, fit_cart)

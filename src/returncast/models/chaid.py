@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core import FeatureMatrix
 from ..errors import NumericError
-from .base import FittedModel, ModelKind, ModelSpec, register_fitter, require_rows
+from .base import ModelKind, ModelSpec, TreeModel, register_fitter, require_rows
 
 DEFAULT_MIN_SEGMENT = 5
 DEFAULT_MERGE_ALPHA = 0.05
@@ -224,8 +224,8 @@ class ChaidNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def child_for(self, x: float) -> "ChaidNode":
-        b = int(np.searchsorted(self.edges, x, side="right"))
+    def child_for(self, x: np.ndarray) -> "ChaidNode":
+        b = int(np.searchsorted(self.edges, float(x[self.feature]), side="right"))
         for g, child in zip(self.groups, self.children):
             if b in g:
                 return child
@@ -277,30 +277,14 @@ def _grow(
     )
 
 
-class ChaidModel(FittedModel):
-    def __init__(self, spec: ModelSpec, predictor_names, window, root: ChaidNode):
-        super().__init__(spec, predictor_names, window)
-        self.root = root
-
-    def _predict_one(self, x: np.ndarray) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.child_for(float(x[node.feature]))
-        return node.value
-
-    def _predict_raw(self, matrix: FeatureMatrix) -> np.ndarray:
-        X = matrix.X
-        return np.array([self._predict_one(X[i]) for i in range(len(X))])
-
-
-def fit_chaid(spec: ModelSpec, train: FeatureMatrix) -> ChaidModel:
+def fit_chaid(spec: ModelSpec, train: FeatureMatrix) -> TreeModel:
     min_segment = int(spec.param("min_segment", DEFAULT_MIN_SEGMENT))
     merge_alpha = float(spec.param("merge_alpha", DEFAULT_MERGE_ALPHA))
     split_alpha = float(spec.param("split_alpha", DEFAULT_SPLIT_ALPHA))
     max_depth = int(spec.param("max_depth", DEFAULT_MAX_DEPTH))
     require_rows(spec.kind, train, 2 * min_segment)
     root = _grow(train.X, train.y, 0, min_segment, merge_alpha, split_alpha, max_depth)
-    return ChaidModel(spec, train.predictor_names, train.interval, root)
+    return TreeModel(spec, train.predictor_names, train.interval, root)
 
 
 register_fitter(ModelKind.CHAID, fit_chaid)

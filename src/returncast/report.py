@@ -1,9 +1,11 @@
 """The cycle report file: one deterministic CSV, sections separated by
 blank lines.
 
-Sections, in order: run metadata (field,value), the monthly grid with the
-fixed column set, the model leaderboard, the correlation table, lifecycle
-phases, flagged outliers, applied adjustments, and EWA statistics.
+`SECTIONS` is the one source for the section order: run metadata
+(field,value), the monthly grid with the fixed column set, the model
+leaderboard, the correlation table, lifecycle phases, flagged outliers,
+applied adjustments, and EWA statistics. `render_report` writes the sections
+in that order and `validate_report` checks them against it.
 
 The monthly grid covers the months the EWA scored (realized actuals against
 the previous forecast, with per-month deviation, PAD, and color) followed by
@@ -37,6 +39,18 @@ ADJUSTMENTS_HEADER = "adjustment,factor,months"
 EWA_HEADER = "ewa_stat,value"
 METADATA_HEADER = "field,value"
 
+SECTIONS = (
+    METADATA_HEADER,
+    MONTHLY_HEADER,
+    LEADERBOARD_HEADER,
+    CORRELATION_HEADER,
+    PHASES_HEADER,
+    OUTLIERS_HEADER,
+    ADJUSTMENTS_HEADER,
+    EWA_HEADER,
+)
+_BANDS = ("best_fit", "lci", "uci")
+
 
 def _num(x: Optional[float]) -> str:
     """Fixed-precision cell; absent or undefined values stay empty."""
@@ -52,22 +66,65 @@ def _flag(x: Optional[bool]) -> str:
     return "" if x is None else ("true" if x else "false")
 
 
-def _band_at(forecast: ForecastSeries, month: MonthIndex, band: str) -> Optional[float]:
-    if month not in forecast.interval:
+def _band_at(
+    forecast: Optional[ForecastSeries], month: MonthIndex, band: str
+) -> Optional[float]:
+    if forecast is None or month not in forecast.interval:
         return None
-    return float(getattr(forecast, band)[month - forecast.start])
+    return forecast.value_at(month, band)
 
 
-def _quarter_label(month: MonthIndex) -> str:
-    return f"{month.year}-Q{month.quarter}"
+def _monthly_rows(outcome: CycleOutcome) -> list[str]:
+    """EWA-scored months, then the horizon, then quarterly subtotals."""
+    ewa, forecast = outcome.ewa, outcome.forecast
+    scored: dict[MonthIndex, tuple[float, float, str]] = {}
+    if ewa.step1 is not None:
+        step = ewa.step1
+        for m, dev, pad, color in zip(step.months, step.deviations, step.pad_signed, step.colors):
+            scored[m] = (dev, pad, color.value if color is not None else "")
+    # the cycle-level cells after color, filled on the cycle-month row only
+    cycle_cells = [
+        _num(ewa.score),
+        _num(ewa.projection),
+        ewa.alert.value,
+        ewa.recommendation.value,
+    ]
+
+    rows = []
+    for m in sorted(set(scored) | set(forecast.months())):
+        in_horizon = m in forecast.interval
+        is_cycle_row = m == outcome.cycle_month
+        bands = forecast if in_horizon else outcome.previous_forecast
+        dev, pad, color = scored.get(m, (None, None, ""))
+        notes = ";".join(
+            n.describe() for n in outcome.adjustments.notes if m in n.months
+        )
+        cells = [
+            str(m),
+            _num(outcome.actuals.value_at(m)),
+            *(_num(_band_at(bands, m, band)) for band in _BANDS),
+            _num(forecast.test_mape) if is_cycle_row else "",
+            _num(dev),
+            _num(pad),
+            color,
+            *(cycle_cells if is_cycle_row else [""] * len(cycle_cells)),
+            notes if in_horizon else "",
+        ]
+        rows.append(",".join(cells))
+
+    # quarterly subtotals over the horizon months only
+    by_quarter: dict[tuple[int, int], list[MonthIndex]] = {}
+    for m in forecast.months():
+        by_quarter.setdefault((m.year, m.quarter), []).append(m)
+    for (year, quarter), q_months in sorted(by_quarter.items()):
+        sums = [_num(sum(forecast.value_at(m, band) for m in q_months)) for band in _BANDS]
+        rows.append(",".join([f"{year}-Q{quarter}", "", *sums, *[""] * 9]))
+    return rows
 
 
 def render_report(outcome: CycleOutcome) -> str:
     """Render the full report; `emit_report` writes it to a file."""
-    lines: list[str] = []
-
-    # --- run metadata
-    lines.append(METADATA_HEADER)
+    ewa = outcome.ewa
     meta = [
         ("cycle", str(outcome.cycle_month)),
         ("generation", outcome.generation.name),
@@ -76,76 +133,27 @@ def render_report(outcome: CycleOutcome) -> str:
         ("winning_model", outcome.forecast.model.label()),
         ("selected_predictors", ";".join(outcome.selected)),
         ("planner_choice", outcome.record.planner_selected.value),
-        ("first_cycle", _flag(outcome.ewa.first_cycle)),
+        ("first_cycle", _flag(ewa.first_cycle)),
     ]
-    lines.extend(f"{k},{v}" for k, v in meta)
-    lines.append("")
-
-    # --- monthly grid
-    lines.append(MONTHLY_HEADER)
-    ewa = outcome.ewa
-    scored: dict[MonthIndex, tuple[float, float, Optional[str]]] = {}
-    if ewa.step1 is not None:
-        for i, m in enumerate(ewa.step1.months):
-            color = ewa.step1.colors[i]
-            scored[m] = (
-                ewa.step1.deviations[i],
-                ewa.step1.pad_signed[i],
-                color.value if color is not None else None,
-            )
-
-    months = sorted(set(scored) | set(outcome.forecast.months()))
-    for m in months:
-        in_horizon = m in outcome.forecast.interval
-        is_cycle_row = m == outcome.cycle_month
-        actual = outcome.actuals.value_at(m)
-        dev, pad, color = scored.get(m, (None, None, None))
-        if in_horizon:
-            bands = outcome.forecast
-        elif outcome.previous_forecast is not None:
-            bands = outcome.previous_forecast
-        else:
-            bands = None
-        notes = ";".join(
-            n.describe() for n in outcome.adjustments.notes if m in n.months
-        )
-        cells = [
-            str(m),
-            _num(actual) if actual is not None and not math.isnan(actual) else "",
-            _num(_band_at(bands, m, "best_fit")) if bands else "",
-            _num(_band_at(bands, m, "lci")) if bands else "",
-            _num(_band_at(bands, m, "uci")) if bands else "",
-            _num(outcome.forecast.test_mape) if is_cycle_row else "",
-            _num(dev),
-            _num(pad),
-            color or "",
-            (_num(ewa.score) if ewa.score is not None else "") if is_cycle_row else "",
-            _num(ewa.projection) if is_cycle_row else "",
-            ewa.alert.value if is_cycle_row else "",
-            ewa.recommendation.value if is_cycle_row else "",
-            notes if in_horizon else "",
-        ]
-        lines.append(",".join(cells))
-
-    # quarterly subtotals over the horizon months only
-    by_quarter: dict[tuple[int, int], list[MonthIndex]] = {}
-    for m in outcome.forecast.months():
-        by_quarter.setdefault((m.year, m.quarter), []).append(m)
-    for (_, _), q_months in sorted(by_quarter.items()):
-        sums = {
-            band: sum(_band_at(outcome.forecast, m, band) for m in q_months)
-            for band in ("best_fit", "lci", "uci")
-        }
-        cells = [_quarter_label(q_months[0]), ""]
-        cells += [_num(sums["best_fit"]), _num(sums["lci"]), _num(sums["uci"])]
-        cells += [""] * 9
-        lines.append(",".join(cells))
-    lines.append("")
-
-    # --- leaderboard
-    lines.append(LEADERBOARD_HEADER)
-    for row in outcome.leaderboard:
-        lines.append(
+    phases = [(name, getattr(outcome.phases, name)) for name in ("ramp_up", "plateau", "ramp_down")]
+    six_mean, six_sd = ewa.six_month if ewa.six_month is not None else (None, None)
+    stats = [
+        ("first_cycle", _flag(ewa.first_cycle)),
+        ("alert", ewa.alert.value),
+        ("recommendation", ewa.recommendation.value),
+        ("score", _num(ewa.score)),
+        ("six_month_mean", _num(six_mean)),
+        ("six_month_sd", _num(six_sd)),
+        ("projection", _num(ewa.projection)),
+        ("step1_window_pad", _num(ewa.step1.window_pad) if ewa.step1 else ""),
+        ("step2_window_pad", _num(ewa.step2.window_pad) if ewa.step2 else ""),
+        ("steps_disagree", _flag(ewa.steps_disagree if not ewa.first_cycle else None)),
+    ]
+    # one list of rows per entry of SECTIONS, in the same order
+    bodies = [
+        [f"{k},{v}" for k, v in meta],
+        _monthly_rows(outcome),
+        [
             ",".join(
                 [
                     row.spec.label(),
@@ -155,57 +163,27 @@ def render_report(outcome: CycleOutcome) -> str:
                     _num(row.correlation),
                 ]
             )
-        )
-    lines.append("")
-
-    # --- correlation analysis
-    lines.append(CORRELATION_HEADER)
-    for entry in outcome.correlations:
-        lines.append(f"{entry.predictor},{_num(entry.pearson_r)},{entry.strength.value}")
-    lines.append("")
-
-    # --- donor lifecycle phases
-    lines.append(PHASES_HEADER)
-    for name in ("ramp_up", "plateau", "ramp_down"):
-        iv = getattr(outcome.phases, name)
-        lines.append(f"{name},{iv.start},{iv.end}")
-    lines.append("")
-
-    # --- flagged outliers
-    lines.append(OUTLIERS_HEADER)
-    for report in outcome.outliers:
-        for month, value in zip(report.months, report.values):
-            lines.append(
-                f"{report.feature},{month},{_num(value)},"
-                f"{_num(report.lower)},{_num(report.upper)}"
-            )
-    lines.append("")
-
-    # --- applied adjustments
-    lines.append(ADJUSTMENTS_HEADER)
-    for note in outcome.adjustments.notes:
-        span = f"{note.months[0]}..{note.months[-1]}" if note.months else ""
-        lines.append(f"{note.rule},{_num(note.factor)},{span}")
-    lines.append("")
-
-    # --- EWA statistics
-    lines.append(EWA_HEADER)
-    six_mean, six_sd = ewa.six_month if ewa.six_month is not None else (None, None)
-    stats = [
-        ("first_cycle", _flag(ewa.first_cycle)),
-        ("alert", ewa.alert.value),
-        ("recommendation", ewa.recommendation.value),
-        ("score", _num(ewa.score) if ewa.score is not None else ""),
-        ("six_month_mean", _num(six_mean)),
-        ("six_month_sd", _num(six_sd)),
-        ("projection", _num(ewa.projection)),
-        ("step1_window_pad", _num(ewa.step1.window_pad) if ewa.step1 else ""),
-        ("step2_window_pad", _num(ewa.step2.window_pad) if ewa.step2 else ""),
-        ("steps_disagree", _flag(ewa.steps_disagree if not ewa.first_cycle else None)),
+            for row in outcome.leaderboard
+        ],
+        [
+            f"{entry.predictor},{_num(entry.pearson_r)},{entry.strength.value}"
+            for entry in outcome.correlations
+        ],
+        [f"{name},{iv.start},{iv.end}" for name, iv in phases],
+        [
+            f"{report.feature},{month},{_num(value)},{_num(report.lower)},{_num(report.upper)}"
+            for report in outcome.outliers
+            for month, value in zip(report.months, report.values)
+        ],
+        [
+            f"{note.rule},{_num(note.factor)},"
+            + (f"{note.months[0]}..{note.months[-1]}" if note.months else "")
+            for note in outcome.adjustments.notes
+        ],
+        [f"{k},{v}" for k, v in stats],
     ]
-    lines.extend(f"{k},{v}" for k, v in stats)
-
-    return "\n".join(lines) + "\n"
+    sections = ("\n".join([header, *rows]) for header, rows in zip(SECTIONS, bodies, strict=True))
+    return "\n\n".join(sections) + "\n"
 
 
 def emit_report(outcome: CycleOutcome, path) -> str:
@@ -242,29 +220,19 @@ def validate_report(text: str) -> dict:
     """
     sections = _split_sections(text)
     headers = [s[0] for s in sections]
-    expected = [
-        METADATA_HEADER,
-        MONTHLY_HEADER,
-        LEADERBOARD_HEADER,
-        CORRELATION_HEADER,
-        PHASES_HEADER,
-        OUTLIERS_HEADER,
-        ADJUSTMENTS_HEADER,
-        EWA_HEADER,
-    ]
-    if headers != expected:
-        raise ValidationError(f"report sections {headers} != expected {expected}")
+    if headers != list(SECTIONS):
+        raise ValidationError(f"report sections {headers} != expected {list(SECTIONS)}")
+    body = {s[0]: s[1:] for s in sections}
 
-    metadata = dict(line.split(",", 1) for line in sections[0][1:])
+    metadata = dict(line.split(",", 1) for line in body[METADATA_HEADER])
     if "cycle" not in metadata:
         raise ValidationError("report metadata is missing the cycle month")
     cycle_month = MonthIndex.parse(metadata["cycle"])
 
-    monthly = sections[1][1:]
     n_columns = len(MONTHLY_HEADER.split(","))
     month_rows: dict[MonthIndex, list[str]] = {}
     quarter_rows: dict[str, list[str]] = {}
-    for line in monthly:
+    for line in body[MONTHLY_HEADER]:
         cells = line.split(",")
         if len(cells) < n_columns:
             raise ValidationError(f"monthly row has {len(cells)} cells: {line!r}")
@@ -297,16 +265,16 @@ def validate_report(text: str) -> dict:
                     f"{label} column {col} subtotal {cells[col]} != sum {total:.4f}"
                 )
 
-    if len(sections[2]) < 2:
+    if not body[LEADERBOARD_HEADER]:
         raise ValidationError("leaderboard section is empty")
     return {
         "metadata": metadata,
         "months": {str(m): row for m, row in month_rows.items()},
         "quarters": quarter_rows,
-        "leaderboard": sections[2][1:],
-        "correlations": sections[3][1:],
-        "phases": sections[4][1:],
-        "outliers": sections[5][1:],
-        "adjustments": sections[6][1:],
-        "ewa": dict(line.split(",", 1) for line in sections[7][1:]),
+        "leaderboard": body[LEADERBOARD_HEADER],
+        "correlations": body[CORRELATION_HEADER],
+        "phases": body[PHASES_HEADER],
+        "outliers": body[OUTLIERS_HEADER],
+        "adjustments": body[ADJUSTMENTS_HEADER],
+        "ewa": dict(line.split(",", 1) for line in body[EWA_HEADER]),
     }

@@ -1,8 +1,11 @@
 """Small builders shared across test modules."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from returncast.config import AppConfig
 from returncast.core import (
     FeatureSeries,
     GaCalendar,
@@ -11,6 +14,9 @@ from returncast.core import (
     GenerationSeries,
     MonthIndex,
 )
+from returncast.cycle_store import CycleStore
+from returncast.errors import NumericError, ValidationError
+from returncast.pipeline import run_cycle
 
 
 def month(text: str) -> MonthIndex:
@@ -56,3 +62,20 @@ def gen_series(
         new_receipts=channel(receipts),
         gross_returns=ret,
     )
+
+
+def lifecycle_cycles(history, calendar: GaCalendar, root, config: AppConfig):
+    """Every month of every generation, oldest generation first, each
+    generation against its own store under `root`. Yields (generation name,
+    cycle month, outcome), where a refused cycle's outcome is its exception."""
+    for series in sorted(history, key=lambda s: s.generation.ordinal):
+        store = CycleStore(Path(root) / series.generation.name)
+        for j in range(1, len(series) + 1):
+            month = series.start + j
+            try:
+                outcome = run_cycle(
+                    history, calendar, series.generation.name, month, store=store, config=config
+                )
+            except (ValidationError, NumericError) as exc:
+                outcome = exc
+            yield series.generation.name, month, outcome

@@ -93,10 +93,10 @@ def test_correlation_table_and_selection():
     flat = fs(np.ones(24), name="flat")  # degenerate: dropped
     table = build_correlation_table([weak, strong, flat], y)
     assert [row.predictor for row in table] == ["strong_one", "weak_one"]
-    assert table.entry("strong_one").strength is Strength.STRONG
-    assert abs(table.entry("weak_one").pearson_r) < 0.186
-    with pytest.raises(KeyError):
-        table.entry("flat")
+    rows = {row.predictor: row for row in table}
+    assert rows["strong_one"].strength is Strength.STRONG
+    assert abs(rows["weak_one"].pearson_r) < 0.186
+    assert "flat" not in rows
     chosen = select_for_model(table, [weak, strong, flat], cap=8)
     assert [p.name for p in chosen] == ["strong_one"]
 

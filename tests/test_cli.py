@@ -9,6 +9,7 @@ import pytest
 
 import returncast
 import returncast.cli as cli
+from returncast import pipeline
 from returncast.errors import NumericError
 
 
@@ -216,6 +217,39 @@ def test_validation_failure_exits_1(data_dir, tmp_path, capsys):
     args[args.index("gen2")] = "gen3"
     assert cli.main(args) == 1
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, nested",
+    [(command, "--out", False) for command in ["ingest", "synth", "prepare", *cli._STAGES]]
+    + [("run-cycle", "--out", True), ("run-cycle", "--store", False)],
+)
+def test_unusable_output_path_exits_1_before_any_work(
+    data_dir, tmp_path, monkeypatch, capsys, command, flag, nested
+):
+    # an existing regular file, or a path below one, cannot be a directory
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    path = blocker / "sub" if nested else blocker
+
+    def no_zoo(*args, **kwargs):
+        raise AssertionError("evaluate_zoo called although the output path is unusable")
+
+    monkeypatch.setattr(pipeline, "evaluate_zoo", no_zoo)
+    inputs = ["--history", str(data_dir / "history.csv"), "--ga", str(data_dir / "ga.csv")]
+    if command == "synth":
+        args = ["synth", "--out", str(path)]
+    elif command == "ingest":
+        args = ["ingest", *inputs, "--out", str(path)]
+    elif flag == "--out":
+        args = [command, *_cycle_args(data_dir, path)]
+    else:
+        args = [command, *_cycle_args(data_dir, tmp_path / "out"), flag, str(path)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def _rerun_after_damage(data_dir, out, damage) -> int:

@@ -29,7 +29,7 @@ from helpers import family_calendar, fs, gen_series, month
 def test_month_index_roundtrip_and_arithmetic():
     m = month("2008-01")
     assert str(m) == "2008-01"
-    assert MonthIndex.of(2008, 1) == m
+    assert MonthIndex.parse(str(m)) == m
     assert m + 12 == month("2009-01")
     assert month("2008-12") + 1 == month("2009-01")
     assert month("2010-06") - month("2008-06") == 24

@@ -9,6 +9,11 @@ dead weight: drop it from `__all__`, or the code with it.
 A public top-level function or class must be referenced somewhere in `src/`
 besides its own definition (a re-export in an `__init__` does not count),
 or be imported by the acceptance criteria.
+
+A public method or property of a class in `src/` must be read as `.name`
+somewhere in `src/` outside its own definition, in the acceptance criteria,
+or in the benchmark under `perfbench/`, which drives the package as a caller
+would (it reads `GroundTruth.truth_for`, say).
 """
 import ast
 import importlib
@@ -19,6 +24,7 @@ import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "returncast"
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 PACKAGES = ("returncast", "returncast.models")
 
 
@@ -86,4 +92,38 @@ def test_public_definition_has_a_caller(path, name):
     assert uses > 1 or name in ACCEPTANCE_IMPORTS, (
         f"{name} in {path.relative_to(SRC)} is defined but nothing in src/ uses it, "
         "and the acceptance criteria do not import it"
+    )
+
+
+def _without(text: str, node: ast.AST) -> str:
+    """`text` with the lines of `node`'s definition blanked out."""
+    lines = text.splitlines()
+    lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+METHODS = [
+    (path, cls.name, item)
+    for path, text in SOURCES.items()
+    for cls in ast.walk(ast.parse(text))
+    if isinstance(cls, ast.ClassDef)
+    for item in cls.body
+    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+]
+OUTSIDE_SRC = [ACCEPTANCE.read_text(), *(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))]
+
+
+@pytest.mark.parametrize(
+    "path,cls,method",
+    METHODS,
+    ids=[f"{p.relative_to(SRC).with_suffix('')}.{c}.{m.name}" for p, c, m in METHODS],
+)
+def test_public_method_has_a_caller(path, cls, method):
+    pattern = re.compile(rf"\.{re.escape(method.name)}\b")
+    texts = [
+        _without(text, method) if p == path else text for p, text in SOURCES.items()
+    ] + OUTSIDE_SRC
+    assert any(pattern.search(text) for text in texts), (
+        f"{cls}.{method.name} in {path.relative_to(SRC)} is never read as "
+        f".{method.name} in src/, the acceptance criteria or perfbench/"
     )

@@ -21,12 +21,12 @@ from pathlib import Path
 import pytest
 
 import returncast.cli as cli
-from returncast.cycle_store import CycleStore
+from returncast.config import AppConfig
 from returncast.encode import json_text
-from returncast.errors import NumericError, ValidationError
-from returncast.pipeline import run_cycle
 from returncast.report import render_report
 from returncast.synth import ScenarioSpec, generate
+
+from helpers import lifecycle_cycles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -130,18 +130,13 @@ def run_sweep(work: Path) -> str:
     refusal's exception type and message."""
     history, calendar, _ = generate(SWEEP)
     lines = []
-    for series in sorted(history, key=lambda s: s.generation.ordinal):
-        store = CycleStore(work / series.generation.name)
-        for j in range(1, len(series) + 1):
-            month = series.start + j
-            try:
-                outcome = run_cycle(history, calendar, series.generation.name, month, store=store)
-            except (ValidationError, NumericError) as exc:
-                result = f"{type(exc).__name__}: {exc}"
-            else:
-                blob = render_report(outcome) + json_text(outcome.to_dict())
-                result = "report " + hashlib.sha256(blob.encode()).hexdigest()
-            lines.append(f"{series.generation.name} {month} {result}\n")
+    for generation, month, outcome in lifecycle_cycles(history, calendar, work, AppConfig()):
+        if isinstance(outcome, Exception):
+            result = f"{type(outcome).__name__}: {outcome}"
+        else:
+            blob = render_report(outcome) + json_text(outcome.to_dict())
+            result = "report " + hashlib.sha256(blob.encode()).hexdigest()
+        lines.append(f"{generation} {month} {result}\n")
     return "".join(lines)
 
 

@@ -1,11 +1,10 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
 import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from returncast import pipeline
@@ -43,7 +42,7 @@ from returncast.prep import cumulative_sum, lag, moving_average
 from returncast.report import render_report, validate_report
 from returncast.synth import ScenarioSpec, generate
 
-from helpers import family_calendar, fs, gen_series, month
+from helpers import family_calendar, fs, gen_series, lifecycle_cycles, month
 
 
 def test_visible_history_truncates_and_drops():
@@ -413,6 +412,7 @@ REFUSALS = (
     (ValidationError, "no predictor is observable across the horizon "),
     (ValidationError, "every usable predictor is degenerate on the donor history"),
     (ValidationError, "aligned donor matrix has only "),
+    (ValidationError, "cannot split "),
     (ValidationError, "no model in the zoo could be fitted and evaluated"),
     (ValidationError, "EWA needs "),
     (ValidationError, "record field "),
@@ -426,10 +426,14 @@ REFUSALS = (
     seed=st.integers(0, 2**20),
     generations=st.integers(2, 4),
     amplitude=st.floats(0.0, 0.3),
+    # 0.95 leaves no test row on the shortest matrices: a documented refusal
+    train_fraction=st.sampled_from([0.7, 0.95]),
 )
+# two generations never reach the split, so pin one draw that does
+@example(seed=0, generations=3, amplitude=0.0, train_fraction=0.95)
 # four gens cost ~2 s each; four examples keep the test near 4 s
 @settings(max_examples=4, deadline=None)
-def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude):
+def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude, train_fraction):
     """Every month of every generation, one store per generation, ends in a
     report that validates or in a documented refusal; never anything else."""
     series, calendar, _ = generate(
@@ -440,16 +444,13 @@ def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude):
             seed=seed,
         )
     )
+    config = AppConfig(models=replace(AppConfig().models, train_fraction=train_fraction))
     with tempfile.TemporaryDirectory() as work:
-        for s in series:
-            store = CycleStore(Path(work) / s.generation.name)
-            for j in range(1, len(s) + 1):
-                try:
-                    outcome = run_cycle(series, calendar, s.generation.name, s.start + j, store=store)
-                except (ValidationError, NumericError) as exc:
-                    assert any(
-                        type(exc) is kind and str(exc).startswith(prefix)
-                        for kind, prefix in REFUSALS
-                    ), f"undocumented refusal {type(exc).__name__}: {exc}"
-                else:
-                    validate_report(render_report(outcome))
+        for _, _, outcome in lifecycle_cycles(series, calendar, work, config):
+            if isinstance(outcome, Exception):
+                assert any(
+                    type(outcome) is kind and str(outcome).startswith(prefix)
+                    for kind, prefix in REFUSALS
+                ), f"undocumented refusal {type(outcome).__name__}: {outcome}"
+            else:
+                validate_report(render_report(outcome))
