@@ -2,9 +2,9 @@
 
 Each subcommand runs one stage of the planning pipeline and writes its
 artifact files under --out, printing a one-line summary. `run-cycle` chains
-every stage for one monthly cycle, persists the cycle record, and writes the
-report file. All stages recompute deterministically from the raw inputs, so
-any stage can be re-run and inspected on its own.
+every stage for one monthly cycle, writes the report file and stores the
+cycle record; the other stages only read the store. Every stage recomputes
+from the raw inputs, so any stage can be re-run and inspected on its own.
 
 Every JSON artifact is one key of `CycleOutcome.to_dict()`:
 
@@ -39,7 +39,7 @@ from .cycle_store import CycleStore, PlannerChoice
 from .encode import json_text
 from .errors import NumericError, ValidationError
 from .ingest import load_ga_calendar, load_history, write_ga_calendar, write_history
-from .pipeline import outlier_screen, prepare_histories, run_cycle
+from .pipeline import cycle_outcome, outlier_screen, prepare_histories, run_cycle
 from .report import emit_report
 from .synth import ScenarioSpec, generate
 
@@ -85,23 +85,6 @@ def _outdir(args) -> Path:
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
-
-
-def _run(args, persist: bool):
-    history, calendar, config = _load(args)
-    out = _outdir(args)
-    store = CycleStore(args.store if args.store else out / "cycles")
-    outcome = run_cycle(
-        history,
-        calendar,
-        args.generation,
-        MonthIndex.parse(args.cycle),
-        store=store,
-        config=config,
-        choice=_CHOICES[args.select],
-        persist=persist,
-    )
-    return outcome, store, out
 
 
 # ------------------------------------------------------------ subcommands
@@ -174,7 +157,7 @@ _STAGES = {
     ),
     "report": ("write the cycle report CSV", "report.csv", None, None),
     "run-cycle": (
-        "run every stage and persist the cycle record",
+        "run every stage and store the cycle record",
         "report.csv",
         None,
         lambda o: f"{o.generation.name} {o.cycle_month} winner {o.forecast.model.label()} "
@@ -185,18 +168,24 @@ _STAGES = {
 
 
 def cmd_stage(args) -> int:
-    """Run the cycle and write the command's artifact; only `run-cycle`
-    persists the cycle record."""
+    """Run the cycle and write the command's artifact; the store is only
+    read, except that `run-cycle` writes the cycle record to it."""
     _, artifact, key, summary = _STAGES[args.command]
-    persist = args.command == "run-cycle"
-    outcome, store, out = _run(args, persist=persist)
+    history, calendar, config = _load(args)
+    out = _outdir(args)
+    store = CycleStore(args.store if args.store else out / "cycles")
+    writes = args.command == "run-cycle"
+    outcome = (run_cycle if writes else cycle_outcome)(
+        history, calendar, args.generation, MonthIndex.parse(args.cycle), store, config,
+        _CHOICES[args.select],
+    )
     path = out / artifact
     if key is None:
         emit_report(outcome, path)
     else:
         path.write_text(json_text(outcome.to_dict()[key]))
     written = str(path)
-    if persist:
+    if writes:
         written += f", {store.path_for(outcome.generation, outcome.cycle_month)}"
     head = f"{summary(outcome)} -> " if summary else ""
     print(f"{args.command}: {head}{written}")

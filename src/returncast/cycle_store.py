@@ -123,10 +123,12 @@ class CycleStore:
 
     def __init__(self, root: str | Path):
         # the directory appears with the first stored record; reads of a
-        # missing store find no records
+        # missing store find no records, but a root no write could create
+        # (its nearest existing ancestor is not a directory) is refused now
         self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise ValidationError(f"cycle store {self.root} exists and is not a directory")
+        nearest = next(p for p in (self.root, *self.root.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ValidationError(f"cycle store {self.root} is unusable: {nearest} is a file")
 
     def _generation_dir(self, generation: GenerationId) -> Path:
         return self.root / urllib.parse.quote(generation.name, safe="")

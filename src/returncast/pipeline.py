@@ -1,13 +1,13 @@
 """End-to-end planning cycle: history in, validated forecast out.
 
-Stage order: pick the donor generation by genealogy, clean and rescale its
-history, build the lagged predictors observable over the horizon, keep
-the strongly correlated ones, race the model zoo on a 70/30 chronological
-split, forecast with the winner, apply adjustment rules, then validate the
-previous cycle's forecast (EWA) and persist the record.
-Refusals that cannot depend on a fitted model (a test split MAPE cannot
-score, a previous forecast EWA cannot score) are decided before the zoo
-trains.
+`plan_cycle` picks the donor generation by genealogy, cleans and rescales
+its history, builds the lagged predictors observable over the horizon,
+keeps the strongly correlated ones and splits the donor matrix 70/30
+chronologically; it reads no store and fits no model. `cycle_outcome` then
+scores the previous stored forecast (EWA), so a record EWA cannot score
+refuses before any training; `train_plan` races the model zoo and forecasts
+with the winner; `finish_cycle` adjusts, recommends and builds the record.
+`run_cycle` is those stages plus writing the record to the store.
 
 Cross-generation transfer works on a shifted time axis: donor and current
 months are both rebased so month 0 is each generation's returns trigger,
@@ -48,7 +48,7 @@ from .core import (
 from .cycle_store import CycleRecord, CycleStore, PlannerChoice
 from .encode import to_json
 from .errors import NumericError, ValidationError
-from .ewa import EwaReport, recommend, score_previous
+from .ewa import EwaReport, StepResult, recommend, score_previous
 from .models import (
     ForecastSeries,
     ModelKind,
@@ -124,6 +124,29 @@ class PreparedHistories:
     current: GenerationSeries
     outliers: tuple[OutlierReport, ...]
     normalization: float
+
+
+@dataclass(frozen=True)
+class CyclePlan:
+    """What a cycle decides before it reads the store or fits a model; the
+    later stages read everything they need from it."""
+
+    generation: GenerationId
+    cycle_month: MonthIndex
+    calendar: GaCalendar
+    config: AppConfig
+    prepared: PreparedHistories
+    donor_trigger: MonthIndex
+    phases: LifecyclePhases
+    horizon: MonthInterval
+    horizon_rel: MonthInterval  # the horizon rebased to the current trigger
+    current_predictors: list[FeatureSeries]  # the selected ones, rebased likewise
+    table: CorrelationTable
+    selected: tuple[str, ...]  # in selection order, which the matrix does not keep
+    matrix: FeatureMatrix
+    train: FeatureMatrix
+    test: FeatureMatrix
+    actuals: FeatureSeries
 
 
 def outlier_screen(
@@ -274,10 +297,6 @@ def build_predictors(series: GenerationSeries, plan: PredictorPlan) -> list[Feat
     return [lag(series.feature(channel), k) for channel, lags in plan for k in lags]
 
 
-def _rebase(feature: FeatureSeries, trigger: MonthIndex) -> FeatureSeries:
-    return feature.shift(-trigger.value)
-
-
 def rebase_phases(phases: LifecyclePhases, trigger: MonthIndex) -> LifecyclePhases:
     def move(iv: MonthInterval) -> MonthInterval:
         return MonthInterval(iv.start - trigger.value, iv.end - trigger.value)
@@ -370,21 +389,16 @@ def select_for_model(
 # --------------------------------------------------------------- the cycle
 
 
-def run_cycle(
+def plan_cycle(
     history: list[GenerationSeries],
     calendar: GaCalendar,
     generation: GenerationId | str,
     cycle_month: MonthIndex,
-    store: Optional[CycleStore] = None,
-    config: AppConfig = AppConfig(),
-    choice: PlannerChoice = PlannerChoice.BEST_FIT,
-    persist: bool = True,
-) -> CycleOutcome:
-    """One complete monthly planning cycle for one generation.
-
-    With `persist` off the store is only read (for the previous cycle's
-    record), letting inspection stages re-run without side effects.
-    """
+    config: AppConfig,
+) -> CyclePlan:
+    """Everything up to training: the donor and its phases, the observable
+    predictors, the correlation pick and the split donor matrix. Decides
+    every refusal that needs neither the store nor a fitted model."""
     if isinstance(generation, str):
         generation = calendar.resolve(generation)
     trigger = calendar.ga_of_next(generation)
@@ -403,10 +417,10 @@ def run_cycle(
     # the observable lags, rebased so month 0 is each generation's trigger
     horizon = MonthInterval(cycle_month, cycle_month + config.pipeline.horizon_months)
     horizon_rel = MonthInterval(horizon.start - trigger.value, horizon.end - trigger.value)
-    plan = observable_predictors(current, horizon, config)
-    donor_target = _rebase(donor.feature("gross_returns"), donor_trigger)
-    usable = [_rebase(p, donor_trigger) for p in build_predictors(donor, plan)]
-    current_preds = [_rebase(p, trigger) for p in build_predictors(current, plan)]
+    observable = observable_predictors(current, horizon, config)
+    donor_target = donor.feature("gross_returns").shift(-donor_trigger.value)
+    usable = [p.shift(-donor_trigger.value) for p in build_predictors(donor, observable)]
+    current_preds = [p.shift(-trigger.value) for p in build_predictors(current, observable)]
     if not usable:
         raise ValidationError(
             f"no predictor is observable across the horizon {horizon}; "
@@ -425,45 +439,53 @@ def run_cycle(
             f"aligned donor matrix has only {matrix.n_rows} rows; not enough to train"
         )
     train, test = split_chronological(matrix, config.models.train_fraction)
-
-    # refusals no fitted model can change are decided before any training:
-    # a test split MAPE cannot score, then the previous cycle's EWA scoring
+    # a test split MAPE cannot score refuses before any training
     require_scorable(test)
-    actuals = current.feature("gross_returns")
-    previous = store.load_previous_cycle(generation, cycle_month) if store else None
-    ewa_steps = None  # a first cycle has nothing to score
-    if previous is not None:
-        planner = FeatureSeries(
-            name="planner_selected",
-            start=previous.forecast.start,
-            values=previous.selected_series,
-        )
-        ewa_steps = score_previous(actuals, previous.forecast, planner, config.ewa)
+    return CyclePlan(
+        generation, cycle_month, calendar, config, prepared, donor_trigger, phases, horizon,
+        horizon_rel, [p for p in current_preds if p.name in matrix.predictor_names], table,
+        tuple(p.name for p in chosen), matrix, train, test, current.feature("gross_returns"),
+    )
 
-    zoo = _zoo(config, rebase_phases(phases, donor_trigger))
-    leaderboard, residuals = evaluate_zoo(zoo, train, test, config.models.z_multiplier)
+
+def train_plan(plan: CyclePlan) -> tuple[ModelLeaderboard, ForecastSeries]:
+    """Race the zoo on the plan's split, then forecast the horizon with the
+    best model that can."""
+    config = plan.config
+    zoo = _zoo(config, rebase_phases(plan.phases, plan.donor_trigger))
+    leaderboard, residuals = evaluate_zoo(zoo, plan.train, plan.test, config.models.z_multiplier)
 
     # horizon predictors: current generation's features at future months
     horizon_matrix = FeatureMatrix(
-        start=horizon_rel.start,
+        start=plan.horizon_rel.start,
         target=None,
-        predictors=tuple(
-            p.restrict(horizon_rel) for p in current_preds if p.name in matrix.predictor_names
-        ),
+        predictors=tuple(p.restrict(plan.horizon_rel) for p in plan.current_predictors),
     )
-
     forecast_raw = _winner_forecast(
-        leaderboard, residuals, matrix, horizon_matrix, horizon, config
+        leaderboard, residuals, plan.matrix, horizon_matrix, plan.horizon, config
     )
+    return leaderboard, forecast_raw
 
-    seasonal = _donor_seasonality(donor, config)
+
+def finish_cycle(
+    plan: CyclePlan,
+    leaderboard: ModelLeaderboard,
+    forecast_raw: ForecastSeries,
+    previous: Optional[CycleRecord],
+    ewa_steps: Optional[tuple[StepResult, Optional[StepResult]]],
+    choice: PlannerChoice,
+) -> CycleOutcome:
+    """Adjust the raw forecast, recommend from the EWA steps `score_previous`
+    scored, and build the cycle's record; nothing is written."""
+    config = plan.config
+    seasonal = _donor_seasonality(plan.prepared.donor, config)
     adjusted = adjust_forecast(
         forecast_raw,
-        actuals=actuals,
-        calendar=calendar,
-        generation=generation,
+        actuals=plan.actuals,
+        calendar=plan.calendar,
+        generation=plan.generation,
         seasonal=seasonal,
-        decision_point=cycle_month,
+        decision_point=plan.cycle_month,
         lookback=config.ewa.lookback_months,
         pad_threshold=config.adjust.pad_threshold,
         factor_bounds=(config.adjust.factor_min, config.adjust.factor_max),
@@ -471,37 +493,75 @@ def run_cycle(
         onset_months=config.adjust.onset_months,
     )
 
-    ewa_report = recommend(cycle_month, actuals, adjusted.forecast, ewa_steps, config.ewa)
+    ewa_report = recommend(plan.cycle_month, plan.actuals, adjusted.forecast, ewa_steps, config.ewa)
 
     record = CycleRecord.create(
-        cycle_month=cycle_month,
-        generation=generation,
+        cycle_month=plan.cycle_month,
+        generation=plan.generation,
         forecast=adjusted.forecast,
         choice=choice,
-        realized_actuals=actuals,
+        realized_actuals=plan.actuals,
         ewa=to_json(ewa_report),
     )
-    if store is not None and persist:
-        store.store_cycle(record)
-
     return CycleOutcome(
-        generation=generation,
-        cycle_month=cycle_month,
-        donor=donor_id,
-        outliers=prepared.outliers,
-        normalization=prepared.normalization,
-        correlations=table,
-        selected=tuple(p.name for p in chosen),
-        phases=phases,
+        generation=plan.generation,
+        cycle_month=plan.cycle_month,
+        donor=plan.prepared.donor_id,
+        outliers=plan.prepared.outliers,
+        normalization=plan.prepared.normalization,
+        correlations=plan.table,
+        selected=plan.selected,
+        phases=plan.phases,
         leaderboard=leaderboard,
         forecast_raw=forecast_raw,
         forecast=adjusted.forecast,
         adjustments=adjusted,
-        actuals=actuals,
+        actuals=plan.actuals,
         previous_forecast=previous.forecast if previous else None,
         ewa=ewa_report,
         record=record,
     )
+
+
+def cycle_outcome(
+    history: list[GenerationSeries],
+    calendar: GaCalendar,
+    generation: GenerationId | str,
+    cycle_month: MonthIndex,
+    store: Optional[CycleStore],
+    config: AppConfig,
+    choice: PlannerChoice,
+) -> CycleOutcome:
+    """The cycle's stages in order; the store is read, never written."""
+    plan = plan_cycle(history, calendar, generation, cycle_month, config)
+    previous = store.load_previous_cycle(plan.generation, cycle_month) if store else None
+    ewa_steps = None  # a first cycle has nothing to score
+    if previous is not None:
+        planner = FeatureSeries(
+            name="planner_selected",
+            start=previous.forecast.start,
+            values=previous.selected_series,
+        )
+        ewa_steps = score_previous(plan.actuals, previous.forecast, planner, config.ewa)
+    leaderboard, forecast_raw = train_plan(plan)
+    return finish_cycle(plan, leaderboard, forecast_raw, previous, ewa_steps, choice)
+
+
+def run_cycle(
+    history: list[GenerationSeries],
+    calendar: GaCalendar,
+    generation: GenerationId | str,
+    cycle_month: MonthIndex,
+    store: Optional[CycleStore] = None,
+    config: AppConfig = AppConfig(),
+    choice: PlannerChoice = PlannerChoice.BEST_FIT,
+) -> CycleOutcome:
+    """One complete monthly planning cycle for one generation; with a store,
+    the cycle's record is written to it."""
+    outcome = cycle_outcome(history, calendar, generation, cycle_month, store, config, choice)
+    if store is not None:
+        store.store_cycle(outcome.record)
+    return outcome
 
 
 def _winner_forecast(

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
+import importlib
 import json
 import os
 import subprocess
@@ -9,8 +10,11 @@ import pytest
 
 import returncast
 import returncast.cli as cli
-from returncast import pipeline
+from returncast import pipeline, report
+from returncast.core import MonthIndex
+from returncast.cycle_store import CycleStore
 from returncast.errors import NumericError
+from returncast.ingest import load_ga_calendar, load_history
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,60 @@ def test_stage_commands_do_not_persist_cycles(data_dir, tmp_path):
     out = tmp_path / "probe"
     assert cli.main(["forecast", *_cycle_args(data_dir, out)]) == 0
     assert not (out / "cycles" / "gen2" / "2012-09.json").exists()
+
+
+def test_stage_commands_leave_the_store_untouched(data_dir, tmp_path):
+    out = tmp_path / "stored"
+    assert cli.main(["run-cycle", *_cycle_args(data_dir, out)]) == 0
+    store = out / "cycles"
+
+    def snapshot():
+        return {
+            str(p.relative_to(store)): (p.is_file() and p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(store.rglob("*"))
+        }
+
+    before = snapshot()
+    assert "gen2/2012-09.json" in before
+    for command in ["prepare", *cli._STAGES]:
+        if command != "run-cycle":
+            assert cli.main([command, *_cycle_args(data_dir, out)]) == 0, command
+    assert snapshot() == before
+
+
+# perfbench's tracer (perfbench/spans.py) times each layer by wrapping these
+# module attributes; a cycle that no longer calls one through its module
+# would leave that layer's benchmark figures reading 0
+TRACED_LAYERS = (
+    "cycle", "prep", "prep.coverage_greedy", "analysis.correlation", "models.evaluate_zoo",
+    "forecast.winner", "adjust", "report.render",
+)
+
+
+def test_benchmark_tracer_sees_every_layer_of_the_demo_cycle(
+    data_dir, tmp_path, monkeypatch
+):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    calendar = load_ga_calendar(data_dir / "ga.csv")
+    history = load_history(data_dir / "history.csv", calendar)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.cycle = 1
+        outcome = pipeline.run_cycle(
+            history, calendar, "gen2", MonthIndex.parse("2012-09"),
+            store=CycleStore(tmp_path / "in_process"),
+        )
+        report.render_report(outcome)
+        tracer.cycle = 2
+        assert cli.main(["run-cycle", *_cycle_args(data_dir, tmp_path / "cli")]) == 0
+    finally:
+        tracer.uninstall()
+    for cycle, how in ((1, "in process"), (2, "run-cycle")):
+        fired = {name for c, _, name, *_ in tracer.spans if c == cycle}
+        missing = [name for name in TRACED_LAYERS if name not in fired]
+        assert not missing, f"{how}: no span for {missing}"
 
 
 def test_inspection_stage_creates_no_store(data_dir, tmp_path):
@@ -222,7 +280,8 @@ def test_validation_failure_exits_1(data_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flag, nested",
     [(command, "--out", False) for command in ["ingest", "synth", "prepare", *cli._STAGES]]
-    + [("run-cycle", "--out", True), ("run-cycle", "--store", False)],
+    + [("run-cycle", "--out", True)]
+    + [("run-cycle", "--store", nested) for nested in (False, True)],
 )
 def test_unusable_output_path_exits_1_before_any_work(
     data_dir, tmp_path, monkeypatch, capsys, command, flag, nested

@@ -1,6 +1,7 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from returncast.core import (
 from returncast.cycle_store import CycleStore, PlannerChoice
 from returncast.encode import json_text
 from returncast.errors import MissingGaError, NumericError, ValidationError
+from returncast.models import base
 from returncast.pipeline import (
     PREDICTOR_CHANNELS,
     build_predictors,
     coverage_greedy,
     donor_candidates,
     observable_predictors,
+    plan_cycle,
     rebase_phases,
     run_cycle,
     select_for_model,
@@ -349,15 +352,6 @@ def test_run_cycle_all_zero_test_split_refuses_before_ewa(tmp_path):
         run_cycle(series, calendar, "gen2", month("2014-01"), store=store)
 
 
-def test_run_cycle_no_persist_leaves_store_untouched(scenario, tmp_path):
-    series, calendar, _ = scenario
-    store = CycleStore(tmp_path / "cycles")
-    outcome = run_cycle(
-        series, calendar, "gen2", month("2012-09"), store=store, persist=False
-    )
-    assert store.load_cycle(outcome.generation, month("2012-09")) is None
-
-
 def test_run_cycle_is_deterministic(scenario):
     series, calendar, _ = scenario
     a = run_cycle(series, calendar, "gen2", month("2012-09"))
@@ -424,12 +418,14 @@ REFUSALS = (
 
 @given(
     seed=st.integers(0, 2**20),
-    generations=st.integers(2, 4),
+    # two generations never reach the split: gen1 has no donor, gen2 no
+    # successor GA
+    generations=st.integers(3, 4),
     amplitude=st.floats(0.0, 0.3),
     # 0.95 leaves no test row on the shortest matrices: a documented refusal
     train_fraction=st.sampled_from([0.7, 0.95]),
 )
-# two generations never reach the split, so pin one draw that does
+# one fixed draw at the 0.95 train fraction, in every run
 @example(seed=0, generations=3, amplitude=0.0, train_fraction=0.95)
 # four gens cost ~2 s each; four examples keep the test near 4 s
 @settings(max_examples=4, deadline=None)
@@ -454,3 +450,45 @@ def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude, 
                 ), f"undocumented refusal {type(outcome).__name__}: {outcome}"
             else:
                 validate_report(render_report(outcome))
+
+
+# README refusal rows 1-6: the ones `plan_cycle` decides
+PLAN_REFUSALS = REFUSALS[: REFUSALS.index((ValidationError, "EWA needs "))]
+
+
+def test_plan_cycle_decides_each_sweep_refusal_before_the_store_or_a_model(monkeypatch):
+    """Every cycle of the seed-0 sweep (`tests/fixtures/sweep.txt`) that
+    refuses with a row 1-6 reason refuses the same way in `plan_cycle`, with
+    no fitter able to run and no store read; every other cycle plans."""
+
+    def untouchable(*args, **kwargs):
+        raise AssertionError("a fitter or the store was touched while planning")
+
+    for kind in list(base._FITTERS):
+        monkeypatch.setitem(base._FITTERS, kind, untouchable)
+    for attr in ("load_cycle", "load_previous_cycle", "list_cycle_months", "store_cycle"):
+        monkeypatch.setattr(CycleStore, attr, untouchable)
+
+    sweep = (Path(__file__).parent / "fixtures" / "sweep.txt").read_text().splitlines()
+    series, calendar, _ = generate(ScenarioSpec(generations=3, months_after_final_ga=30, seed=0))
+    cycles = [
+        (s.generation.name, s.start + j)
+        for s in sorted(series, key=lambda s: s.generation.ordinal)
+        for j in range(1, len(s) + 1)
+    ]
+    assert len(cycles) == len(sweep)
+    decided = set()
+    for (generation, cycle_month), line in zip(cycles, sweep):
+        expected = line.split(" ", 2)[2]
+        try:
+            plan_cycle(series, calendar, generation, cycle_month, AppConfig())
+            got = None
+        except (ValidationError, NumericError) as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        row = next(
+            (r for r in PLAN_REFUSALS if expected.startswith(f"{r[0].__name__}: {r[1]}")), None
+        )
+        assert got == (expected if row else None), f"{generation} {cycle_month}"
+        decided.add(row)
+    # the sweep's own mix: missing GA, both genealogy refusals, all-zero test split
+    assert len(decided - {None}) == 4
