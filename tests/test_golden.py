@@ -5,13 +5,17 @@ output itself, so a refactor that changes any written byte fails here. Pinned:
 both cycles' report.csv; for the README demo also its cycle record, every
 stage artifact and the stdout summary lines; and for a second cycle scored
 against the first in one store (EWA on a real previous forecast), its record
-and its ewa.json; and every cycle of a lifecycle sweep, one line each, which
-pins the order in which a cycle decides its refusals. Regenerate the fixtures
+and its ewa.json; every cycle of a lifecycle sweep, one line each, which
+pins the order in which a cycle decides its refusals; and, in the same line
+format, every in-process cycle of seed 0 of the benchmark's demo and
+seasonal workloads, where CHAID, CART, TimeSeries, Linear, phase-wise and
+the NN each win at least once. Regenerate the fixtures
 (only for a deliberate output change, noted in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -22,7 +26,11 @@ import pytest
 
 import returncast.cli as cli
 from returncast.config import AppConfig
+from returncast.core import MonthIndex
+from returncast.cycle_store import CycleStore
 from returncast.encode import json_text
+from returncast.errors import NumericError, ValidationError
+from returncast.pipeline import run_cycle
 from returncast.report import render_report
 from returncast.synth import ScenarioSpec, generate
 
@@ -61,6 +69,37 @@ TWO_CYCLE_FILES = ["ewa.json", "record.json"]
 # every month of every generation, one store per generation: reports, and
 # every refusal kind (missing GA, genealogy, all-zero test actuals, EWA)
 SWEEP = ScenarioSpec(generations=3, months_after_final_ga=30, seed=0)
+
+
+def _gen2_after_trigger(calendar) -> list[MonthIndex]:
+    trigger = calendar.ga_of_next(calendar.resolve("gen2"))
+    return [trigger + k for k in (6, 12, 18)]
+
+
+# the benchmark's in-process workloads at seed 0, spelled out: name ->
+# (scenario, draws, gen2's cycle months from the calendar, config); draw j
+# is the scenario at seed j, its cycles run in order against one store
+BENCHMARK_CYCLES = {
+    "demo_cycle": (
+        ScenarioSpec(generations=3, months_after_final_ga=8),
+        32,
+        lambda calendar: [MonthIndex.parse("2012-09")],
+        AppConfig(),
+    ),
+    "seasonal_flags": (
+        ScenarioSpec(seasonal_amplitude=0.1, months_after_final_ga=20),
+        16,
+        _gen2_after_trigger,
+        AppConfig(
+            models=dataclasses.replace(
+                AppConfig().models,
+                include_phasewise=True,
+                include_polynomial=True,
+                ts_seasonal=True,
+            )
+        ),
+    ),
+}
 
 
 def _synth(work: Path, synth_flags: list[str]) -> Path:
@@ -124,19 +163,38 @@ def run_two_cycle_files(work: Path) -> dict[str, bytes]:
     }
 
 
+def _outcome_line(generation: str, month, outcome) -> str:
+    """Generation, month, then either the SHA-256 of the rendered report
+    followed by `json_text(outcome.to_dict())`, or the refusal's exception
+    type and message."""
+    if isinstance(outcome, Exception):
+        result = f"{type(outcome).__name__}: {outcome}"
+    else:
+        blob = render_report(outcome) + json_text(outcome.to_dict())
+        result = "report " + hashlib.sha256(blob.encode()).hexdigest()
+    return f"{generation} {month} {result}\n"
+
+
 def run_sweep(work: Path) -> str:
-    """One line per cycle: generation, month, then either the SHA-256 of the
-    rendered report followed by `json_text(outcome.to_dict())`, or the
-    refusal's exception type and message."""
+    """One line per cycle of the lifecycle sweep."""
     history, calendar, _ = generate(SWEEP)
+    cycles = lifecycle_cycles(history, calendar, work, AppConfig())
+    return "".join(_outcome_line(*cycle) for cycle in cycles)
+
+
+def run_benchmark_cycles(work: Path) -> str:
+    """One line per benchmark cycle, after its workload name and draw."""
     lines = []
-    for generation, month, outcome in lifecycle_cycles(history, calendar, work, AppConfig()):
-        if isinstance(outcome, Exception):
-            result = f"{type(outcome).__name__}: {outcome}"
-        else:
-            blob = render_report(outcome) + json_text(outcome.to_dict())
-            result = "report " + hashlib.sha256(blob.encode()).hexdigest()
-        lines.append(f"{generation} {month} {result}\n")
+    for name, (spec, draws, months, config) in BENCHMARK_CYCLES.items():
+        for j in range(draws):
+            history, calendar, _ = generate(dataclasses.replace(spec, seed=j))
+            store = CycleStore(work / name / f"r{j}" / "gen2")
+            for month in months(calendar):
+                try:
+                    outcome = run_cycle(history, calendar, "gen2", month, store, config)
+                except (ValidationError, NumericError) as exc:
+                    outcome = exc
+                lines.append(f"{name} {j} " + _outcome_line("gen2", month, outcome))
     return "".join(lines)
 
 
@@ -171,6 +229,11 @@ def test_sweep_outcomes_match_golden_lines(tmp_path):
     assert run_sweep(tmp_path).splitlines() == expected
 
 
+def test_benchmark_cycle_outcomes_match_golden_lines(tmp_path):
+    expected = (FIXTURES / "benchmark_cycles.txt").read_text().splitlines()
+    assert run_benchmark_cycles(tmp_path).splitlines() == expected
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name in sorted(CYCLES):
@@ -182,5 +245,6 @@ if __name__ == "__main__":
             for name, blob in run(Path(work) / folder).items():
                 (FIXTURES / folder / name).write_bytes(blob)
                 print(f"wrote {FIXTURES / folder / name}", file=sys.stderr)
-        (FIXTURES / "sweep.txt").write_text(run_sweep(Path(work) / "sweep"))
-        print(f"wrote {FIXTURES / 'sweep.txt'}", file=sys.stderr)
+        for name, run in (("sweep", run_sweep), ("benchmark_cycles", run_benchmark_cycles)):
+            (FIXTURES / f"{name}.txt").write_text(run(Path(work) / name))
+            print(f"wrote {FIXTURES / name}.txt", file=sys.stderr)
