@@ -44,6 +44,7 @@ from .preprocess import DEFAULT_SIGMA_MULTIPLIER, DEFAULT_SMOOTHING_WINDOW
 _AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
 _NON_NEGATIVE = {"accepts": (lambda value: value >= 0, "must be >= 0")}
 _POSITIVE = {"accepts": (lambda value: value > 0, "must be > 0")}
+_FINITE = {"accepts": (math.isfinite, "must be finite")}
 _FINITE_POSITIVE = {
     "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
 }
@@ -109,7 +110,7 @@ class AdjustConfig:
     pad_threshold: float = DEFAULT_PAD_THRESHOLD
     factor_min: float = DEFAULT_FACTOR_BOUNDS[0]
     factor_max: float = DEFAULT_FACTOR_BOUNDS[1]
-    seasonal_damp: float = DEFAULT_SEASONAL_DAMP
+    seasonal_damp: float = field(default=DEFAULT_SEASONAL_DAMP, metadata=_FINITE)
     onset_months: int = DEFAULT_ONSET_MONTHS
     apply_seasonal: bool = True
 

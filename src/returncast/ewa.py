@@ -63,17 +63,18 @@ class ScoreWeights:
 SIGNED_WEIGHTS = ScoreWeights(red=-3.0, yellow=1.0, green=3.0)
 
 
+# `accepts` is the range the config loader takes, as in `returncast.config`
+_AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
+
+
 @dataclass(frozen=True)
 class EwaThresholds:
-    # `accepts` is the range the config loader takes, as in `returncast.config`
-    lookback_months: int = field(
-        default=3, metadata={"accepts": (lambda value: value >= 1, "must be >= 1")}
-    )
+    lookback_months: int = field(default=3, metadata=_AT_LEAST_ONE)
     red_cut: float = -10.0  # signed pad below this is a red month
     under_forecast_pad: float = 20.0
     retrain_pad: float = 30.0
-    score_window: int = 6
-    projection_window: int = 6
+    score_window: int = field(default=6, metadata=_AT_LEAST_ONE)
+    projection_window: int = field(default=6, metadata=_AT_LEAST_ONE)
     weights: ScoreWeights = field(default_factory=ScoreWeights)
 
 

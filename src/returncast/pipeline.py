@@ -3,10 +3,12 @@
 `plan_cycle` picks the donor generation by genealogy, cleans and rescales
 its history, builds the lagged predictors observable over the horizon,
 keeps the strongly correlated ones and splits the donor matrix 70/30
-chronologically; it reads no store and fits no model. `cycle_outcome` then
-scores the previous stored forecast (EWA), so a record EWA cannot score
-refuses before any training; `train_plan` races the model zoo and forecasts
-with the winner; `finish_cycle` adjusts, recommends and builds the record.
+chronologically; it reads no store and fits no model. Its `CyclePlan` also
+holds the zoo's model specs and the current generation's horizon matrix.
+`cycle_outcome` then scores the previous stored forecast (EWA), so a record
+EWA cannot score refuses before any training; `train_plan` races the plan's
+zoo and forecasts its horizon matrix with the winner; `finish_cycle`
+adjusts, recommends and builds the record.
 `run_cycle` is those stages plus writing the record to the store.
 
 Cross-generation transfer works on a shifted time axis: donor and current
@@ -132,20 +134,18 @@ class CyclePlan:
     later stages read everything they need from it."""
 
     generation: GenerationId
-    cycle_month: MonthIndex
+    cycle_month: MonthIndex  # also the first horizon month
     calendar: GaCalendar
     config: AppConfig
     prepared: PreparedHistories
-    donor_trigger: MonthIndex
     phases: LifecyclePhases
-    horizon: MonthInterval
-    horizon_rel: MonthInterval  # the horizon rebased to the current trigger
-    current_predictors: list[FeatureSeries]  # the selected ones, rebased likewise
     table: CorrelationTable
     selected: tuple[str, ...]  # in selection order, which the matrix does not keep
     matrix: FeatureMatrix
     train: FeatureMatrix
     test: FeatureMatrix
+    zoo: tuple[ModelSpec, ...]
+    horizon_matrix: FeatureMatrix  # the current generation's, rebased to its trigger
     actuals: FeatureSeries
 
 
@@ -416,11 +416,9 @@ def plan_cycle(
 
     # the observable lags, rebased so month 0 is each generation's trigger
     horizon = MonthInterval(cycle_month, cycle_month + config.pipeline.horizon_months)
-    horizon_rel = MonthInterval(horizon.start - trigger.value, horizon.end - trigger.value)
     observable = observable_predictors(current, horizon, config)
     donor_target = donor.feature("gross_returns").shift(-donor_trigger.value)
     usable = [p.shift(-donor_trigger.value) for p in build_predictors(donor, observable)]
-    current_preds = [p.shift(-trigger.value) for p in build_predictors(current, observable)]
     if not usable:
         raise ValidationError(
             f"no predictor is observable across the horizon {horizon}; "
@@ -441,30 +439,26 @@ def plan_cycle(
     train, test = split_chronological(matrix, config.models.train_fraction)
     # a test split MAPE cannot score refuses before any training
     require_scorable(test)
+    # the matrix's lags of the current generation over the horizon, rebased
+    lags = [p for p in build_predictors(current, observable) if p.name in matrix.predictor_names]
+    on_horizon = tuple(p.restrict(horizon).shift(-trigger.value) for p in lags)
+    horizon_matrix = FeatureMatrix(horizon.start - trigger.value, None, on_horizon)
+    zoo = tuple(_zoo(config, rebase_phases(phases, donor_trigger)))
     return CyclePlan(
-        generation, cycle_month, calendar, config, prepared, donor_trigger, phases, horizon,
-        horizon_rel, [p for p in current_preds if p.name in matrix.predictor_names], table,
-        tuple(p.name for p in chosen), matrix, train, test, current.feature("gross_returns"),
+        generation, cycle_month, calendar, config, prepared, phases, table,
+        tuple(p.name for p in chosen), matrix, train, test, zoo, horizon_matrix,
+        current.feature("gross_returns"),
     )
 
 
 def train_plan(plan: CyclePlan) -> tuple[ModelLeaderboard, ForecastSeries]:
-    """Race the zoo on the plan's split, then forecast the horizon with the
-    best model that can."""
-    config = plan.config
-    zoo = _zoo(config, rebase_phases(plan.phases, plan.donor_trigger))
-    leaderboard, residuals = evaluate_zoo(zoo, plan.train, plan.test, config.models.z_multiplier)
-
-    # horizon predictors: current generation's features at future months
-    horizon_matrix = FeatureMatrix(
-        start=plan.horizon_rel.start,
-        target=None,
-        predictors=tuple(p.restrict(plan.horizon_rel) for p in plan.current_predictors),
+    """Race the plan's zoo on its split, then forecast its horizon matrix
+    with the best model that can."""
+    z = plan.config.models.z_multiplier
+    leaderboard, residuals = evaluate_zoo(plan.zoo, plan.train, plan.test, z)
+    return leaderboard, _winner_forecast(
+        leaderboard, residuals, plan.matrix, plan.horizon_matrix, plan.cycle_month, z
     )
-    forecast_raw = _winner_forecast(
-        leaderboard, residuals, plan.matrix, horizon_matrix, plan.horizon, config
-    )
-    return leaderboard, forecast_raw
 
 
 def finish_cycle(
@@ -569,20 +563,20 @@ def _winner_forecast(
     residuals: dict[ModelKind, np.ndarray],
     matrix: FeatureMatrix,
     horizon_matrix: FeatureMatrix,
-    horizon: MonthInterval,
-    config: AppConfig,
+    start: MonthIndex,
+    z: float,
 ) -> ForecastSeries:
     """Refit the leaderboard winner on the full donor matrix and predict the
-    horizon; the control band keeps the held-out residual spread that
-    `evaluate_zoo` measured. Falls to
-    the next-ranked model if the winner cannot cover the horizon."""
+    horizon from `start`, in a band of `z` times the held-out residual spread
+    that `evaluate_zoo` measured. Falls to the next-ranked model if the
+    winner cannot cover the horizon."""
     last_error: Exception | None = None
     for row in leaderboard:
         try:
             best = fit(row.spec, matrix).predict(horizon_matrix)
-            lci, uci = residual_band(best, residuals[row.spec.kind], config.models.z_multiplier)
+            lci, uci = residual_band(best, residuals[row.spec.kind], z)
             return ForecastSeries(
-                start=horizon.start,
+                start=start,
                 best_fit=best,
                 lci=lci,
                 uci=uci,

@@ -130,6 +130,11 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         ("[preprocess]\nsigma_multiplier = -1\n", "[preprocess] sigma_multiplier"),
         ("[analysis]\nramp_up_months = -1\n", "[analysis] ramp_up_months"),
         ("[ewa]\nlookback_months = 0\n", "[ewa] lookback_months"),
+        # values that train the whole zoo and then break or blank the report
+        ("[ewa]\nprojection_window = 0\n", "[ewa] projection_window"),
+        ("[ewa]\nscore_window = 0\n", "[ewa] score_window"),
+        ("[adjust]\nseasonal_damp = nan\n", "[adjust] seasonal_damp"),
+        ("[adjust]\nseasonal_damp = -inf\n", "[adjust] seasonal_damp"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
@@ -181,13 +186,16 @@ def test_smallest_accepted_prep_and_cycle_values_load(tmp_path):
         tmp_path,
         "[prep]\nlags = 0, 1\nmoving_averages = 1\n[preprocess]\nsigma_multiplier = 1e-9\n"
         "[analysis]\nramp_up_months = 0\n[models]\ntrain_fraction = 0.01\n"
-        "[ewa]\nlookback_months = 1\n",
+        "[ewa]\nlookback_months = 1\nscore_window = 1\nprojection_window = 1\n"
+        "[adjust]\nseasonal_damp = -2.5\n",
     )
     assert (config.prep.lags, config.prep.moving_averages) == ((0, 1), (1,))
     assert config.preprocess.sigma_multiplier == 1e-9
     assert config.analysis.ramp_up_months == 0
     assert config.models.train_fraction == 0.01
-    assert config.ewa.lookback_months == 1
+    assert (config.ewa.lookback_months, config.ewa.score_window) == (1, 1)
+    assert config.ewa.projection_window == 1
+    assert config.adjust.seasonal_damp == -2.5  # finite is all it needs
 
 
 def test_smallest_accepted_band_and_pipeline_values_load(tmp_path):
@@ -218,6 +226,9 @@ def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
     [
         ("[models]\nz_multiplier = nan\n", "[models] z_multiplier = 'nan': must be finite and >= 0"),
         ("[pipeline]\nhorizon_months = 0\n", "[pipeline] horizon_months = '0': must be >= 1"),
+        ("[ewa]\nprojection_window = 0\n", "[ewa] projection_window = '0': must be >= 1"),
+        ("[ewa]\nscore_window = 0\n", "[ewa] score_window = '0': must be >= 1"),
+        ("[adjust]\nseasonal_damp = nan\n", "[adjust] seasonal_damp = 'nan': must be finite"),
     ],
 )
 def test_run_cycle_exits_1_before_training_on_a_value_that_leaves_no_report(

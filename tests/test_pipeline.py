@@ -21,7 +21,7 @@ from returncast.core import (
 from returncast.cycle_store import CycleStore, PlannerChoice
 from returncast.encode import json_text
 from returncast.errors import MissingGaError, NumericError, ValidationError
-from returncast.models import base
+from returncast.models import ModelKind, ModelSpec, base
 from returncast.pipeline import (
     PREDICTOR_CHANNELS,
     build_predictors,
@@ -456,26 +456,33 @@ def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude, 
 PLAN_REFUSALS = REFUSALS[: REFUSALS.index((ValidationError, "EWA needs "))]
 
 
-def test_plan_cycle_decides_each_sweep_refusal_before_the_store_or_a_model(monkeypatch):
-    """Every cycle of the seed-0 sweep (`tests/fixtures/sweep.txt`) that
-    refuses with a row 1-6 reason refuses the same way in `plan_cycle`, with
-    no fitter able to run and no store read; every other cycle plans."""
+def _untouchable(*args, **kwargs):
+    raise AssertionError("a fitter or the store was touched while planning")
 
-    def untouchable(*args, **kwargs):
-        raise AssertionError("a fitter or the store was touched while planning")
 
-    for kind in list(base._FITTERS):
-        monkeypatch.setitem(base._FITTERS, kind, untouchable)
-    for attr in ("load_cycle", "load_previous_cycle", "list_cycle_months", "store_cycle"):
-        monkeypatch.setattr(CycleStore, attr, untouchable)
-
-    sweep = (Path(__file__).parent / "fixtures" / "sweep.txt").read_text().splitlines()
+def _sweep_cycles():
+    """The seed-0 sweep's inputs and its (generation, month) cycles, in the
+    order of `tests/fixtures/sweep.txt`."""
     series, calendar, _ = generate(ScenarioSpec(generations=3, months_after_final_ga=30, seed=0))
     cycles = [
         (s.generation.name, s.start + j)
         for s in sorted(series, key=lambda s: s.generation.ordinal)
         for j in range(1, len(s) + 1)
     ]
+    return series, calendar, cycles
+
+
+def test_plan_cycle_decides_each_sweep_refusal_before_the_store_or_a_model(monkeypatch):
+    """Every cycle of the seed-0 sweep (`tests/fixtures/sweep.txt`) that
+    refuses with a row 1-6 reason refuses the same way in `plan_cycle`, with
+    no fitter able to run and no store read; every other cycle plans."""
+    for kind in list(base._FITTERS):
+        monkeypatch.setitem(base._FITTERS, kind, _untouchable)
+    for attr in ("load_cycle", "load_previous_cycle", "list_cycle_months", "store_cycle"):
+        monkeypatch.setattr(CycleStore, attr, _untouchable)
+
+    sweep = (Path(__file__).parent / "fixtures" / "sweep.txt").read_text().splitlines()
+    series, calendar, cycles = _sweep_cycles()
     assert len(cycles) == len(sweep)
     decided = set()
     for (generation, cycle_month), line in zip(cycles, sweep):
@@ -492,3 +499,31 @@ def test_plan_cycle_decides_each_sweep_refusal_before_the_store_or_a_model(monke
         decided.add(row)
     # the sweep's own mix: missing GA, both genealogy refusals, all-zero test split
     assert len(decided - {None}) == 4
+
+
+def test_plan_lists_the_zoo_and_the_horizon_matrix_without_a_fit(monkeypatch):
+    """Every cycle of the seed-0 sweep that plans carries the configured
+    zoo and a horizon matrix with the donor matrix's predictors, decided
+    with no fitter able to run: what `train_plan` reads, and all of it."""
+    for kind in list(base._FITTERS):
+        monkeypatch.setitem(base._FITTERS, kind, _untouchable)
+    models = replace(
+        AppConfig().models, nn_hidden_units=3, nn_epochs=7, nn_learning_rate=0.02, seed=5
+    )
+    config = AppConfig(models=models)
+    neural = ModelSpec(
+        ModelKind.NEURAL, {"hidden_units": 3, "epochs": 7, "learning_rate": 0.02}, seed=5
+    )
+    series, calendar, cycles = _sweep_cycles()
+    planned = 0
+    for generation, cycle_month in cycles:
+        try:
+            plan = plan_cycle(series, calendar, generation, cycle_month, config)
+        except (ValidationError, NumericError):
+            continue
+        planned += 1
+        assert neural in plan.zoo, f"{generation} {cycle_month}"
+        assert plan.horizon_matrix.predictor_names == plan.matrix.predictor_names
+        assert len(plan.horizon_matrix) == config.pipeline.horizon_months
+    # the sweep's 7 reports and its 33 refusals after planning, all EWA's
+    assert planned == 40
