@@ -4,11 +4,14 @@ Models extrapolate; these rules anchor the result to reality: recent actuals
 rescale a drifting forecast, known seasonality is layered in (dampened while
 the generation is still active), and months before the returns onset are
 zeroed because hardware cannot come back before it has aged.
+
+`AdjustConfig`, the `[adjust]` config section, tunes the rules and holds
+their defaults.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,11 +25,19 @@ from .models.base import deviation, pad
 
 log = logging.getLogger(__name__)
 
-DEFAULT_PAD_THRESHOLD = 10.0
-DEFAULT_FACTOR_BOUNDS = (0.5, 2.0)
-DEFAULT_SEASONAL_DAMP = 0.8
-DEFAULT_ONSET_MONTHS = 12
-DEFAULT_LOOKBACK = EwaThresholds.lookback_months
+# `accepts` is the range the config loader takes, as in `returncast.config`;
+# a larger damp lets the seasonal layer overflow the forecast to infinity
+_DAMP = {"accepts": (lambda value: -10 <= value <= 10, "must be finite and between -10 and 10")}
+
+
+@dataclass(frozen=True)
+class AdjustConfig:
+    pad_threshold: float = 10.0  # mean |pad| above which the rescale fires
+    factor_min: float = 0.5  # the rescale factor's clamp
+    factor_max: float = 2.0
+    seasonal_damp: float = field(default=0.8, metadata=_DAMP)  # while the generation is active
+    onset_months: int = 12  # months after GA before any return
+    apply_seasonal: bool = True
 
 
 @dataclass(frozen=True)
@@ -69,13 +80,12 @@ def adjust_forecast(
     generation: GenerationId,
     seasonal: Optional[SeasonalDecomposition] = None,
     decision_point: Optional[MonthIndex] = None,
-    lookback: int = DEFAULT_LOOKBACK,
-    pad_threshold: float = DEFAULT_PAD_THRESHOLD,
-    factor_bounds: tuple[float, float] = DEFAULT_FACTOR_BOUNDS,
-    seasonal_damp: float = DEFAULT_SEASONAL_DAMP,
-    onset_months: int = DEFAULT_ONSET_MONTHS,
+    lookback: int = EwaThresholds.lookback_months,
+    config: AdjustConfig = AdjustConfig(),
 ) -> AdjustResult:
-    """Apply the post-forecast rules in order; every change is itemized.
+    """Apply the post-forecast rules in order, tuned by `config`; every
+    change is itemized. `apply_seasonal` is the caller's to honour: it
+    decides whether to pass `seasonal` at all.
 
     The rescale multiplies the entire series (not only future months) so a
     rerun with the same actuals computes a factor of 1 and changes nothing.
@@ -109,9 +119,9 @@ def adjust_forecast(
         else:
             _, absolute = pad(deviation(a, f), a)
             mean_abs_pad = float(np.nanmean(absolute))
-            if mean_abs_pad > pad_threshold:
+            if mean_abs_pad > config.pad_threshold:
                 raw = float(a.sum() / f.sum())
-                factor = float(np.clip(raw, *factor_bounds))
+                factor = float(np.clip(raw, config.factor_min, config.factor_max))
                 best *= factor
                 lci *= factor
                 uci *= factor
@@ -129,7 +139,7 @@ def adjust_forecast(
         nxt = calendar.successor(generation)
         after = calendar.successor(nxt.generation) if nxt is not None else None
         active = after is None or after.ga_month >= decision_point
-        damp = seasonal_damp if active else 1.0
+        damp = config.seasonal_damp if active else 1.0
         component = np.array([seasonal.seasonal_at(m) * damp for m in forecast.months()])
         best = np.maximum(best + component, 0.0)
         lci = np.maximum(lci + component, 0.0)
@@ -138,7 +148,7 @@ def adjust_forecast(
 
     # rule 4: no returns before the onset lag after this generation's own GA
     try:
-        onset = calendar.ga_month(generation) + onset_months
+        onset = calendar.ga_month(generation) + config.onset_months
     except MissingGaError:
         onset = None
         log.warning("adjust: %s has no GA entry; onset clamp skipped", generation)

@@ -109,8 +109,7 @@ def cmd_prepare(args) -> int:
         history, calendar, generation, MonthIndex.parse(args.cycle), config
     )
     write_history(out / "prepared.csv", [prepared.donor, prepared.current])
-    screen = outlier_screen(prepared.donor_id, prepared.normalization, prepared.outliers)
-    (out / "outliers.json").write_text(json_text(screen))
+    (out / "outliers.json").write_text(json_text(outlier_screen(prepared)))
     flagged = sum(r.count for r in prepared.outliers)
     print(
         f"prepare: donor {prepared.donor_id.name}, factor {prepared.normalization:.4f}, "
@@ -126,8 +125,8 @@ _STAGES = {
         "genealogy, correlations, lifecycle phases",
         "analysis.json",
         "analysis",
-        lambda o: f"donor {o.donor.name}, {len(o.correlations)} predictors "
-        f"({len(o.correlations.strong())} strong, {len(o.selected)} selected)",
+        lambda o: f"donor {o.donor.name}, {len(o.plan.table)} predictors "
+        f"({len(o.plan.table.strong())} strong, {len(o.plan.selected)} selected)",
     ),
     "train": (
         "fit the model zoo and rank by test MAPE",
@@ -160,8 +159,8 @@ _STAGES = {
         "run every stage and store the cycle record",
         "report.csv",
         None,
-        lambda o: f"{o.generation.name} {o.cycle_month} winner {o.forecast.model.label()} "
-        f"(test MAPE {o.forecast.test_mape:.2f}%), "
+        lambda o: f"{o.plan.generation.name} {o.plan.cycle_month} "
+        f"winner {o.forecast.model.label()} (test MAPE {o.forecast.test_mape:.2f}%), "
         f"alert {o.ewa.alert.value}, {o.ewa.recommendation.value}",
     ),
 }
@@ -186,7 +185,7 @@ def cmd_stage(args) -> int:
         path.write_text(json_text(outcome.to_dict()[key]))
     written = str(path)
     if writes:
-        written += f", {store.path_for(outcome.generation, outcome.cycle_month)}"
+        written += f", {store.path_for(outcome.plan.generation, outcome.plan.cycle_month)}"
     head = f"{summary(outcome)} -> " if summary else ""
     print(f"{args.command}: {head}{written}")
     return 0

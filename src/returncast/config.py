@@ -4,9 +4,11 @@ The method scatters a dozen magic numbers (sigma cuts, lag sets, phase
 lengths, alert thresholds); they all live here so a deployment can audit
 and override them in one place. Every value has a working default, written
 once: on the dataclass field, or on the module constant the field reads.
-The INI loader and the reference text `DEFAULT_CONFIG_TEXT` are both
-generated from these dataclasses, so a key exists exactly when its field
-does.
+Each section is one dataclass, here or beside the rules it tunes:
+`EwaThresholds` in `ewa.py`, `AdjustConfig` in `adjust.py` and the
+`[analysis]` strength cuts, `StrengthThresholds`, in `analysis.py`. The INI
+loader and the reference text `DEFAULT_CONFIG_TEXT` are both generated from
+these dataclasses, so a key exists exactly when its field does.
 """
 from __future__ import annotations
 
@@ -16,12 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, get_type_hints
 
-from .adjust import (
-    DEFAULT_FACTOR_BOUNDS,
-    DEFAULT_ONSET_MONTHS,
-    DEFAULT_PAD_THRESHOLD,
-    DEFAULT_SEASONAL_DAMP,
-)
+from .adjust import AdjustConfig
 from .analysis import (
     DEFAULT_PLATEAU_MONTHS,
     DEFAULT_RAMP_UP_MONTHS,
@@ -40,17 +37,17 @@ from .preprocess import DEFAULT_SIGMA_MULTIPLIER, DEFAULT_SMOOTHING_WINDOW
 # Field metadata `accepts`: (test, message) for a value the loader takes. A
 # value outside it would crash a fit, leave a model untrained, refuse a
 # cycle with a message that names no key, or leave a cycle with no valid
-# band or no forecast month after the zoo has trained.
+# band or no forecast month after the zoo has trained. A float key without
+# a range of its own takes any number but NaN.
 _AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
 _NON_NEGATIVE = {"accepts": (lambda value: value >= 0, "must be >= 0")}
 _POSITIVE = {"accepts": (lambda value: value > 0, "must be > 0")}
-_FINITE = {"accepts": (math.isfinite, "must be finite")}
 _FINITE_POSITIVE = {
     "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
 }
-_FINITE_NON_NEGATIVE = {
-    "accepts": (lambda value: math.isfinite(value) and value >= 0, "must be finite and >= 0")
-}
+# a wider band is no plan, and near 1e308 the band overflows to infinity
+_Z = {"accepts": (lambda value: 0 <= value <= 10, "must be finite and >= 0, at most 10")}
+_NOT_NAN = (lambda value: not math.isnan(value), "must not be NaN")
 _FRACTION = {"accepts": (lambda value: 0 < value < 1, "must be strictly between 0 and 1")}
 _LAGS = {
     "accepts": (
@@ -71,7 +68,7 @@ class PrepConfig:
 @dataclass(frozen=True)
 class PreprocessConfig:
     sigma_multiplier: float = field(default=DEFAULT_SIGMA_MULTIPLIER, metadata=_POSITIVE)
-    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
+    smoothing_window: int = field(default=DEFAULT_SMOOTHING_WINDOW, metadata=_AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ class AnalysisConfig:
 @dataclass(frozen=True)
 class ModelsConfig:
     train_fraction: float = field(default=TRAIN_FRACTION, metadata=_FRACTION)
-    z_multiplier: float = field(default=DEFAULT_Z_MULTIPLIER, metadata=_FINITE_NON_NEGATIVE)
+    z_multiplier: float = field(default=DEFAULT_Z_MULTIPLIER, metadata=_Z)
     cart_min_leaf: int = field(default=cart.DEFAULT_MIN_LEAF, metadata=_AT_LEAST_ONE)
     cart_max_depth: int = cart.DEFAULT_MAX_DEPTH
     chaid_min_segment: int = chaid.DEFAULT_MIN_SEGMENT
@@ -103,16 +100,6 @@ class ModelsConfig:
     seed: int = 0
     include_polynomial: bool = False
     include_phasewise: bool = False
-
-
-@dataclass(frozen=True)
-class AdjustConfig:
-    pad_threshold: float = DEFAULT_PAD_THRESHOLD
-    factor_min: float = DEFAULT_FACTOR_BOUNDS[0]
-    factor_max: float = DEFAULT_FACTOR_BOUNDS[1]
-    seasonal_damp: float = field(default=DEFAULT_SEASONAL_DAMP, metadata=_FINITE)
-    onset_months: int = DEFAULT_ONSET_MONTHS
-    apply_seasonal: bool = True
 
 
 @dataclass(frozen=True)
@@ -219,7 +206,8 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
     for name in names:
         section = getattr(defaults, name)
         kinds = {key: kind for key, kind, _ in _keys(section)}
-        ranges = {f.name: f.metadata["accepts"] for f in fields(section) if f.metadata}
+        ranges = {key: _NOT_NAN for key, kind, _ in _keys(section) if kind is float}
+        ranges.update((f.name, f.metadata["accepts"]) for f in fields(section) if f.metadata)
         values = {}
         for key, raw in parser.items(name) if parser.has_section(name) else ():
             if key not in kinds:

@@ -8,7 +8,8 @@ holds the zoo's model specs and the current generation's horizon matrix.
 `cycle_outcome` then scores the previous stored forecast (EWA), so a record
 EWA cannot score refuses before any training; `train_plan` races the plan's
 zoo and forecasts its horizon matrix with the winner; `finish_cycle`
-adjusts, recommends and builds the record.
+adjusts, recommends and builds the record. The `CycleOutcome` keeps the
+plan whole beside what the later stages made, so a plan fact has one home.
 `run_cycle` is those stages plus writing the record to the store.
 
 Cross-generation transfer works on a shifted time axis: donor and current
@@ -76,36 +77,39 @@ PredictorPlan = list[tuple[str, tuple[int, ...]]]
 
 @dataclass(frozen=True)
 class CycleOutcome:
-    """Everything one cycle produced, for reporting and persistence."""
+    """Everything one cycle produced, for reporting and persistence: its
+    plan, what training and the finish stage made of it, and the stored
+    record EWA scored."""
 
-    generation: GenerationId
-    cycle_month: MonthIndex
-    donor: GenerationId
-    outliers: tuple[OutlierReport, ...]
-    normalization: float
-    correlations: CorrelationTable
-    selected: tuple[str, ...]
-    phases: LifecyclePhases
+    plan: CyclePlan
     leaderboard: ModelLeaderboard
     forecast_raw: ForecastSeries
-    forecast: ForecastSeries
     adjustments: AdjustResult
-    actuals: FeatureSeries
-    previous_forecast: Optional[ForecastSeries]
+    previous: Optional[CycleRecord]  # None on a first cycle
     ewa: EwaReport
     record: CycleRecord
+
+    @property
+    def donor(self) -> GenerationId:
+        return self.plan.prepared.donor_id
+
+    @property
+    def forecast(self) -> ForecastSeries:
+        """The adjusted forecast, as recorded."""
+        return self.record.forecast
 
     def to_dict(self) -> dict:
         """Every stage artifact as JSON data, one key per artifact; the CLI
         stages write these (the table in `returncast.cli`)."""
+        plan = self.plan
         return to_json(
             {
-                "outliers": outlier_screen(self.donor, self.normalization, self.outliers),
+                "outliers": outlier_screen(plan.prepared),
                 "analysis": {
                     "donor": self.donor.name,
-                    "correlations": self.correlations.rows,
-                    "selected_predictors": self.selected,
-                    "phases": self.phases,
+                    "correlations": plan.table.rows,
+                    "selected_predictors": plan.selected,
+                    "phases": plan.phases,
                 },
                 "leaderboard": self.leaderboard,
                 "forecast": self.forecast_raw,
@@ -149,12 +153,14 @@ class CyclePlan:
     actuals: FeatureSeries
 
 
-def outlier_screen(
-    donor: GenerationId, normalization: float, outliers: tuple[OutlierReport, ...]
-) -> dict:
+def outlier_screen(prepared: PreparedHistories) -> dict:
     """The prepare stage's artifact, for `to_json`: donor, volume factor and
     the donor's outlier screens."""
-    return {"donor": donor.name, "normalization_factor": normalization, "outliers": outliers}
+    return {
+        "donor": prepared.donor_id.name,
+        "normalization_factor": prepared.normalization,
+        "outliers": prepared.outliers,
+    }
 
 
 # ------------------------------------------------------------------ stages
@@ -472,19 +478,15 @@ def finish_cycle(
     """Adjust the raw forecast, recommend from the EWA steps `score_previous`
     scored, and build the cycle's record; nothing is written."""
     config = plan.config
-    seasonal = _donor_seasonality(plan.prepared.donor, config)
     adjusted = adjust_forecast(
         forecast_raw,
         actuals=plan.actuals,
         calendar=plan.calendar,
         generation=plan.generation,
-        seasonal=seasonal,
+        seasonal=_donor_seasonality(plan.prepared.donor, config),
         decision_point=plan.cycle_month,
         lookback=config.ewa.lookback_months,
-        pad_threshold=config.adjust.pad_threshold,
-        factor_bounds=(config.adjust.factor_min, config.adjust.factor_max),
-        seasonal_damp=config.adjust.seasonal_damp,
-        onset_months=config.adjust.onset_months,
+        config=config.adjust,
     )
 
     ewa_report = recommend(plan.cycle_month, plan.actuals, adjusted.forecast, ewa_steps, config.ewa)
@@ -497,24 +499,7 @@ def finish_cycle(
         realized_actuals=plan.actuals,
         ewa=to_json(ewa_report),
     )
-    return CycleOutcome(
-        generation=plan.generation,
-        cycle_month=plan.cycle_month,
-        donor=plan.prepared.donor_id,
-        outliers=plan.prepared.outliers,
-        normalization=plan.prepared.normalization,
-        correlations=plan.table,
-        selected=plan.selected,
-        phases=plan.phases,
-        leaderboard=leaderboard,
-        forecast_raw=forecast_raw,
-        forecast=adjusted.forecast,
-        adjustments=adjusted,
-        actuals=plan.actuals,
-        previous_forecast=previous.forecast if previous else None,
-        ewa=ewa_report,
-        record=record,
-    )
+    return CycleOutcome(plan, leaderboard, forecast_raw, adjusted, previous, ewa_report, record)
 
 
 def cycle_outcome(

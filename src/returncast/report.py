@@ -76,7 +76,8 @@ def _band_at(
 
 def _monthly_rows(outcome: CycleOutcome) -> list[str]:
     """EWA-scored months, then the horizon, then quarterly subtotals."""
-    ewa, forecast = outcome.ewa, outcome.forecast
+    ewa, forecast, plan = outcome.ewa, outcome.forecast, outcome.plan
+    previous = outcome.previous.forecast if outcome.previous is not None else None
     scored: dict[MonthIndex, tuple[float, float, str]] = {}
     if ewa.step1 is not None:
         step = ewa.step1
@@ -93,15 +94,15 @@ def _monthly_rows(outcome: CycleOutcome) -> list[str]:
     rows = []
     for m in sorted(set(scored) | set(forecast.months())):
         in_horizon = m in forecast.interval
-        is_cycle_row = m == outcome.cycle_month
-        bands = forecast if in_horizon else outcome.previous_forecast
+        is_cycle_row = m == plan.cycle_month
+        bands = forecast if in_horizon else previous
         dev, pad, color = scored.get(m, (None, None, ""))
         notes = ";".join(
             n.describe() for n in outcome.adjustments.notes if m in n.months
         )
         cells = [
             str(m),
-            _num(outcome.actuals.value_at(m)),
+            _num(plan.actuals.value_at(m)),
             *(_num(_band_at(bands, m, band)) for band in _BANDS),
             _num(forecast.test_mape) if is_cycle_row else "",
             _num(dev),
@@ -124,18 +125,18 @@ def _monthly_rows(outcome: CycleOutcome) -> list[str]:
 
 def render_report(outcome: CycleOutcome) -> str:
     """Render the full report; `emit_report` writes it to a file."""
-    ewa = outcome.ewa
+    ewa, plan = outcome.ewa, outcome.plan
     meta = [
-        ("cycle", str(outcome.cycle_month)),
-        ("generation", outcome.generation.name),
+        ("cycle", str(plan.cycle_month)),
+        ("generation", plan.generation.name),
         ("donor", outcome.donor.name),
-        ("normalization_factor", _num(outcome.normalization)),
+        ("normalization_factor", _num(plan.prepared.normalization)),
         ("winning_model", outcome.forecast.model.label()),
-        ("selected_predictors", ";".join(outcome.selected)),
+        ("selected_predictors", ";".join(plan.selected)),
         ("planner_choice", outcome.record.planner_selected.value),
         ("first_cycle", _flag(ewa.first_cycle)),
     ]
-    phases = [(name, getattr(outcome.phases, name)) for name in ("ramp_up", "plateau", "ramp_down")]
+    phases = [(name, getattr(plan.phases, name)) for name in ("ramp_up", "plateau", "ramp_down")]
     six_mean, six_sd = ewa.six_month if ewa.six_month is not None else (None, None)
     stats = [
         ("first_cycle", _flag(ewa.first_cycle)),
@@ -167,12 +168,12 @@ def render_report(outcome: CycleOutcome) -> str:
         ],
         [
             f"{entry.predictor},{_num(entry.pearson_r)},{entry.strength.value}"
-            for entry in outcome.correlations
+            for entry in plan.table
         ],
         [f"{name},{iv.start},{iv.end}" for name, iv in phases],
         [
             f"{report.feature},{month},{_num(value)},{_num(report.lower)},{_num(report.upper)}"
-            for report in outcome.outliers
+            for report in plan.prepared.outliers
             for month, value in zip(report.months, report.values)
         ],
         [

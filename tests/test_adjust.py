@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from returncast.adjust import adjust_forecast
+from returncast.adjust import AdjustConfig, adjust_forecast
 from returncast.analysis import decompose_seasonal
 from returncast.core import GenerationId
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
@@ -113,6 +113,18 @@ def test_seasonal_without_two_launches_ahead_stays_dampened():
         forecast, None, CAL, GEN2, seasonal=seasonal, decision_point=month("2014-01")
     )
     assert result.notes[0].factor == pytest.approx(0.8)
+
+
+def test_seasonal_damp_comes_from_the_config():
+    seasonal = _seasonal()
+    forecast = forecast_of([100.0] * 12, start="2012-02")
+    expect = np.array([seasonal.seasonal_at(m) for m in forecast.months()])
+    result = adjust_forecast(
+        forecast, None, CAL, GEN1, seasonal=seasonal, decision_point=month("2011-06"),
+        config=AdjustConfig(seasonal_damp=0.5),
+    )
+    assert result.notes[0].factor == 0.5
+    assert np.allclose(result.forecast.best_fit, 100.0 + 0.5 * expect)
 
 
 def test_seasonal_floor_at_zero():

@@ -8,7 +8,7 @@ import pytest
 
 import returncast.cli as cli
 from returncast.analysis import StrengthThresholds
-from returncast.config import DEFAULT_CONFIG_TEXT, AppConfig, load_config
+from returncast.config import DEFAULT_CONFIG_TEXT, AppConfig, _keys, load_config
 from returncast.errors import ValidationError
 from returncast.ewa import SIGNED_WEIGHTS
 
@@ -135,11 +135,38 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         ("[ewa]\nscore_window = 0\n", "[ewa] score_window"),
         ("[adjust]\nseasonal_damp = nan\n", "[adjust] seasonal_damp"),
         ("[adjust]\nseasonal_damp = -inf\n", "[adjust] seasonal_damp"),
+        # values that train the whole zoo and then overflow the forecast
+        ("[adjust]\nseasonal_damp = 1e308\n", "[adjust] seasonal_damp"),
+        ("[adjust]\nseasonal_damp = -1e308\n", "[adjust] seasonal_damp"),
+        ("[models]\nz_multiplier = 1e308\n", "[models] z_multiplier"),
+        # a value that refuses any cycle whose donor has an outlier
+        ("[preprocess]\nsmoothing_window = 0\n", "[preprocess] smoothing_window"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
     with pytest.raises(ValidationError, match=re.escape(where)):
         _load(tmp_path, text)
+
+
+FLOAT_KEYS = [
+    (section.name, key)
+    for section in fields(AppConfig)
+    for key, kind, _ in _keys(getattr(AppConfig(), section.name))
+    if kind is float
+]
+
+
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_nan_is_rejected_for_every_float_key(tmp_path, section, key):
+    with pytest.raises(ValidationError, match=re.escape(f"[{section}] {key} = 'nan'")):
+        _load(tmp_path, f"[{section}]\n{key} = nan\n")
+
+
+def test_inf_stays_accepted_where_the_range_allows_it(tmp_path):
+    config = _load(
+        tmp_path, "[preprocess]\nsigma_multiplier = inf\n[ewa]\nretrain_pad = inf\n"
+    )
+    assert config.preprocess.sigma_multiplier == config.ewa.retrain_pad == float("inf")
 
 
 @pytest.mark.parametrize(
@@ -195,7 +222,7 @@ def test_smallest_accepted_prep_and_cycle_values_load(tmp_path):
     assert config.models.train_fraction == 0.01
     assert (config.ewa.lookback_months, config.ewa.score_window) == (1, 1)
     assert config.ewa.projection_window == 1
-    assert config.adjust.seasonal_damp == -2.5  # finite is all it needs
+    assert config.adjust.seasonal_damp == -2.5  # only its size is bounded
 
 
 def test_smallest_accepted_band_and_pipeline_values_load(tmp_path):
@@ -229,6 +256,18 @@ def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
         ("[ewa]\nprojection_window = 0\n", "[ewa] projection_window = '0': must be >= 1"),
         ("[ewa]\nscore_window = 0\n", "[ewa] score_window = '0': must be >= 1"),
         ("[adjust]\nseasonal_damp = nan\n", "[adjust] seasonal_damp = 'nan': must be finite"),
+        (
+            "[adjust]\nseasonal_damp = 1e308\n",
+            "[adjust] seasonal_damp = '1e308': must be finite and between -10 and 10",
+        ),
+        (
+            "[models]\nz_multiplier = 1e308\n",
+            "[models] z_multiplier = '1e308': must be finite and >= 0, at most 10",
+        ),
+        (
+            "[preprocess]\nsmoothing_window = 0\n",
+            "[preprocess] smoothing_window = '0': must be >= 1",
+        ),
     ],
 )
 def test_run_cycle_exits_1_before_training_on_a_value_that_leaves_no_report(

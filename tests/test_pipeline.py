@@ -1,4 +1,5 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
+import dataclasses
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -296,16 +297,16 @@ def test_run_cycle_produces_a_complete_outcome(scenario, tmp_path):
     outcome = run_cycle(series, calendar, "gen2", month("2012-09"), store=store)
 
     assert outcome.donor.name == "gen1"
-    assert outcome.cycle_month == month("2012-09")
+    assert outcome.plan.cycle_month == month("2012-09")
     assert len(outcome.forecast) == 12
     assert outcome.forecast.start == month("2012-09")
     assert (outcome.forecast.lci <= outcome.forecast.best_fit).all()
     assert (outcome.forecast.best_fit <= outcome.forecast.uci).all()
-    assert outcome.normalization > 0
+    assert outcome.plan.prepared.normalization > 0
     assert len(outcome.leaderboard) == 5
-    assert outcome.selected  # at least one predictor chosen
+    assert outcome.plan.selected  # at least one predictor chosen
     assert outcome.ewa.first_cycle  # nothing stored before this cycle
-    assert store.load_cycle(outcome.generation, month("2012-09")) is not None
+    assert store.load_cycle(outcome.plan.generation, month("2012-09")) is not None
 
 
 def test_run_cycle_second_cycle_validates_the_first(tmp_path):
@@ -318,7 +319,7 @@ def test_run_cycle_second_cycle_validates_the_first(tmp_path):
     run_cycle(series, calendar, "gen2", month("2012-09"), store=store, choice=PlannerChoice.UCI)
     outcome = run_cycle(series, calendar, "gen2", month("2012-12"), store=store)
     assert not outcome.ewa.first_cycle
-    assert outcome.previous_forecast is not None
+    assert outcome.previous is not None
     assert outcome.ewa.step1 is not None
     assert outcome.ewa.step2 is not None  # planner series came from the stored record
     assert outcome.ewa.score is not None
@@ -358,7 +359,7 @@ def test_run_cycle_is_deterministic(scenario):
     b = run_cycle(series, calendar, "gen2", month("2012-09"))
     assert np.array_equal(a.forecast.best_fit, b.forecast.best_fit)
     assert np.array_equal(a.forecast.lci, b.forecast.lci)
-    assert a.selected == b.selected
+    assert a.plan.selected == b.plan.selected
     assert [r.spec.kind for r in a.leaderboard] == [r.spec.kind for r in b.leaderboard]
     # dict equality trips over NaN != NaN, so compare serialized form
     assert json_text(a.to_dict()) == json_text(b.to_dict())
@@ -527,3 +528,45 @@ def test_plan_lists_the_zoo_and_the_horizon_matrix_without_a_fit(monkeypatch):
         assert len(plan.horizon_matrix) == config.pipeline.horizon_months
     # the sweep's 7 reports and its 33 refusals after planning, all EWA's
     assert planned == 40
+
+
+def _same(a, b) -> bool:
+    """Deep equality of dataclasses, containers and arrays, NaN equal to NaN."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, float):
+        return isinstance(b, float) and (a == b or (np.isnan(a) and np.isnan(b)))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def test_outcome_keeps_its_plan_its_record_and_the_previous_record_ewa_scored(tmp_path):
+    """Every report of the seed-0 sweep holds the plan `plan_cycle` makes
+    from the same inputs, the recorded forecast, and as `previous` the
+    stored record the store hands that cycle."""
+    series, calendar, _ = _sweep_cycles()
+    config = AppConfig()
+    reported = scored = 0
+    for generation, cycle_month, outcome in lifecycle_cycles(series, calendar, tmp_path, config):
+        if isinstance(outcome, Exception):
+            continue
+        reported += 1
+        where = f"{generation} {cycle_month}"
+        plan = plan_cycle(series, calendar, generation, cycle_month, config)
+        assert _same(outcome.plan, plan), where
+        assert outcome.forecast is outcome.record.forecast, where
+        # strictly before the cycle month, so this cycle's own record is skipped
+        previous = CycleStore(tmp_path / generation).load_previous_cycle(
+            outcome.plan.generation, cycle_month
+        )
+        assert _same(outcome.previous, previous), where
+        scored += previous is not None
+    # the sweep's 7 reports; all but each generation's first scored a record
+    assert (reported, scored) == (7, 5)

@@ -39,7 +39,7 @@ def test_report_validates_and_parses(outcomes):
     first, second = outcomes
     for outcome in (first, second):
         parsed = validate_report(render_report(outcome))
-        assert parsed["metadata"]["cycle"] == str(outcome.cycle_month)
+        assert parsed["metadata"]["cycle"] == str(outcome.plan.cycle_month)
         assert parsed["metadata"]["generation"] == "gen2"
         assert parsed["metadata"]["donor"] == "gen1"
         assert len(parsed["leaderboard"]) == 5
@@ -52,7 +52,7 @@ def test_first_cycle_report_leaves_validation_cells_empty(outcomes):
     assert parsed["metadata"]["first_cycle"] == "true"
     assert parsed["ewa"]["score"] == ""
     assert parsed["ewa"]["steps_disagree"] == ""
-    cycle_row = parsed["months"][str(first.cycle_month)]
+    cycle_row = parsed["months"][str(first.plan.cycle_month)]
     assert cycle_row[11] == "None"  # alert column
     assert cycle_row[12] == "UseBestFit"
 
@@ -109,7 +109,7 @@ def test_emit_report_writes_validated_bytes(outcomes, tmp_path):
 def test_monthly_rows_cover_the_horizon(outcomes):
     first, _ = outcomes
     parsed = validate_report(render_report(first))
-    horizon = [m for m in parsed["months"] if MonthIndex.parse(m) >= first.cycle_month]
+    horizon = [m for m in parsed["months"] if MonthIndex.parse(m) >= first.plan.cycle_month]
     assert len(horizon) == 12
     for m in horizon:
         row = parsed["months"][m]
