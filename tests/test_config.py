@@ -43,6 +43,12 @@ def test_reference_text_lists_every_field():
         assert list(parser[f.name]) == expected, f.name
 
 
+def test_reference_text_matches_the_committed_file():
+    # the keys, their order and every default as a deployment reads them
+    committed = Path(__file__).parent / "fixtures" / "default_config.ini"
+    assert committed.read_bytes() == DEFAULT_CONFIG_TEXT.encode()
+
+
 # accepted and validated so that existing config files load, read by nothing
 NO_OP_KEYS = {("prep", "moving_averages")}
 
