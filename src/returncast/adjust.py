@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FeatureSeries, GaCalendar, GenerationId, MonthIndex, MonthInterval, defined_on
-from .errors import MissingGaError
+from .errors import MissingGaError, ValidationError
 from .analysis import SeasonalDecomposition
 from .ewa import EwaThresholds
 from .models import ForecastSeries
@@ -38,6 +38,12 @@ class AdjustConfig:
     seasonal_damp: float = field(default=0.8, metadata=_DAMP)  # while the generation is active
     onset_months: int = 12  # months after GA before any return
     apply_seasonal: bool = True
+
+    def __post_init__(self):
+        if not self.factor_min <= self.factor_max:
+            raise ValidationError(
+                f"need factor_min <= factor_max, got {self.factor_min}, {self.factor_max}"
+            )
 
 
 @dataclass(frozen=True)

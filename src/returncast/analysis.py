@@ -4,12 +4,15 @@ The forecasting approach leans on structure rather than volume: a returns
 curve has three GA-anchored phases, the best prior generation is found by
 correlating GA-aligned histories, and only strongly correlated predictors
 are allowed into the models.
+
+`AnalysisConfig`, the `[analysis]` config section, tunes these rules and
+holds their defaults.
 """
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,11 +28,27 @@ from .errors import NumericError, ValidationError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_RAMP_UP_MONTHS = 15
-DEFAULT_PLATEAU_MONTHS = 10
-DEFAULT_SEASONAL_PERIOD = 12
-MIN_GENEALOGY_OVERLAP = 6
 MIN_CORRELATION_POINTS = 3
+
+# `accepts` is the range the config loader takes, as in `returncast.config`
+_NON_NEGATIVE = {"accepts": (lambda value: value >= 0, "must be >= 0")}
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    # |r| cut points: below `medium_at` is Weak, at/above `strong_at` is Strong
+    medium_at: float = 0.15
+    strong_at: float = 0.186
+    ramp_up_months: int = field(default=15, metadata=_NON_NEGATIVE)
+    plateau_months: int = 10  # when the calendar has no launch two generations out
+    seasonal_period: int = 12
+    min_genealogy_overlap: int = 6  # aligned post-trigger return months a donor needs
+
+    def __post_init__(self):
+        if not 0 < self.medium_at < self.strong_at <= 1:
+            raise ValidationError(
+                f"need 0 < medium_at < strong_at <= 1, got {self.medium_at}, {self.strong_at}"
+            )
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -61,8 +80,8 @@ def segment_lifecycle(
     returns: FeatureSeries,
     calendar: GaCalendar,
     generation: GenerationId,
-    ramp_up_months: int = DEFAULT_RAMP_UP_MONTHS,
-    plateau_months: int = DEFAULT_PLATEAU_MONTHS,
+    ramp_up_months: int = AnalysisConfig.ramp_up_months,
+    plateau_months: int = AnalysisConfig.plateau_months,
 ) -> LifecyclePhases:
     """Split the post-trigger domain into ramp-up / plateau / ramp-down.
 
@@ -100,23 +119,6 @@ class Strength(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class StrengthThresholds:
-    """|r| cut points: below `medium_at` is Weak, at/above `strong_at` is Strong."""
-
-    medium_at: float = 0.15
-    strong_at: float = 0.186
-
-    def __post_init__(self):
-        if not 0 < self.medium_at < self.strong_at <= 1:
-            raise ValidationError(
-                f"need 0 < medium_at < strong_at <= 1, got {self.medium_at}, {self.strong_at}"
-            )
-
-
-DEFAULT_THRESHOLDS = StrengthThresholds()
-
-
 def _paired_defined(a: FeatureSeries, b: FeatureSeries) -> tuple[np.ndarray, np.ndarray]:
     window = a.interval.intersect(b.interval)
     if window.is_empty:
@@ -147,14 +149,14 @@ def pearson(a: FeatureSeries, b: FeatureSeries) -> float:
     return _pearson_arrays(x, y, f"pearson({a.name}, {b.name})")
 
 
-def classify_strength(r: float, thresholds: StrengthThresholds = DEFAULT_THRESHOLDS) -> Strength:
-    """Label a correlation by magnitude; sign is ignored."""
+def classify_strength(r: float, config: AnalysisConfig = AnalysisConfig()) -> Strength:
+    """Label a correlation by magnitude at the config's cuts; sign is ignored."""
     magnitude = abs(float(r))
     if magnitude > 1.0 + 1e-12:
         raise ValidationError(f"correlation out of range: {r}")
-    if magnitude < thresholds.medium_at:
+    if magnitude < config.medium_at:
         return Strength.WEAK
-    if magnitude < thresholds.strong_at:
+    if magnitude < config.strong_at:
         return Strength.MEDIUM
     return Strength.STRONG
 
@@ -184,7 +186,7 @@ class CorrelationTable:
 def build_correlation_table(
     predictors: list[FeatureSeries],
     target: FeatureSeries,
-    thresholds: StrengthThresholds = DEFAULT_THRESHOLDS,
+    config: AnalysisConfig = AnalysisConfig(),
 ) -> CorrelationTable:
     """Correlate each predictor with the target over their defined overlap.
 
@@ -203,7 +205,7 @@ def build_correlation_table(
                 predictor=p.name,
                 target=target.name,
                 pearson_r=r,
-                strength=classify_strength(r, thresholds),
+                strength=classify_strength(r, config),
             )
         )
     return CorrelationTable(rows=tuple(rows))
@@ -239,7 +241,7 @@ def genealogy_match(
     current: GenerationSeries,
     candidates: list[GenerationSeries],
     calendar: GaCalendar,
-    min_overlap: int = MIN_GENEALOGY_OVERLAP,
+    min_overlap: int = AnalysisConfig.min_genealogy_overlap,
 ) -> GenerationId:
     """Pick the prior generation whose GA-aligned history best matches `current`.
 
@@ -323,7 +325,7 @@ def _centered_trend(values: np.ndarray, period: int) -> np.ndarray:
 
 
 def decompose_seasonal(
-    feature: FeatureSeries, period: int = DEFAULT_SEASONAL_PERIOD
+    feature: FeatureSeries, period: int = AnalysisConfig.seasonal_period
 ) -> SeasonalDecomposition:
     """Classical additive decomposition with a centered moving-average trend."""
     if period < 2:

@@ -4,11 +4,13 @@ The method scatters a dozen magic numbers (sigma cuts, lag sets, phase
 lengths, alert thresholds); they all live here so a deployment can audit
 and override them in one place. Every value has a working default, written
 once: on the dataclass field, or on the module constant the field reads.
-Each section is one dataclass, here or beside the rules it tunes:
-`EwaThresholds` in `ewa.py`, `AdjustConfig` in `adjust.py` and the
-`[analysis]` strength cuts, `StrengthThresholds`, in `analysis.py`. The INI
-loader and the reference text `DEFAULT_CONFIG_TEXT` are both generated from
-these dataclasses, so a key exists exactly when its field does.
+Each section is one flat dataclass, here or beside the rules it tunes:
+`AnalysisConfig` in `analysis.py`, `EwaThresholds` in `ewa.py` and
+`AdjustConfig` in `adjust.py`. The INI loader and the reference text
+`DEFAULT_CONFIG_TEXT` are both generated from these dataclasses, so a key
+exists exactly when its field does. `load_config` is the one place that
+refuses a value: a key outside its field's range, or a section whose own
+rule across two keys fails, is named in the error.
 """
 from __future__ import annotations
 
@@ -19,13 +21,7 @@ from pathlib import Path
 from typing import Iterator, Optional, get_type_hints
 
 from .adjust import AdjustConfig
-from .analysis import (
-    DEFAULT_PLATEAU_MONTHS,
-    DEFAULT_RAMP_UP_MONTHS,
-    DEFAULT_SEASONAL_PERIOD,
-    MIN_GENEALOGY_OVERLAP,
-    StrengthThresholds,
-)
+from .analysis import AnalysisConfig
 from .errors import ValidationError
 from .ewa import SIGNED_WEIGHTS, EwaThresholds, ScoreWeights
 from .models import cart, chaid, neural, timeseries
@@ -72,16 +68,6 @@ class PreprocessConfig:
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    # INI keys `medium_at` and `strong_at`, directly under [analysis]
-    strength: StrengthThresholds = field(default_factory=StrengthThresholds)
-    ramp_up_months: int = field(default=DEFAULT_RAMP_UP_MONTHS, metadata=_NON_NEGATIVE)
-    plateau_months: int = DEFAULT_PLATEAU_MONTHS
-    seasonal_period: int = DEFAULT_SEASONAL_PERIOD
-    min_genealogy_overlap: int = MIN_GENEALOGY_OVERLAP
-
-
-@dataclass(frozen=True)
 class ModelsConfig:
     train_fraction: float = field(default=TRAIN_FRACTION, metadata=_FRACTION)
     z_multiplier: float = field(default=DEFAULT_Z_MULTIPLIER, metadata=_Z)
@@ -97,7 +83,7 @@ class ModelsConfig:
     )
     ts_seasonal: bool = False
     ts_period: int = field(default=timeseries.DEFAULT_PERIOD, metadata=_AT_LEAST_ONE)
-    seed: int = 0
+    seed: int = field(default=0, metadata=_NON_NEGATIVE)
     include_polynomial: bool = False
     include_phasewise: bool = False
 
@@ -127,18 +113,10 @@ WEIGHT_PRESETS = {"literal": ScoreWeights(), "signed": SIGNED_WEIGHTS}
 
 
 def _keys(section) -> Iterator[tuple[str, object, object]]:
-    """(INI key, type, value) for each field of one section, in field order.
-
-    The strength thresholds are the one nested dataclass whose fields are
-    keys of the enclosing section.
-    """
+    """(INI key, type, value) for each field of one section, in field order."""
     hints = get_type_hints(type(section))
     for f in fields(section):
-        value = getattr(section, f.name)
-        if isinstance(value, StrengthThresholds):
-            yield from _keys(value)
-        else:
-            yield f.name, hints[f.name], value
+        yield f.name, hints[f.name], getattr(section, f.name)
 
 
 def _parse(kind, raw: str):
@@ -163,18 +141,6 @@ def _format(value) -> str:
     if isinstance(value, ScoreWeights):
         return next(name for name, preset in WEIGHT_PRESETS.items() if preset == value)
     return str(value)
-
-
-def _override(section, values: dict):
-    """`section` with the given key values in place of its own."""
-    changes = {}
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if isinstance(value, StrengthThresholds):
-            changes[f.name] = _override(value, values)
-        elif f.name in values:
-            changes[f.name] = values[f.name]
-    return replace(section, **changes)
 
 
 def load_config(path: Optional[str | Path] = None) -> AppConfig:
@@ -220,7 +186,10 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
                 raise ValidationError(
                     f"bad config value [{name}] {key} = {raw!r}: {exc}"
                 ) from None
-        sections[name] = _override(section, values)
+        try:
+            sections[name] = replace(section, **values)
+        except ValidationError as exc:  # the section's own rule across its keys
+            raise ValidationError(f"bad config value [{name}]: {exc}") from None
     return AppConfig(**sections)
 
 

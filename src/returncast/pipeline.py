@@ -432,7 +432,7 @@ def plan_cycle(
         )
     usable = coverage_greedy(usable, donor_target, config.pipeline.min_matrix_rows)
 
-    table = build_correlation_table(usable, donor_target, config.analysis.strength)
+    table = build_correlation_table(usable, donor_target, config.analysis)
     if not len(table):
         raise ValidationError("every usable predictor is degenerate on the donor history")
     chosen = select_for_model(table, usable, config.pipeline.max_predictors)

@@ -5,6 +5,7 @@ import pytest
 from returncast.adjust import AdjustConfig, adjust_forecast
 from returncast.analysis import decompose_seasonal
 from returncast.core import GenerationId
+from returncast.errors import ValidationError
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
 
 from helpers import family_calendar, fs, month
@@ -56,6 +57,17 @@ def test_rescale_factor_is_bounded():
     actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
     result = adjust_forecast(forecast, actuals, CAL, GEN1)
     assert result.notes[0].factor == pytest.approx(0.5)  # raw 1/6 clips to the floor
+
+
+def test_rescale_clamp_must_be_ordered():
+    # reversed, np.clip would return factor_max for every ratio
+    with pytest.raises(ValidationError, match="need factor_min <= factor_max, got 3.0, 2.0"):
+        AdjustConfig(factor_min=3.0, factor_max=2.0)
+    forecast = forecast_of([600.0] * 3)
+    actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
+    pinned = AdjustConfig(factor_min=0.75, factor_max=0.75)
+    result = adjust_forecast(forecast, actuals, CAL, GEN1, config=pinned)
+    assert result.notes[0].factor == 0.75
 
 
 def test_rescale_is_idempotent_on_values():

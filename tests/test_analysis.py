@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from returncast.analysis import (
+    AnalysisConfig,
     Strength,
-    StrengthThresholds,
     build_correlation_table,
     classify_strength,
     decompose_seasonal,
@@ -55,7 +55,7 @@ def test_classify_strength_boundaries():
 
 def test_strength_thresholds_ordering():
     with pytest.raises(ValidationError):
-        StrengthThresholds(medium_at=0.3, strong_at=0.2)
+        AnalysisConfig(medium_at=0.3, strong_at=0.2)
 
 
 def test_pearson_matches_numpy_on_overlap():

@@ -7,10 +7,14 @@ from pathlib import Path
 import pytest
 
 import returncast.cli as cli
-from returncast.analysis import StrengthThresholds
 from returncast.config import DEFAULT_CONFIG_TEXT, AppConfig, _keys, load_config
-from returncast.errors import ValidationError
+from returncast.errors import NumericError, ValidationError
 from returncast.ewa import SIGNED_WEIGHTS
+from returncast.pipeline import run_cycle
+from returncast.report import render_report, validate_report
+from returncast.synth import ScenarioSpec, generate
+
+from helpers import month
 
 
 def _load(tmp_path, text):
@@ -33,13 +37,7 @@ def test_reference_text_lists_every_field():
     config = AppConfig()
     assert parser.sections() == [f.name for f in fields(config)]
     for f in fields(config):
-        section = getattr(config, f.name)
-        expected = []
-        for g in fields(section):
-            if isinstance(getattr(section, g.name), StrengthThresholds):
-                expected += [h.name for h in fields(StrengthThresholds)]
-            else:
-                expected.append(g.name)
+        expected = [g.name for g in fields(getattr(config, f.name))]
         assert list(parser[f.name]) == expected, f.name
 
 
@@ -83,7 +81,7 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         "[adjust]\napply_seasonal = false\n",
     )
     assert config.prep.lags == (12, 18)
-    assert config.analysis.strength == StrengthThresholds(medium_at=0.15, strong_at=0.3)
+    assert (config.analysis.medium_at, config.analysis.strong_at) == (0.15, 0.3)
     assert config.analysis.ramp_up_months == 9
     assert (config.models.seed, config.models.z_multiplier) == (3, 1.5)
     assert config.models.include_phasewise is True
@@ -147,6 +145,12 @@ def test_non_default_values_of_each_type_round_trip(tmp_path):
         ("[models]\nz_multiplier = 1e308\n", "[models] z_multiplier"),
         # a value that refuses any cycle whose donor has an outlier
         ("[preprocess]\nsmoothing_window = 0\n", "[preprocess] smoothing_window"),
+        # a value that crashes the NN fit
+        ("[models]\nseed = -1\n", "[models] seed"),
+        # rules across two keys of one section name the section
+        ("[analysis]\nmedium_at = 0.5\n", "[analysis]: need 0 < medium_at < strong_at <= 1"),
+        ("[analysis]\nstrong_at = 1.5\n", "[analysis]: need 0 < medium_at < strong_at <= 1"),
+        ("[adjust]\nfactor_min = 3\nfactor_max = 2\n", "[adjust]: need factor_min <= factor_max"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
@@ -274,6 +278,15 @@ def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
             "[preprocess]\nsmoothing_window = 0\n",
             "[preprocess] smoothing_window = '0': must be >= 1",
         ),
+        ("[models]\nseed = -1\n", "[models] seed = '-1': must be >= 0"),
+        (
+            "[analysis]\nmedium_at = 0.5\n",
+            "[analysis]: need 0 < medium_at < strong_at <= 1, got 0.5, 0.186",
+        ),
+        (
+            "[adjust]\nfactor_min = 3\nfactor_max = 2\n",
+            "[adjust]: need factor_min <= factor_max, got 3.0, 2.0",
+        ),
     ],
 )
 def test_run_cycle_exits_1_before_training_on_a_value_that_leaves_no_report(
@@ -292,3 +305,42 @@ def test_run_cycle_exits_1_before_training_on_a_value_that_leaves_no_report(
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def demo():
+    return generate(ScenarioSpec(generations=3, months_after_final_ga=8, seed=0))
+
+
+# integer keys with no lower bound of their own
+UNBOUNDED_KEYS = [
+    ("models", "seed"),
+    ("models", "cart_max_depth"),
+    ("models", "chaid_min_segment"),
+    ("analysis", "plateau_months"),
+    ("analysis", "seasonal_period"),
+    ("analysis", "min_genealogy_overlap"),
+    ("prep", "receipt_exclusion_months"),
+    ("adjust", "onset_months"),
+    ("pipeline", "min_matrix_rows"),
+]
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("section, key", UNBOUNDED_KEYS)
+def test_a_low_value_is_refused_at_load_or_ends_the_demo_cycle(
+    tmp_path, demo, section, key, value
+):
+    """The loader refuses the value naming its key, or the README demo's
+    first cycle ends in a report or a refusal; never in a traceback."""
+    try:
+        config = _load(tmp_path, f"[{section}]\n{key} = {value}\n")
+    except ValidationError as exc:
+        assert f"[{section}] {key} = '{value}'" in str(exc)
+        return
+    series, calendar, _ = demo
+    try:
+        outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=config)
+    except (ValidationError, NumericError):
+        return
+    validate_report(render_report(outcome))
