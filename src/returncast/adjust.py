@@ -25,7 +25,7 @@ from .models.base import deviation, pad
 
 log = logging.getLogger(__name__)
 
-# `accepts` is the range the config loader takes, as in `returncast.config`;
+# `accepts` is the range the config loader takes, as in `returncast.errors`;
 # a larger damp lets the seasonal layer overflow the forecast to infinity
 _DAMP = {"accepts": (lambda value: -10 <= value <= 10, "must be finite and between -10 and 10")}
 

@@ -24,14 +24,11 @@ from .core import (
     MonthIndex,
     MonthInterval,
 )
-from .errors import NumericError, ValidationError
+from .errors import NON_NEGATIVE, NumericError, ValidationError
 
 log = logging.getLogger(__name__)
 
 MIN_CORRELATION_POINTS = 3
-
-# `accepts` is the range the config loader takes, as in `returncast.config`
-_NON_NEGATIVE = {"accepts": (lambda value: value >= 0, "must be >= 0")}
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class AnalysisConfig:
     # |r| cut points: below `medium_at` is Weak, at/above `strong_at` is Strong
     medium_at: float = 0.15
     strong_at: float = 0.186
-    ramp_up_months: int = field(default=15, metadata=_NON_NEGATIVE)
+    ramp_up_months: int = field(default=15, metadata=NON_NEGATIVE)
     plateau_months: int = 10  # when the calendar has no launch two generations out
     seasonal_period: int = 12
     min_genealogy_overlap: int = 6  # aligned post-trigger return months a donor needs

@@ -1,115 +1,30 @@
-"""Configuration: one INI file holding every tunable threshold.
+"""Configuration: the INI codec for `AppConfig`, one file holding every
+tunable threshold, so a deployment can audit and override them in one place.
 
-The method scatters a dozen magic numbers (sigma cuts, lag sets, phase
-lengths, alert thresholds); they all live here so a deployment can audit
-and override them in one place. Every value has a working default, written
-once: on the dataclass field, or on the module constant the field reads.
-Each section is one flat dataclass, here or beside the rules it tunes:
-`AnalysisConfig` in `analysis.py`, `EwaThresholds` in `ewa.py` and
-`AdjustConfig` in `adjust.py`. The INI loader and the reference text
-`DEFAULT_CONFIG_TEXT` are both generated from these dataclasses, so a key
+Each section is one flat dataclass beside the rules it tunes, with each
+default written once, on its field: `PrepConfig` (prep.py),
+`PreprocessConfig` (preprocess.py), `AnalysisConfig` (analysis.py),
+`ModelsConfig` (models/base.py), `EwaThresholds` (ewa.py), `AdjustConfig`
+(adjust.py), and `PipelineConfig` with `AppConfig` itself (pipeline.py).
+The loader and `DEFAULT_CONFIG_TEXT` are both generated from them, so a key
 exists exactly when its field does. `load_config` is the one place that
-refuses a value: a key outside its field's range, or a section whose own
-rule across two keys fails, is named in the error.
+refuses a value: a key outside its field's `accepts` range (the shared
+ranges live in errors.py), or a section whose own rule across two keys
+fails, is named in the error.
 """
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, get_type_hints
 
-from .adjust import AdjustConfig
-from .analysis import AnalysisConfig
 from .errors import ValidationError
-from .ewa import SIGNED_WEIGHTS, EwaThresholds, ScoreWeights
-from .models import cart, chaid, neural, timeseries
-from .models.base import DEFAULT_Z_MULTIPLIER, TRAIN_FRACTION
-from .prep import RECEIPT_EXCLUSION_MONTHS
-from .preprocess import DEFAULT_SIGMA_MULTIPLIER, DEFAULT_SMOOTHING_WINDOW
+from .pipeline import AppConfig
 
-
-# Field metadata `accepts`: (test, message) for a value the loader takes. A
-# value outside it would crash a fit, leave a model untrained, refuse a
-# cycle with a message that names no key, or leave a cycle with no valid
-# band or no forecast month after the zoo has trained. A float key without
-# a range of its own takes any number but NaN.
-_AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
-_NON_NEGATIVE = {"accepts": (lambda value: value >= 0, "must be >= 0")}
-_POSITIVE = {"accepts": (lambda value: value > 0, "must be > 0")}
-_FINITE_POSITIVE = {
-    "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
-}
-# a wider band is no plan, and near 1e308 the band overflows to infinity
-_Z = {"accepts": (lambda value: 0 <= value <= 10, "must be finite and >= 0, at most 10")}
+# a float key without a range of its own takes any number but NaN
 _NOT_NAN = (lambda value: not math.isnan(value), "must not be NaN")
-_FRACTION = {"accepts": (lambda value: 0 < value < 1, "must be strictly between 0 and 1")}
-_LAGS = {
-    "accepts": (
-        lambda value: all(k >= 0 for k in value) and len(set(value)) == len(value),
-        "every lag must be >= 0, none repeated",
-    )
-}
-_WINDOWS = {"accepts": (lambda value: all(w >= 1 for w in value), "every window must be >= 1")}
-
-
-@dataclass(frozen=True)
-class PrepConfig:
-    lags: tuple[int, ...] = field(default=(24, 30, 42, 48, 54), metadata=_LAGS)
-    moving_averages: tuple[int, ...] = field(default=(3, 6), metadata=_WINDOWS)
-    receipt_exclusion_months: int = RECEIPT_EXCLUSION_MONTHS
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    sigma_multiplier: float = field(default=DEFAULT_SIGMA_MULTIPLIER, metadata=_POSITIVE)
-    smoothing_window: int = field(default=DEFAULT_SMOOTHING_WINDOW, metadata=_AT_LEAST_ONE)
-
-
-@dataclass(frozen=True)
-class ModelsConfig:
-    train_fraction: float = field(default=TRAIN_FRACTION, metadata=_FRACTION)
-    z_multiplier: float = field(default=DEFAULT_Z_MULTIPLIER, metadata=_Z)
-    cart_min_leaf: int = field(default=cart.DEFAULT_MIN_LEAF, metadata=_AT_LEAST_ONE)
-    cart_max_depth: int = cart.DEFAULT_MAX_DEPTH
-    chaid_min_segment: int = chaid.DEFAULT_MIN_SEGMENT
-    chaid_merge_alpha: float = chaid.DEFAULT_MERGE_ALPHA
-    chaid_split_alpha: float = chaid.DEFAULT_SPLIT_ALPHA
-    nn_hidden_units: int = field(default=neural.DEFAULT_HIDDEN_UNITS, metadata=_AT_LEAST_ONE)
-    nn_epochs: int = field(default=neural.DEFAULT_EPOCHS, metadata=_AT_LEAST_ONE)
-    nn_learning_rate: float = field(
-        default=neural.DEFAULT_LEARNING_RATE, metadata=_FINITE_POSITIVE
-    )
-    ts_seasonal: bool = False
-    ts_period: int = field(default=timeseries.DEFAULT_PERIOD, metadata=_AT_LEAST_ONE)
-    seed: int = field(default=0, metadata=_NON_NEGATIVE)
-    include_polynomial: bool = False
-    include_phasewise: bool = False
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    horizon_months: int = field(default=12, metadata=_AT_LEAST_ONE)
-    min_matrix_rows: int = 16
-    max_predictors: int = field(default=8, metadata=_AT_LEAST_ONE)
-
-
-@dataclass(frozen=True)
-class AppConfig:
-    """One field per INI section, named after it."""
-
-    prep: PrepConfig = field(default_factory=PrepConfig)
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    models: ModelsConfig = field(default_factory=ModelsConfig)
-    ewa: EwaThresholds = field(default_factory=EwaThresholds)
-    adjust: AdjustConfig = field(default_factory=AdjustConfig)
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-
-
-# `[ewa] weights` names a preset rather than spelling out the three weights
-WEIGHT_PRESETS = {"literal": ScoreWeights(), "signed": SIGNED_WEIGHTS}
 
 
 def _keys(section) -> Iterator[tuple[str, object, object]]:
@@ -124,10 +39,6 @@ def _parse(kind, raw: str):
         if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ValueError(f"not a boolean: {raw!r}")
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    if kind is ScoreWeights:
-        if raw.lower() not in WEIGHT_PRESETS:
-            raise ValueError(f"weights preset must be one of {sorted(WEIGHT_PRESETS)}")
-        return WEIGHT_PRESETS[raw.lower()]
     if kind == tuple[int, ...]:
         return tuple(int(part) for part in raw.split(",") if part.strip())
     return kind(raw)
@@ -138,8 +49,6 @@ def _format(value) -> str:
         return str(value).lower()
     if isinstance(value, tuple):
         return ", ".join(str(v) for v in value)
-    if isinstance(value, ScoreWeights):
-        return next(name for name, preset in WEIGHT_PRESETS.items() if preset == value)
     return str(value)
 
 

@@ -161,6 +161,9 @@ class CycleStore:
             return CycleRecord.from_dict(doc)
         except KeyError as exc:
             raise ValidationError(f"cycle record {path} has no field {exc}") from None
+        # a field of the wrong type or value; the text keeps any `record field`
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"cycle record {path} is damaged: {exc}") from None
 
     def list_cycle_months(self, generation: GenerationId) -> list[MonthIndex]:
         folder = self._generation_dir(generation)

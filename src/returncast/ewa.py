@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FeatureSeries, MonthIndex, MonthInterval, defined_on
-from .errors import NumericError, ValidationError
+from .errors import AT_LEAST_ONE, NumericError, ValidationError
 from .models import ForecastSeries
 from .models.base import deviation, pad  # re-exported: the one percentage error
 
@@ -61,21 +61,22 @@ class ScoreWeights:
 
 
 SIGNED_WEIGHTS = ScoreWeights(red=-3.0, yellow=1.0, green=3.0)
+# `[ewa] weights` names one of these presets, in any case
+SCORE_PRESETS = {"literal": ScoreWeights(), "signed": SIGNED_WEIGHTS}
 
-
-# `accepts` is the range the config loader takes, as in `returncast.config`
-_AT_LEAST_ONE = {"accepts": (lambda value: value >= 1, "must be >= 1")}
+# `accepts` is the range the config loader takes, as in `returncast.errors`
+_PRESET = {"accepts": (lambda value: value.lower() in SCORE_PRESETS, "must be literal or signed")}
 
 
 @dataclass(frozen=True)
 class EwaThresholds:
-    lookback_months: int = field(default=3, metadata=_AT_LEAST_ONE)
+    lookback_months: int = field(default=3, metadata=AT_LEAST_ONE)
     red_cut: float = -10.0  # signed pad below this is a red month
     under_forecast_pad: float = 20.0
     retrain_pad: float = 30.0
-    score_window: int = field(default=6, metadata=_AT_LEAST_ONE)
-    projection_window: int = field(default=6, metadata=_AT_LEAST_ONE)
-    weights: ScoreWeights = field(default_factory=ScoreWeights)
+    score_window: int = field(default=6, metadata=AT_LEAST_ONE)
+    projection_window: int = field(default=6, metadata=AT_LEAST_ONE)
+    weights: str = field(default="literal", metadata=_PRESET)
 
 
 # -------------------------------------------------------------- primitives
@@ -288,7 +289,8 @@ def recommend(
             cycle_month, step1.alert, step2.alert,
         )
 
-    score = mape_score(step1.colors[-thresholds.score_window :], thresholds.weights)
+    weights = SCORE_PRESETS[thresholds.weights.lower()]
+    score = mape_score(step1.colors[-thresholds.score_window :], weights)
 
     stats = None
     if len(step1.pad_absolute) >= thresholds.score_window:

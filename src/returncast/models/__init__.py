@@ -2,11 +2,11 @@
 # each kind's module registers its fitter on import
 from . import cart, chaid, linear, neural, timeseries  # noqa: F401
 from .base import (
-    DEFAULT_Z_MULTIPLIER,
     FittedModel,
     ForecastSeries,
     ModelKind,
     ModelLeaderboard,
+    ModelsConfig,
     ModelSpec,
     evaluate_mape,
     evaluate_zoo,
@@ -18,11 +18,11 @@ from .base import (
 from .phasewise import fit_phasewise, phasewise_spec
 
 __all__ = [
-    "DEFAULT_Z_MULTIPLIER",
     "FittedModel",
     "ForecastSeries",
     "ModelKind",
     "ModelLeaderboard",
+    "ModelsConfig",
     "ModelSpec",
     "evaluate_mape",
     "evaluate_zoo",

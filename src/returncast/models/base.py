@@ -2,6 +2,8 @@
 
 Every model kind lives in its own module and registers a fitter here. All
 fits are deterministic: same spec, same seed, same data, same parameters.
+`ModelsConfig`, the `[models]` config section, holds the split, the band
+and each kind's hyperparameter defaults, which the fitters fall back to.
 """
 from __future__ import annotations
 
@@ -15,12 +17,36 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..core import FeatureMatrix, MonthIndex, MonthInterval
-from ..errors import NumericError, ValidationError
+from ..errors import AT_LEAST_ONE, NON_NEGATIVE, NumericError, ValidationError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_Z_MULTIPLIER = 1.96
-TRAIN_FRACTION = 0.7
+# `accepts` is the range the config loader takes, as in `returncast.errors`;
+# a wider band is no plan, and near 1e308 the band overflows to infinity
+_Z = {"accepts": (lambda value: 0 <= value <= 10, "must be finite and >= 0, at most 10")}
+_FRACTION = {"accepts": (lambda value: 0 < value < 1, "must be strictly between 0 and 1")}
+_FINITE_POSITIVE = {
+    "accepts": (lambda value: math.isfinite(value) and value > 0, "must be finite and > 0")
+}
+
+
+@dataclass(frozen=True)
+class ModelsConfig:
+    train_fraction: float = field(default=0.7, metadata=_FRACTION)
+    z_multiplier: float = field(default=1.96, metadata=_Z)
+    cart_min_leaf: int = field(default=5, metadata=AT_LEAST_ONE)
+    cart_max_depth: int = 4
+    chaid_min_segment: int = 5
+    chaid_merge_alpha: float = 0.05
+    chaid_split_alpha: float = 0.05
+    nn_hidden_units: int = field(default=8, metadata=AT_LEAST_ONE)
+    nn_epochs: int = field(default=2000, metadata=AT_LEAST_ONE)
+    nn_learning_rate: float = field(default=0.01, metadata=_FINITE_POSITIVE)
+    ts_seasonal: bool = False
+    ts_period: int = field(default=12, metadata=AT_LEAST_ONE)
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
+    include_polynomial: bool = False
+    include_phasewise: bool = False
 
 
 class ModelKind(enum.Enum):
@@ -152,7 +178,7 @@ def require_rows(kind: ModelKind, train: FeatureMatrix, minimum: int) -> None:
 
 
 def split_chronological(
-    matrix: FeatureMatrix, train_fraction: float = TRAIN_FRACTION
+    matrix: FeatureMatrix, train_fraction: float = ModelsConfig.train_fraction
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Early months train, late months test. Random splits would leak the future."""
     if not 0.0 < train_fraction < 1.0:
@@ -288,7 +314,7 @@ class ForecastSeries:
 
 
 def residual_band(
-    best: np.ndarray, residuals: np.ndarray, z: float = DEFAULT_Z_MULTIPLIER
+    best: np.ndarray, residuals: np.ndarray, z: float = ModelsConfig.z_multiplier
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric band of z residual SDs around `best`, floored at 0."""
     half = z * float(residuals.std())
@@ -354,7 +380,7 @@ def evaluate_zoo(
     specs: Sequence[ModelSpec],
     train: FeatureMatrix,
     test: FeatureMatrix,
-    z: float = DEFAULT_Z_MULTIPLIER,
+    z: float = ModelsConfig.z_multiplier,
 ) -> tuple[ModelLeaderboard, dict[ModelKind, np.ndarray]]:
     """Fit and score every spec; kinds that cannot fit are skipped with a warning.
     A test split no model could be scored on is refused before any fit.

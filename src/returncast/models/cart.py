@@ -7,10 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import FeatureMatrix
-from .base import ModelKind, ModelSpec, TreeModel, register_fitter, require_rows
-
-DEFAULT_MIN_LEAF = 5
-DEFAULT_MAX_DEPTH = 4
+from .base import ModelKind, ModelsConfig, ModelSpec, TreeModel, register_fitter, require_rows
 
 
 @dataclass(frozen=True)
@@ -90,8 +87,8 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, min_leaf: int, max_depth: in
 
 
 def fit_cart(spec: ModelSpec, train: FeatureMatrix) -> TreeModel:
-    min_leaf = int(spec.param("min_leaf", DEFAULT_MIN_LEAF))
-    max_depth = int(spec.param("max_depth", DEFAULT_MAX_DEPTH))
+    min_leaf = int(spec.param("min_leaf", ModelsConfig.cart_min_leaf))
+    max_depth = int(spec.param("max_depth", ModelsConfig.cart_max_depth))
     require_rows(spec.kind, train, 2 * min_leaf)
     root = _grow(train.X, train.y, 0, min_leaf, max_depth)
     return TreeModel(spec, train.predictor_names, train.interval, root)

@@ -21,12 +21,9 @@ import numpy as np
 
 from ..core import FeatureMatrix
 from ..errors import NumericError
-from .base import ModelKind, ModelSpec, TreeModel, register_fitter, require_rows
+from .base import ModelKind, ModelsConfig, ModelSpec, TreeModel, register_fitter, require_rows
 
-DEFAULT_MIN_SEGMENT = 5
-DEFAULT_MERGE_ALPHA = 0.05
-DEFAULT_SPLIT_ALPHA = 0.05
-DEFAULT_MAX_DEPTH = 4
+MAX_DEPTH = 4  # fixed: no config key sets it
 DECILES = tuple(i / 10.0 for i in range(1, 10))
 
 _CF_TINY = 1e-300  # keeps a Lentz denominator off zero
@@ -278,10 +275,10 @@ def _grow(
 
 
 def fit_chaid(spec: ModelSpec, train: FeatureMatrix) -> TreeModel:
-    min_segment = int(spec.param("min_segment", DEFAULT_MIN_SEGMENT))
-    merge_alpha = float(spec.param("merge_alpha", DEFAULT_MERGE_ALPHA))
-    split_alpha = float(spec.param("split_alpha", DEFAULT_SPLIT_ALPHA))
-    max_depth = int(spec.param("max_depth", DEFAULT_MAX_DEPTH))
+    min_segment = int(spec.param("min_segment", ModelsConfig.chaid_min_segment))
+    merge_alpha = float(spec.param("merge_alpha", ModelsConfig.chaid_merge_alpha))
+    split_alpha = float(spec.param("split_alpha", ModelsConfig.chaid_split_alpha))
+    max_depth = int(spec.param("max_depth", MAX_DEPTH))
     require_rows(spec.kind, train, 2 * min_segment)
     root = _grow(train.X, train.y, 0, min_segment, merge_alpha, split_alpha, max_depth)
     return TreeModel(spec, train.predictor_names, train.interval, root)

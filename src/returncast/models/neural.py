@@ -28,11 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import FeatureMatrix
-from .base import FittedModel, ModelKind, ModelSpec, register_fitter, require_rows
+from .base import FittedModel, ModelKind, ModelsConfig, ModelSpec, register_fitter, require_rows
 
-DEFAULT_HIDDEN_UNITS = 8
-DEFAULT_EPOCHS = 2000
-DEFAULT_LEARNING_RATE = 0.01
 MIN_ROWS = 10
 
 
@@ -135,9 +132,9 @@ class NeuralModel(FittedModel):
 
 def fit_neural(spec: ModelSpec, train: FeatureMatrix) -> NeuralModel:
     require_rows(spec.kind, train, MIN_ROWS)
-    hidden = int(spec.param("hidden_units", DEFAULT_HIDDEN_UNITS))
-    epochs = int(spec.param("epochs", DEFAULT_EPOCHS))
-    lr = np.array(float(spec.param("learning_rate", DEFAULT_LEARNING_RATE)))
+    hidden = int(spec.param("hidden_units", ModelsConfig.nn_hidden_units))
+    epochs = int(spec.param("epochs", ModelsConfig.nn_epochs))
+    lr = np.array(float(spec.param("learning_rate", ModelsConfig.nn_learning_rate)))
 
     x_mean, x_sd = _standardizer(train.X)
     y_mean, y_sd = _standardizer(train.y)

@@ -13,8 +13,9 @@ import numpy as np
 from ..analysis import LifecyclePhases
 from ..core import FeatureMatrix, MonthIndex, MonthInterval
 from ..errors import ValidationError
-from .base import FittedModel, ModelKind, ModelSpec, fit, register_fitter, require_rows
-from .timeseries import DEFAULT_PERIOD
+from .base import (
+    FittedModel, ModelKind, ModelsConfig, ModelSpec, fit, register_fitter, require_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +61,7 @@ class PhaseWiseModel(FittedModel):
         return out
 
 
-def phasewise_spec(phases: LifecyclePhases, period: int = DEFAULT_PERIOD) -> ModelSpec:
+def phasewise_spec(phases: LifecyclePhases, period: int = ModelsConfig.ts_period) -> ModelSpec:
     """The phase-wise spec: the phase bounds as month values, the plateau
     smoother's period and, for the record, the global fallback kind."""
     bounds = (
@@ -73,7 +74,7 @@ def phasewise_spec(phases: LifecyclePhases, period: int = DEFAULT_PERIOD) -> Mod
 
 
 def fit_phasewise(
-    matrix: FeatureMatrix, phases: LifecyclePhases, period: int = DEFAULT_PERIOD
+    matrix: FeatureMatrix, phases: LifecyclePhases, period: int = ModelsConfig.ts_period
 ) -> PhaseWiseModel:
     """Fit per-phase sub-models; thin phases fall back to one global line."""
     return fit(phasewise_spec(phases, period), matrix)
@@ -90,7 +91,7 @@ def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
     phases = LifecyclePhases(
         ramp_up=MonthInterval(a, b), plateau=MonthInterval(b, c), ramp_down=MonthInterval(c, d)
     )
-    specs = _default_phase_specs(int(spec.param("period", DEFAULT_PERIOD)))
+    specs = _default_phase_specs(int(spec.param("period", ModelsConfig.ts_period)))
     fallback_spec = ModelSpec(ModelKind.LINEAR)
     fallback_model: FittedModel | None = None
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from ..core import FeatureMatrix
 from ..errors import ValidationError
-from .base import FittedModel, ModelKind, ModelSpec, register_fitter, require_rows
+from .base import FittedModel, ModelKind, ModelsConfig, ModelSpec, register_fitter, require_rows
 
-DEFAULT_PERIOD = 12
 MIN_ROWS_NONSEASONAL = 4
 WEIGHT_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
@@ -136,7 +135,7 @@ class TimeSeriesModel(FittedModel):
 
 def fit_timeseries(spec: ModelSpec, train: FeatureMatrix) -> TimeSeriesModel:
     seasonal = bool(spec.param("seasonal", False))
-    period = int(spec.param("period", DEFAULT_PERIOD))
+    period = int(spec.param("period", ModelsConfig.ts_period))
     require_rows(spec.kind, train, 2 * period if seasonal else MIN_ROWS_NONSEASONAL)
     y = train.y
 

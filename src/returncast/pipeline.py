@@ -16,16 +16,20 @@ Cross-generation transfer works on a shifted time axis: donor and current
 months are both rebased so month 0 is each generation's returns trigger,
 letting the donor's fitted lifecycle be replayed at the current
 generation's age.
+
+`AppConfig` is the whole config, one section per field; `PipelineConfig`,
+the `[pipeline]` section, sizes the horizon and the predictor set.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .analysis import (
+    AnalysisConfig,
     CorrelationTable,
     LifecyclePhases,
     SeasonalDecomposition,
@@ -34,8 +38,7 @@ from .analysis import (
     genealogy_match,
     segment_lifecycle,
 )
-from .adjust import AdjustResult, adjust_forecast
-from .config import AppConfig
+from .adjust import AdjustConfig, AdjustResult, adjust_forecast
 from .core import (
     FeatureMatrix,
     FeatureSeries,
@@ -50,12 +53,13 @@ from .core import (
 )
 from .cycle_store import CycleRecord, CycleStore, PlannerChoice
 from .encode import to_json
-from .errors import NumericError, ValidationError
-from .ewa import EwaReport, StepResult, recommend, score_previous
+from .errors import AT_LEAST_ONE, NumericError, ValidationError
+from .ewa import EwaReport, EwaThresholds, StepResult, recommend, score_previous
 from .models import (
     ForecastSeries,
     ModelKind,
     ModelLeaderboard,
+    ModelsConfig,
     ModelSpec,
     evaluate_zoo,
     fit,
@@ -64,8 +68,10 @@ from .models import (
     residual_band,
     split_chronological,
 )
-from .prep import exclude_prega_receipts, filter_post_ga, lag
-from .preprocess import OutlierReport, detect_outliers, normalization_factor, repair_outliers
+from .prep import PrepConfig, exclude_prega_receipts, filter_post_ga, lag
+from .preprocess import (
+    OutlierReport, PreprocessConfig, detect_outliers, normalization_factor, repair_outliers,
+)
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +79,26 @@ PREDICTOR_CHANNELS = ("shipments", "upgrades", "new_receipts")
 
 # per predictor channel, the lags of it to build, in build order
 PredictorPlan = list[tuple[str, tuple[int, ...]]]
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    horizon_months: int = field(default=12, metadata=AT_LEAST_ONE)
+    min_matrix_rows: int = 16
+    max_predictors: int = field(default=8, metadata=AT_LEAST_ONE)
+
+
+@dataclass(frozen=True)
+class AppConfig:
+    """One field per INI section, named after it."""
+
+    prep: PrepConfig = field(default_factory=PrepConfig)
+    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+    models: ModelsConfig = field(default_factory=ModelsConfig)
+    ewa: EwaThresholds = field(default_factory=EwaThresholds)
+    adjust: AdjustConfig = field(default_factory=AdjustConfig)
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,34 @@ Returns of generation N are triggered by the launch (GA) of generation N+1,
 so the modeling target keeps only post-trigger months while predictors keep
 their full history for lagging. New receipts booked in the run-up to the
 next launch are unrepresentative and get masked out.
+
+`PrepConfig`, the `[prep]` config section, tunes the mask and the lags and
+holds their defaults.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval, true_runs
 from .errors import ValidationError
 
-RECEIPT_EXCLUSION_MONTHS = 6
+# `accepts` is the range the config loader takes, as in `returncast.errors`
+_LAGS = {
+    "accepts": (
+        lambda value: all(k >= 0 for k in value) and len(set(value)) == len(value),
+        "every lag must be >= 0, none repeated",
+    )
+}
+_WINDOWS = {"accepts": (lambda value: all(w >= 1 for w in value), "every window must be >= 1")}
+
+
+@dataclass(frozen=True)
+class PrepConfig:
+    lags: tuple[int, ...] = field(default=(24, 30, 42, 48, 54), metadata=_LAGS)
+    moving_averages: tuple[int, ...] = field(default=(3, 6), metadata=_WINDOWS)
+    receipt_exclusion_months: int = 6  # the pre-GA window of masked receipts
 
 
 def filter_post_ga(series: GenerationSeries, calendar: GaCalendar) -> GenerationSeries:
@@ -35,7 +54,9 @@ def filter_post_ga(series: GenerationSeries, calendar: GaCalendar) -> Generation
 
 
 def exclude_prega_receipts(
-    series: GenerationSeries, calendar: GaCalendar, months: int = RECEIPT_EXCLUSION_MONTHS
+    series: GenerationSeries,
+    calendar: GaCalendar,
+    months: int = PrepConfig.receipt_exclusion_months,
 ) -> GenerationSeries:
     """Mask new receipts in the window [GA(next) - months, GA(next) - 1]."""
     trigger = calendar.ga_of_next(series.generation)

@@ -3,19 +3,28 @@
 Prior-generation history drives the model, so spikes from one-off events
 (recalls, bulk buy-backs) and scale differences between generations both
 need repairing before any correlation or fit is trusted.
+
+`PreprocessConfig`, the `[preprocess]` config section, tunes the outlier
+screen and repair and holds their defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import FeatureSeries, MonthIndex, MonthInterval
-from .errors import NumericError, ValidationError
+from .errors import AT_LEAST_ONE, NumericError, ValidationError
 from .prep import moving_average
 
-DEFAULT_SIGMA_MULTIPLIER = 3.0
-DEFAULT_SMOOTHING_WINDOW = 3
+# `accepts` is the range the config loader takes, as in `returncast.errors`
+_POSITIVE = {"accepts": (lambda value: value > 0, "must be > 0")}
+
+
+@dataclass(frozen=True)
+class PreprocessConfig:
+    sigma_multiplier: float = field(default=3.0, metadata=_POSITIVE)
+    smoothing_window: int = field(default=3, metadata=AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -36,7 +45,7 @@ class OutlierReport:
 
 
 def detect_outliers(
-    feature: FeatureSeries, multiplier: float = DEFAULT_SIGMA_MULTIPLIER
+    feature: FeatureSeries, multiplier: float = PreprocessConfig.sigma_multiplier
 ) -> OutlierReport:
     """Flag defined months outside mean +/- multiplier * SD (population SD)."""
     if multiplier <= 0:
@@ -61,7 +70,9 @@ def detect_outliers(
     )
 
 
-def repair_outliers(feature: FeatureSeries, report: OutlierReport, w: int = DEFAULT_SMOOTHING_WINDOW) -> FeatureSeries:
+def repair_outliers(
+    feature: FeatureSeries, report: OutlierReport, w: int = PreprocessConfig.smoothing_window
+) -> FeatureSeries:
     """Replace flagged months with the trailing moving-average value.
 
     The average is computed on the original series, so consecutive outliers

@@ -59,6 +59,8 @@ class ScenarioSpec:
             raise ValidationError("peak volume and scale factor must be positive")
         if self.noise_sd < 0 or self.seasonal_amplitude < 0:
             raise ValidationError("noise and seasonal amplitude must be >= 0")
+        if self.seed < 0:  # numpy's generator refuses it with a bare ValueError
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

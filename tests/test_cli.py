@@ -46,10 +46,15 @@ def test_synth_writes_both_csvs(data_dir):
     assert header == "generation_id,month,shipments,upgrades,new_receipts,gross_returns"
 
 
-@pytest.mark.parametrize("flag", ["--noise-sd", "--seasonal-amplitude"])
-def test_synth_refuses_a_non_finite_shape(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--noise-sd", "nan"), ("--seasonal-amplitude", "nan"), ("--seed", "-1")],
+    ids=["--noise-sd", "--seasonal-amplitude", "--seed"],
+)
+def test_synth_refuses_a_non_finite_shape(tmp_path, capsys, flag, value):
+    """A shape value or seed the generator cannot use exits 1 naming it."""
     out = tmp_path / "synth"
-    assert cli.main(["synth", flag, "nan", "--out", str(out)]) == 1
+    assert cli.main(["synth", flag, value, "--out", str(out)]) == 1
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not (out / "history.csv").exists()
 
@@ -342,15 +347,24 @@ def _drop_forecast(text):
     return json.dumps(doc)
 
 
+def _mistype_generation(text):
+    doc = json.loads(text)
+    doc["generation"] = "gen2"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [(lambda text: text[: len(text) // 2], "2012-08.json is not valid JSON"),
-     (_drop_forecast, "2012-08.json has no field 'forecast'")],
-    ids=["truncated", "no_forecast"],
+     (_drop_forecast, "2012-08.json has no field 'forecast'"),
+     (_mistype_generation, "2012-08.json is damaged: ")],
+    ids=["truncated", "no_forecast", "wrong_type"],
 )
 def test_unreadable_previous_record_exits_1(data_dir, tmp_path, capsys, damage, message):
     assert _rerun_after_damage(data_dir, tmp_path / "unreadable", damage) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_numeric_failure_exits_3(data_dir, tmp_path, monkeypatch, capsys):

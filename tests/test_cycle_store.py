@@ -88,15 +88,48 @@ def test_damaged_record_names_the_field():
     assert CycleRecord.from_dict({**doc, "ewa": None}).ewa is None
 
 
+def _with(doc: dict, where: tuple, value) -> str:
+    """`doc` as JSON text with the field at `where` (keys, outermost first) set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+# a field of the wrong type or value, on which `from_dict` raises a plain
+# ValueError, TypeError or AttributeError
+WRONG_FIELDS = [
+    (("forecast", "test_mape"), "x"),
+    (("cycle_month",), 5),
+    (("generation",), "gen2"),
+    (("forecast", "best_fit"), "abc"),
+    (("planner_selected",), "Nope"),
+    (("forecast",), []),
+    (("realized_actuals", "values"), ["a"]),
+    (("forecast", "model", "hyperparameters"), [1, 2]),
+]
+
+
 def test_unreadable_record_names_the_file(tmp_path):
     store = CycleStore(tmp_path)
-    path = store.store_cycle(CycleRecord.create(month("2012-04"), GEN, forecast_of([1.0, 2.0])))
+    actuals = fs([1.0, 2.0], start="2012-01", name="gross_returns")
+    record = CycleRecord.create(
+        month("2012-04"), GEN, forecast_of([1.0, 2.0]), realized_actuals=actuals
+    )
+    path = store.store_cycle(record)
     text = path.read_text()
     doc = json.loads(text)
-    del doc["forecast"]
-    for damaged, message in ((text[:-10], "is not valid JSON"),
-                             (json.dumps(doc), "has no field 'forecast'"),
-                             ("[]", "is not a JSON object")):
+    no_forecast = {k: v for k, v in doc.items() if k != "forecast"}
+    cases = [(text[:-10], "is not valid JSON"),
+             (json.dumps(no_forecast), "has no field 'forecast'"),
+             ("[]", "is not a JSON object"),
+             # the damage's own text is kept
+             (_with(doc, ("ewa",), 3), "is damaged: record field 'ewa'")]
+    cases += [(_with(doc, where, value), "is damaged: ") for where, value in WRONG_FIELDS]
+    for damaged, message in cases:
         path.write_text(damaged)
         with pytest.raises(ValidationError, match=f"{path.name} {message}"):
             store.load_cycle(GEN, month("2012-04"))

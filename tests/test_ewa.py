@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from returncast.config import load_config
 from returncast.core import FeatureSeries, MonthIndex, MonthInterval
 from returncast.encode import to_json
 from returncast.errors import NumericError, ValidationError
 from returncast.ewa import (
+    SCORE_PRESETS,
     SIGNED_WEIGHTS,
     Alert,
     Color,
@@ -164,6 +166,18 @@ def test_overforecast_switches_to_lower_band():
     assert report.step1.window_pad == pytest.approx(-30.0)
     assert report.score == pytest.approx(9.0)  # three red months, literal weights
     assert report.six_month is None and report.projection is None
+
+
+def test_signed_weights_preset_reaches_the_score(tmp_path):
+    """`[ewa] weights` names a preset in any case, and the score uses it."""
+    path = tmp_path / "config.ini"
+    path.write_text("[ewa]\nweights = Signed\n")
+    config = load_config(path)
+    assert SCORE_PRESETS[config.ewa.weights.lower()] == SIGNED_WEIGHTS
+    for thresholds in (config.ewa, EwaThresholds(weights="signed")):
+        report = run_ewa(_cycle_inputs(+0.30), thresholds)
+        assert report.step1.colors == (Color.RED,) * 3
+        assert report.score == pytest.approx(-9.0)  # three red months, signed weights
 
 
 def test_underforecast_switches_to_upper_band():

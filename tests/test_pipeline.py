@@ -410,7 +410,7 @@ REFUSALS = (
     (ValidationError, "cannot split "),
     (ValidationError, "no model in the zoo could be fitted and evaluated"),
     (ValidationError, "EWA needs "),
-    (ValidationError, "record field "),
+    (ValidationError, "cycle record "),
     (NumericError, "every actual is zero; percentage deviation is undefined"),
     (NumericError, "window actuals sum to zero; aggregate pad undefined"),
     (ValidationError, "no ranked model can forecast the horizon: "),

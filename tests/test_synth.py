@@ -94,6 +94,8 @@ def test_scenario_spec_validation():
         ScenarioSpec(scale_factor=0.0)
     with pytest.raises(ValidationError):
         ScenarioSpec(ga_spacing=0)
+    with pytest.raises(ValidationError, match="seed"):
+        ScenarioSpec(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["noise_sd", "seasonal_amplitude", "peak_volume", "scale_factor"])
