@@ -164,14 +164,18 @@ def run_two_cycle_files(work: Path) -> dict[str, bytes]:
 
 
 def _outcome_line(generation: str, month, outcome) -> str:
-    """Generation, month, then either the SHA-256 of the rendered report
-    followed by `json_text(outcome.to_dict())`, or the refusal's exception
-    type and message."""
+    """Generation, month, then either the refusal's exception type and
+    message, or the kind that forecast, the leaderboard's kinds in rank
+    order and the SHA-256 of the rendered report followed by
+    `json_text(outcome.to_dict())`. The kinds come first so that a diff of
+    regenerated lines shows whether a ranking moved or only digits did."""
     if isinstance(outcome, Exception):
         result = f"{type(outcome).__name__}: {outcome}"
     else:
         blob = render_report(outcome) + json_text(outcome.to_dict())
-        result = "report " + hashlib.sha256(blob.encode()).hexdigest()
+        order = ",".join(str(row.spec.kind) for row in outcome.leaderboard)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        result = f"report {outcome.forecast_raw.model.kind} {order} {digest}"
     return f"{generation} {month} {result}\n"
 
 
