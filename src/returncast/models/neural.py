@@ -4,24 +4,27 @@ Inputs and target are standardized so one learning rate works across widely
 different predictor scales. Everything is seeded and deterministic.
 
 Training is bound by numpy's per-call overhead, not arithmetic: the network
-is small and each epoch is a few dozen array calls. So parameters and
+is small, and an epoch is ten array calls plus the update. So parameters and
 gradient live in two flat buffers, every intermediate has a preallocated
-home, and an epoch allocates nothing. The four matrix products go through
-`np.dot` with `out`: it calls the same BLAS routines as `np.matmul`, bit for
-bit, with less overhead per call than the generalized-ufunc entry point.
-Scalar operands are 0-d arrays built once per fit: a ufunc takes an array
-operand as it is, where a Python float is converted on every call.
+home, and an epoch allocates nothing. The four matrix products are bound
+`ndarray.dot` calls with `out`, the cheapest entry into BLAS. Scalar
+operands are 0-d arrays built once per fit: a ufunc takes an array operand
+as it is, where a Python float is converted on every call.
 
-The hidden bias rides inside the two products with the inputs. `[W1; b1]`
-is one contiguous block of the flat buffers, so with a ones column appended
-to the inputs, `[X | 1] @ [W1; b1]` is the forward pre-activation and
-`[X | 1].T @ d_z` writes both gradient blocks, two calls an epoch fewer than
-a separate bias add and column sum. The fold is bit-identical because the
-BLAS matrix-matrix kernel sums each output over K in order: the bias, last,
-is added after the full product, and the ones row sums `d_z` row by row, as
-`np.add` and `np.add.reduce` do. A product with a unit dimension (one input
-or one hidden unit) runs as a matrix-vector kernel that sums in another
-order, so those shapes keep the separate add and reduce.
+The biases and the target ride inside the products, so no epoch spends a
+call on a bias add, a target subtract or an axis reduce:
+- The inputs are held as `[Xᵀ; 1]`, so `[W1; b1]ᵀ · [Xᵀ; 1]` is the
+  transposed hidden pre-activation and `[Xᵀ; 1] · D` writes the gradients
+  of `W1` and `b1` together (`D` the hidden deltas, `n × hidden`).
+- The activations are held transposed in one `(hidden + 2, n)` buffer
+  `[Zᵀ; 1; y]`. The parameter buffer carries a `-1` after `b2`, so
+  `[w2; b2; -1] · [Zᵀ; 1; y]` is the residual, and `[Zᵀ; 1] · s` writes
+  the gradients of `w2` and `b2` together.
+- `s` is the residual times one scale: `1/n` for the plain gradient, and
+  `lr/n` in the fit, which then steps with a single subtract.
+Every shape takes the same calls. The bits are BLAS's: they are the same
+as the same products written as plain expressions, and pinned per OpenBLAS
+kernel (the README's note on byte-identical output).
 """
 from __future__ import annotations
 
@@ -43,70 +46,60 @@ def unpack_params(flat: np.ndarray, n_inputs: int, hidden: int):
     return w1, b1, w2, b2
 
 
-def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int):
-    """The half-MSE gradient as a reusable kernel over fixed buffers.
+def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int, scale: float):
+    """The half-MSE gradient, times `scale * n`, as a reusable kernel over
+    fixed buffers.
 
-    Returns `(grad, err, step)`: calling `step()` writes the gradient at the
-    current contents of `flat` into `grad` and the residuals into `err`,
-    allocating nothing. `flat` may be updated in place between calls.
+    Returns `(params, grad, err, step)`. `params` starts as a copy of `flat`
+    and may be updated in place between calls; calling `step()` writes the
+    scaled gradient at its current contents into `grad` and the residuals
+    into `err`, allocating nothing.
     """
     n, p = X.shape
-    w1, b1, w2, b2 = unpack_params(flat, p, hidden)
-    grad = np.empty_like(flat)
-    g_w1, g_b1, g_w2, g_b2 = unpack_params(grad, p, hidden)
-    # the bias folds into the input products (see the module docstring)
-    # unless a unit dimension makes them gemv, which sums in another order
-    fold = p >= 2 and hidden >= 2
-    if fold:
-        X1 = np.column_stack((X, np.ones(n)))
-        k = (p + 1) * hidden
-        w1b, g_w1b = flat[:k].reshape(p + 1, hidden), grad[:k].reshape(p + 1, hidden)
-        X1t = X1.T
-    z = np.empty((n, hidden))
-    d_z = np.empty((n, hidden))
-    slope = np.empty((n, hidden))
+    k = (p + 1) * hidden
+    work = np.append(flat, -1.0)  # [W1; b1 | w2; b2 | -1], see the module docstring
+    params, grad = work[:-1], np.empty_like(flat)
+    w1b, g_w1b = work[:k].reshape(p + 1, hidden), grad[:k].reshape(p + 1, hidden)
+    w2_col = work[k : k + hidden, None]
+    inputs = np.vstack((X.T, np.ones(n)))
+    acts = np.empty((hidden + 2, n))
+    acts[hidden], acts[hidden + 1] = 1.0, y
+    zt = acts[:hidden]
+    d_zt = np.empty((hidden, n))
+    slope = np.empty((hidden, n))
     err = np.empty(n)
-    d_out = np.empty(n)
-    dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
-    divide, tanh, reduce = np.divide, np.tanh, np.add.reduce
-    Xt, zt, d_out_col = X.T, z.T, d_out[:, None]
-    rows, one = np.array(float(n)), np.array(1.0)  # n is exact as a float
+    s = np.empty(n)
+    forward, residual = w1b.T.dot, work[k:].dot
+    out_grad, in_grad = acts[: hidden + 1].dot, inputs.dot
+    multiply, subtract, tanh = np.multiply, np.subtract, np.tanh
+    d_z, g_out = d_zt.T, grad[k:]
+    scale, one = np.array(scale), np.array(1.0)
 
     def step() -> None:
-        # z = tanh(X @ w1 + b1); err = z @ w2 + b2 - y
-        if fold:
-            dot(X1, w1b, z)
-        else:
-            dot(X, w1, z)
-            add(z, b1, z)
-        tanh(z, z)
-        dot(z, w2, err)
-        add(err, b2, err)
-        subtract(err, y, err)
-        divide(err, rows, d_out)
-        dot(zt, d_out, g_w2)
-        reduce(d_out, 0, None, g_b2)
-        # d_z = outer(d_out, w2) * (1 - z * z)
-        multiply(d_out_col, w2, d_z)
-        multiply(z, z, slope)
+        # Zᵀ = tanh([W1; b1]ᵀ [Xᵀ; 1]); err = [w2; b2; -1] [Zᵀ; 1; y]
+        forward(inputs, zt)
+        tanh(zt, zt)
+        residual(acts, err)
+        multiply(err, scale, s)
+        out_grad(s, g_out)
+        # Dᵀ = (w2 ⊗ s) * (1 - Zᵀ * Zᵀ)
+        multiply(w2_col, s, d_zt)
+        multiply(zt, zt, slope)
         subtract(one, slope, slope)
-        multiply(d_z, slope, d_z)
-        if fold:
-            dot(X1t, d_z, g_w1b)
-        else:
-            dot(Xt, d_z, g_w1)
-            reduce(d_z, 0, None, g_b1)
+        multiply(d_zt, slope, d_zt)
+        in_grad(d_z, g_w1b)
 
-    return grad, err, step
+    return params, grad, err, step
 
 
 def loss_and_grad(
     flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int
 ) -> tuple[float, np.ndarray]:
     """Half-MSE loss and its analytic gradient for the flat parameter vector."""
-    grad, err, step = _backprop(flat, X, y, hidden)
+    n = len(y)
+    _, grad, err, step = _backprop(flat, X, y, hidden, 1.0 / n)
     step()
-    return 0.5 * float(err @ err) / len(y), grad
+    return 0.5 * float(err @ err) / n, grad
 
 
 def _standardizer(values: np.ndarray, axis=0):
@@ -134,7 +127,7 @@ def fit_neural(spec: ModelSpec, train: FeatureMatrix) -> NeuralModel:
     require_rows(spec.kind, train, MIN_ROWS)
     hidden = int(spec.param("hidden_units", ModelsConfig.nn_hidden_units))
     epochs = int(spec.param("epochs", ModelsConfig.nn_epochs))
-    lr = np.array(float(spec.param("learning_rate", ModelsConfig.nn_learning_rate)))
+    lr = float(spec.param("learning_rate", ModelsConfig.nn_learning_rate))
 
     x_mean, x_sd = _standardizer(train.X)
     y_mean, y_sd = _standardizer(train.y)
@@ -151,18 +144,16 @@ def fit_neural(spec: ModelSpec, train: FeatureMatrix) -> NeuralModel:
             np.zeros(1),
         ]
     )
-    grad, _, step = _backprop(flat, xs, ys, hidden)
-    delta = np.empty_like(flat)
-    multiply, subtract = np.multiply, np.subtract
+    params, grad, _, step = _backprop(flat, xs, ys, hidden, lr / len(ys))
+    subtract = np.subtract
     # a diverging net ends in non-finite predictions, which the zoo skips
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             step()
-            multiply(lr, grad, delta)
-            subtract(flat, delta, flat)
+            subtract(params, grad, params)
 
     return NeuralModel(
-        spec, train.predictor_names, train.interval, flat, (x_mean, x_sd, y_mean, y_sd), hidden
+        spec, train.predictor_names, train.interval, params, (x_mean, x_sd, y_mean, y_sd), hidden
     )
 
 

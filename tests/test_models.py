@@ -576,16 +576,21 @@ def test_neural_gradient_matches_finite_differences():
         assert abs(numeric - grad[i]) <= 1e-4 * max(1.0, abs(grad[i]))
 
 
-def _loss_and_grad_reference(flat, X, y, hidden):
-    """The gradient as plain allocating numpy expressions."""
+def _loss_and_grad_reference(flat, X, y, hidden, scale=None):
+    """The loss and the gradient times `scale * n` (default: the gradient)
+    as plain allocating numpy expressions, in the kernel's order and on its
+    operand layouts: transposed activations `[Zᵀ; 1; y]`, inputs `[Xᵀ; 1]`,
+    and a -1 after the parameters that takes y off the output product."""
     n, p = X.shape
-    w1, b1, w2, b2 = unpack_params(flat, p, hidden)
-    z = np.tanh(X @ w1 + b1)
-    out = z @ w2 + b2
-    err = out - y
-    d_out = err / n
-    d_z = np.outer(d_out, w2) * (1.0 - z * z)
-    grad = np.concatenate([(X.T @ d_z).ravel(), d_z.sum(axis=0), z.T @ d_out, [d_out.sum()]])
+    k = (p + 1) * hidden
+    scale = 1.0 / n if scale is None else scale
+    inputs = np.vstack((X.T, np.ones(n)))
+    zt = np.tanh(flat[:k].reshape(p + 1, hidden).T @ inputs)
+    acts = np.vstack((zt, np.ones(n), y))
+    err = np.append(flat[k:], -1.0) @ acts
+    s = err * scale
+    d_zt = flat[k : k + hidden, None] * s * (1.0 - zt * zt)
+    grad = np.concatenate([(inputs @ d_zt.T).ravel(), acts[: hidden + 1] @ s])
     return 0.5 * float(err @ err) / n, grad
 
 
@@ -610,8 +615,8 @@ def test_loss_and_grad_matches_reference_bit_for_bit():
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("hidden", [1, 2, 3, 8, 12])
 def test_loss_and_grad_matches_reference_at_unit_and_folded_shapes(p, hidden):
-    # the kernel folds the hidden bias into its products only when neither
-    # dimension is 1; both sides of that line must give the reference bits
+    # a unit dimension makes BLAS take another kernel for a product; every
+    # shape must still give the reference bits
     rng = np.random.default_rng(100 * p + hidden)
     for n in (10, 13, 37, 60):
         X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(0.1, 50.0, p)
@@ -625,7 +630,8 @@ def test_loss_and_grad_matches_reference_at_unit_and_folded_shapes(p, hidden):
 
 def _fit_neural_reference(spec, train):
     """Parameters after descent by a loop that builds a new vector per epoch
-    and takes every step with the plain-expression gradient."""
+    and takes every step with the plain-expression gradient, scaled by the
+    learning rate over the row count."""
     hidden, epochs, lr = (spec.param(k, None) for k in ("hidden_units", "epochs", "learning_rate"))
     x_mean, x_sd = _standardizer(train.X)
     y_mean, y_sd = _standardizer(train.y)
@@ -640,7 +646,7 @@ def _fit_neural_reference(spec, train):
         np.zeros(1),
     ])
     for _ in range(epochs):
-        flat = flat - lr * _loss_and_grad_reference(flat, xs, ys, hidden)[1]
+        flat = flat - _loss_and_grad_reference(flat, xs, ys, hidden, lr / len(ys))[1]
     return flat
 
 
@@ -669,6 +675,24 @@ def test_neural_fit_matches_reference_loop_at_workload_shapes(n, p):
     )
     train = matrix(X, y)
     assert fit(spec, train).params.tobytes() == _fit_neural_reference(spec, train).tobytes()
+
+
+@pytest.mark.parametrize("c", [4.0, 0.25, 2.0**20])
+def test_neural_fit_is_exactly_scale_equivariant(c):
+    # a power of two scales the standardizer's means and deviations exactly,
+    # so the descent sees the same standardized rows: the same parameters,
+    # and predictions exactly c times the unscaled ones
+    rng = np.random.default_rng(41)
+    for n, p, hidden in ((13, 5, 8), (13, 1, 8), (18, 8, 8), (24, 3, 1), (10, 1, 1), (28, 2, 3)):
+        X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(0.1, 50.0, p) + rng.uniform(-5.0, 5.0, p)
+        y = 40.0 + X @ rng.normal(0.0, 2.0, p) + rng.normal(0.0, 1.0, n)
+        spec = ModelSpec(
+            ModelKind.NEURAL, {"hidden_units": hidden, "epochs": 2000, "learning_rate": 0.01}, seed=n
+        )
+        train, scaled_train = matrix(X, y), matrix(c * X, c * y)
+        model, scaled = fit(spec, train), fit(spec, scaled_train)
+        assert scaled.params.tobytes() == model.params.tobytes()
+        assert scaled.predict(scaled_train).tobytes() == (c * model.predict(train)).tobytes()
 
 
 def test_diverging_net_is_skipped_without_runtime_warnings(caplog):
