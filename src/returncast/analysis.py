@@ -126,18 +126,30 @@ def _paired_defined(a: FeatureSeries, b: FeatureSeries) -> tuple[np.ndarray, np.
     return av[mask], bv[mask]
 
 
-def _pearson_arrays(x: np.ndarray, y: np.ndarray, what: str) -> float:
-    if len(x) < MIN_CORRELATION_POINTS:
-        raise ValidationError(
-            f"{what}: need at least {MIN_CORRELATION_POINTS} paired months, got {len(x)}"
-        )
+def pearson_r(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Pearson r of two paired arrays, or None when either is constant.
+
+    The one correlation arithmetic: the donor analysis and the zoo's
+    leaderboard both call it, and each decides what a constant input means.
+    """
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))
     sy = float(np.sqrt((yc * yc).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise NumericError(f"{what}: degenerate feature (zero variance on overlap)")
+        return None
     return float((xc * yc).sum() / (sx * sy))
+
+
+def _pearson_arrays(x: np.ndarray, y: np.ndarray, what: str) -> float:
+    if len(x) < MIN_CORRELATION_POINTS:
+        raise ValidationError(
+            f"{what}: need at least {MIN_CORRELATION_POINTS} paired months, got {len(x)}"
+        )
+    r = pearson_r(x, y)
+    if r is None:
+        raise NumericError(f"{what}: degenerate feature (zero variance on overlap)")
+    return r
 
 
 def pearson(a: FeatureSeries, b: FeatureSeries) -> float:

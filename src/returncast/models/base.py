@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..analysis import pearson_r
 from ..core import FeatureMatrix, MonthIndex, MonthInterval
 from ..errors import AT_LEAST_ONE, NON_NEGATIVE, NumericError, ValidationError
 
@@ -239,12 +240,11 @@ def prediction_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
     a = np.asarray(actual, dtype=float)
     if len(p) < 2:
         return float("nan")
-    pc, ac = p - p.mean(), a - a.mean()
-    denom = math.sqrt(float((pc * pc).sum()) * float((ac * ac).sum()))
-    if denom == 0.0:
+    r = pearson_r(p, a)
+    if r is None:
         log.warning("constant predictions or actuals; correlation undefined")
         return float("nan")
-    return float((pc * ac).sum() / denom)
+    return r
 
 
 # ---------------------------------------------------------------- forecast
