@@ -7,9 +7,9 @@ Training is bound by numpy's per-call overhead, not arithmetic: the network
 is small, and an epoch is ten array calls plus the update. So parameters and
 gradient live in two flat buffers, every intermediate has a preallocated
 home, and an epoch allocates nothing. The four matrix products are bound
-`ndarray.dot` calls with `out`, the cheapest entry into BLAS. Scalar
-operands are 0-d arrays built once per fit: a ufunc takes an array operand
-as it is, where a Python float is converted on every call.
+`ndarray.dot` calls with `out`, which skip the dispatch layer of `np.dot`.
+Scalar operands are 0-d arrays built once per fit: a ufunc takes an array
+operand as it is, where a Python float is converted on every call.
 
 The biases and the target ride inside the products, so no epoch spends a
 call on a bias add, a target subtract or an axis reduce:
@@ -22,9 +22,11 @@ call on a bias add, a target subtract or an axis reduce:
   the gradients of `w2` and `b2` together.
 - `s` is the residual times one scale: `1/n` for the plain gradient, and
   `lr/n` in the fit, which then steps with a single subtract.
-Every shape takes the same calls. The bits are BLAS's: they are the same
-as the same products written as plain expressions, and pinned per OpenBLAS
-kernel (the README's note on byte-identical output).
+
+Every shape takes the same calls; a unit dimension changes only which BLAS
+routine runs a product. The tests pin the bits against the same products
+written as plain expressions on the same layouts. Those bits hold per
+OpenBLAS kernel (see the README on byte-identical output).
 """
 from __future__ import annotations
 

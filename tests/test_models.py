@@ -615,7 +615,7 @@ def test_loss_and_grad_matches_reference_bit_for_bit():
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("hidden", [1, 2, 3, 8, 12])
 def test_loss_and_grad_matches_reference_at_unit_and_folded_shapes(p, hidden):
-    # a unit dimension makes BLAS take another kernel for a product; every
+    # a unit dimension makes BLAS run a product in another routine; every
     # shape must still give the reference bits
     rng = np.random.default_rng(100 * p + hidden)
     for n in (10, 13, 37, 60):
