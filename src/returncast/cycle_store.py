@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import os
 import urllib.parse
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FeatureSeries, GenerationId, MonthIndex
-from .encode import json_text
+from .encode import from_json, json_text
 from .errors import ValidationError
 from .models import ForecastSeries
 
@@ -55,7 +54,8 @@ class CycleRecord:
         band = getattr(self.forecast, self.planner_selected.band)
         if len(arr) != len(band) or not np.array_equal(arr, band):
             raise ValidationError(
-                f"selected series does not match forecast {self.planner_selected.band}"
+                f"record field 'selected_series' does not match forecast "
+                f"{self.planner_selected.band}"
             )
 
     @classmethod
@@ -75,41 +75,6 @@ class CycleRecord:
             planner_selected=choice,
             selected_series=getattr(forecast, choice.band),
             realized_actuals=realized_actuals,
-            ewa=ewa,
-        )
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CycleRecord":
-        ewa = doc.get("ewa")
-        if ewa is not None and not isinstance(ewa, dict):
-            raise ValidationError(
-                f"record field 'ewa' must be an object or null, got {type(ewa).__name__}"
-            )
-        forecast = ForecastSeries.from_dict(doc["forecast"])
-        # EWA scores the planner's series month by month against the forecast's
-        selected = np.array(doc["selected_series"], dtype=float)
-        if selected.shape != (len(forecast),):
-            raise ValidationError(
-                f"record field 'selected_series' must hold {len(forecast)} values, "
-                f"one per forecast month, got {selected.size}"
-            )
-        actuals = None
-        if doc.get("realized_actuals") is not None:
-            blob = doc["realized_actuals"]
-            actuals = FeatureSeries(
-                name=blob["name"],
-                start=MonthIndex.parse(blob["start"]),
-                values=np.array(
-                    [math.nan if v is None else float(v) for v in blob["values"]], dtype=float
-                ),
-            )
-        return cls(
-            cycle_month=MonthIndex.parse(doc["cycle_month"]),
-            generation=GenerationId(doc["generation"]["name"], int(doc["generation"]["ordinal"])),
-            forecast=forecast,
-            planner_selected=PlannerChoice(doc["planner_selected"]),
-            selected_series=selected,
-            realized_actuals=actuals,
             ewa=ewa,
         )
 
@@ -158,11 +123,12 @@ class CycleStore:
         if not isinstance(doc, dict):
             raise ValidationError(f"cycle record {path} is not a JSON object")
         try:
-            return CycleRecord.from_dict(doc)
+            return from_json(CycleRecord, doc)
         except KeyError as exc:
             raise ValidationError(f"cycle record {path} has no field {exc}") from None
-        # a field of the wrong type or value; the text keeps any `record field`
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        # a field of the wrong type or value, named by its dotted path, or an
+        # integer too large for a float
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"cycle record {path} is damaged: {exc}") from None
 
     def list_cycle_months(self, generation: GenerationId) -> list[MonthIndex]:

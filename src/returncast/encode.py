@@ -1,19 +1,25 @@
-"""The JSON form of every artifact returncast writes.
+"""The JSON form of every artifact returncast writes, and the reader of the
+one it reads back.
 
 Cycle records and stage artifacts are encoded from their dataclasses here
-and nowhere else, so the on-disk format has one source. Reading back stays
-with each type's `from_dict`, which validates what it reads.
+and nowhere else (`to_json`). A cycle record is decoded here too, by the
+inverse walk over the same fields (`from_json`), so the on-disk format has
+one source in both directions: a field added to a record needs no reader
+code of its own.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import math
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
 from .core import MonthIndex
+from .errors import ValidationError
 
 
 def to_json(obj):
@@ -49,3 +55,137 @@ def to_json(obj):
 def json_text(obj) -> str:
     """The file text of `obj`: indented, keys sorted, newline-terminated."""
     return json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n"
+
+
+# ------------------------------------------------------------------ reading
+
+# reads one JSON value at a dotted field path back into its field's type
+_Reader = Callable[[object, str], object]
+
+
+def from_json(kind, data):
+    """The `kind` dataclass that `to_json` wrote as `data`.
+
+    Each field is read by its type hint: a YYYY-MM string as a MonthIndex,
+    an enum by its value, a list as a float array with null as NaN, a
+    number or null as a float, a nested dataclass by the same walk, and an
+    object as the sorted (name, value) pairs of a spec's hyperparameters.
+    A field absent from `data` takes its default; a required one raises
+    KeyError with its dotted path. A value of the wrong shape raises a
+    ValidationError naming the field by its dotted path, as does any rule
+    a nested dataclass checks when it is built.
+    """
+    return _dataclass_reader(kind)(data, "")
+
+
+def _wrong(path: str, expected: str, value) -> ValidationError:
+    return ValidationError(f"record field '{path}' must be {expected}, got {value!r:.40}")
+
+
+@functools.cache
+def _dataclass_reader(kind) -> _Reader:
+    """The reader of one dataclass, built once per class: its fields' type
+    hints are resolved here, not on every record."""
+    hints = get_type_hints(kind)
+    plan = [
+        (f.name, _reader(hints[f.name]),
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(kind)
+    ]
+
+    def read(value, path):
+        if type(value) is not dict:
+            raise _wrong(path, "an object", value)
+        prefix = f"{path}." if path else ""
+        kwargs = {}
+        for name, read_field, required in plan:
+            if name in value:
+                kwargs[name] = read_field(value[name], prefix + name)
+            elif required:
+                raise KeyError(prefix + name)
+        try:
+            return kind(**kwargs)
+        except ValidationError as exc:
+            if not path:  # the record's own rules name their fields
+                raise
+            raise ValidationError(f"record field '{path}': {exc}") from None
+
+    return read
+
+
+def _reader(hint) -> _Reader:
+    """How to read a field of type `hint`; Optional admits null."""
+    args = get_args(hint)
+    if type(None) in args:
+        (inner,) = (_reader(arg) for arg in args if arg is not type(None))
+        return lambda value, path: None if value is None else inner(value, path)
+    if hint in _LEAVES:  # MonthIndex is a dataclass too, but written as text
+        return _LEAVES[hint]
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return functools.partial(_read_enum, hint)
+    return _dataclass_reader(hint)
+
+
+def _read_enum(kind, value, path):
+    try:
+        return kind(value)
+    except ValueError:
+        raise _wrong(path, f"one of {[m.value for m in kind]}", value) from None
+
+
+def _read_float(value, path):
+    if value is None:
+        return math.nan
+    if type(value) is not float and type(value) is not int:
+        raise _wrong(path, "a number or null", value)
+    return float(value)
+
+
+def _read_int(value, path):
+    if type(value) is not int:
+        raise _wrong(path, "an integer", value)
+    return value
+
+
+def _read_str(value, path):
+    if type(value) is not str:
+        raise _wrong(path, "a string", value)
+    return value
+
+
+def _read_object(value, path):
+    if type(value) is not dict:
+        raise _wrong(path, "an object", value)
+    return value
+
+
+def _read_month(value, path):
+    try:
+        return MonthIndex.parse(value)
+    except (ValidationError, AttributeError):
+        raise _wrong(path, "a YYYY-MM month", value) from None
+
+
+def _read_array(value, path):
+    if type(value) is list:
+        values = [math.nan if v is None else v for v in value]
+        if all(type(v) is float or type(v) is int for v in values):
+            return np.array(values, dtype=float)
+    raise _wrong(path, "a list of numbers and nulls", value)
+
+
+def _read_pairs(value, path):
+    if type(value) is not dict:
+        raise _wrong(path, "an object", value)
+    return tuple(sorted(value.items()))
+
+
+_LEAVES: dict[object, _Reader] = {
+    float: _read_float,
+    int: _read_int,
+    str: _read_str,
+    dict: _read_object,
+    MonthIndex: _read_month,
+    np.ndarray: _read_array,
+    tuple[tuple[str, object], ...]: _read_pairs,  # a spec's hyperparameters
+}

@@ -90,14 +90,6 @@ class ModelSpec:
     def label(self) -> str:
         return self.kind.value
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelSpec":
-        return cls(
-            kind=ModelKind(data["kind"]),
-            hyperparameters=tuple(sorted(data.get("hyperparameters", {}).items())),
-            seed=int(data.get("seed", 0)),
-        )
-
 
 class FittedModel(abc.ABC):
     """A trained model bound to the predictor names it was trained with."""
@@ -299,18 +291,6 @@ class ForecastSeries:
         cut = slice(window.start - self.start, window.end - self.start)
         return replace(self, start=window.start, best_fit=self.best_fit[cut],
                        lci=self.lci[cut], uci=self.uci[cut])
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ForecastSeries":
-        return cls(
-            start=MonthIndex.parse(data["start"]),
-            best_fit=np.array(data["best_fit"], dtype=float),
-            lci=np.array(data["lci"], dtype=float),
-            uci=np.array(data["uci"], dtype=float),
-            model=ModelSpec.from_dict(data["model"]),
-            test_mape=float(data["test_mape"]),
-            test_correlation=float(data["test_correlation"]),
-        )
 
 
 def residual_band(

@@ -1,6 +1,8 @@
 """Persistence of per-cycle planning records."""
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from returncast.core import GenerationId
 from returncast.cycle_store import CycleRecord, CycleStore, PlannerChoice
-from returncast.encode import json_text, to_json
+from returncast.encode import from_json, json_text, to_json
 from returncast.errors import ValidationError
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
 
@@ -73,10 +75,28 @@ def test_record_roundtrip_with_and_without_actuals(tmp_path):
     assert got.values[2] == 29.0
 
 
-@pytest.mark.parametrize("name", ["demo/record.json", "two_cycles/record.json"])
+def _record_text(actuals: bool, ewa: bool, correlation: float) -> str:
+    forecast = replace(forecast_of([1.0, 2.5, 3.0]), test_correlation=correlation)
+    return json_text(CycleRecord.create(
+        month("2012-04"), GEN, forecast, choice=PlannerChoice.LCI,
+        realized_actuals=fs([4.0, np.nan, 6.5], name="gross_returns") if actuals else None,
+        ewa={"alert": "None", "score": None} if ewa else None,
+    ))
+
+
+RECORD_TEXTS = {
+    **{name: (Path(__file__).parent / "fixtures" / name).read_text()
+       for name in ("demo/record.json", "two_cycles/record.json")},
+    "bare": _record_text(actuals=False, ewa=False, correlation=0.97),
+    "actuals_only": _record_text(actuals=True, ewa=False, correlation=0.97),
+    "full_nan_correlation": _record_text(actuals=True, ewa=True, correlation=math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_TEXTS))
 def test_valid_record_loads_byte_identically(name):
-    text = (Path(__file__).parent / "fixtures" / name).read_text()
-    assert json_text(CycleRecord.from_dict(json.loads(text))) == text
+    text = RECORD_TEXTS[name]
+    assert json_text(from_json(CycleRecord, json.loads(text))) == text
 
 
 def test_damaged_record_names_the_field():
@@ -84,8 +104,8 @@ def test_damaged_record_names_the_field():
     for field, value in (("ewa", "Green"), ("ewa", 3), ("selected_series", [1.0, 2.0]),
                          ("selected_series", 1.0)):
         with pytest.raises(ValidationError, match=f"record field '{field}'"):
-            CycleRecord.from_dict({**doc, field: value})
-    assert CycleRecord.from_dict({**doc, "ewa": None}).ewa is None
+            from_json(CycleRecord, {**doc, field: value})
+    assert from_json(CycleRecord, {**doc, "ewa": None}).ewa is None
 
 
 def _with(doc: dict, where: tuple, value) -> str:
@@ -99,8 +119,8 @@ def _with(doc: dict, where: tuple, value) -> str:
     return json.dumps(doc)
 
 
-# a field of the wrong type or value, on which `from_dict` raises a plain
-# ValueError, TypeError or AttributeError
+# a field of the wrong type or value, which the message names by its
+# dotted path
 WRONG_FIELDS = [
     (("forecast", "test_mape"), "x"),
     (("cycle_month",), 5),
@@ -128,7 +148,8 @@ def test_unreadable_record_names_the_file(tmp_path):
              ("[]", "is not a JSON object"),
              # the damage's own text is kept
              (_with(doc, ("ewa",), 3), "is damaged: record field 'ewa'")]
-    cases += [(_with(doc, where, value), "is damaged: ") for where, value in WRONG_FIELDS]
+    cases += [(_with(doc, where, value), f"is damaged: record field '{'.'.join(where)}'")
+              for where, value in WRONG_FIELDS]
     for damaged, message in cases:
         path.write_text(damaged)
         with pytest.raises(ValidationError, match=f"{path.name} {message}"):

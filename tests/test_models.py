@@ -14,7 +14,7 @@ from returncast.analysis import LifecyclePhases
 from returncast.config import AppConfig
 from returncast.core import FeatureMatrix, MonthInterval
 from returncast.errors import NumericError, ValidationError
-from returncast.encode import to_json
+from returncast.encode import from_json, to_json
 from returncast.models import (
     ForecastSeries,
     ModelKind,
@@ -924,7 +924,7 @@ def test_phasewise_spec_fits_like_fit_phasewise():
 def test_phasewise_spec_survives_the_record_roundtrip():
     train, phases = _phasewise_case()
     spec = phasewise_spec(phases)
-    again = ModelSpec.from_dict(json.loads(json.dumps(to_json(spec))))
+    again = from_json(ModelSpec, json.loads(json.dumps(to_json(spec))))
     assert again == spec
     assert np.array_equal(fit(again, train).predict(train), fit(spec, train).predict(train))
 
@@ -983,7 +983,7 @@ def test_forecast_series_invariants():
 
     cut = f.restrict(MonthInterval(month("2011-02"), month("2011-03")))
     assert len(cut) == 1 and cut.start == month("2011-02")
-    again = ForecastSeries.from_dict(to_json(f))
+    again = from_json(ForecastSeries, to_json(f))
     assert again.start == f.start
     assert np.array_equal(again.best_fit, f.best_fit)
     assert again.model == f.model
