@@ -46,6 +46,8 @@ class CycleRecord:
     selected_series: np.ndarray
     realized_actuals: Optional[FeatureSeries] = None
     ewa: Optional[dict] = None  # this cycle's EwaReport as JSON data, stored verbatim
+    # the record format's version; a record written before versions loads as 1
+    schema: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.selected_series, dtype=float).copy()
@@ -122,6 +124,13 @@ class CycleStore:
             raise ValidationError(f"cycle record {path} is unreadable: {exc}") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"cycle record {path} is not a JSON object")
+        # checked first: another version may shape any other field differently
+        schema = doc.get("schema", 1)
+        if schema != CycleRecord.schema or type(schema) is not int:
+            raise ValidationError(
+                f"cycle record {path} has schema {schema!r}; this version reads schema "
+                f"{CycleRecord.schema}"
+            )
         try:
             return from_json(CycleRecord, doc)
         except KeyError as exc:

@@ -28,8 +28,8 @@ def to_json(obj):
     A dataclass becomes an object of its fields, leaving out a field that is
     None where None is its default; a field whose metadata has a `json`
     callable is passed through it first. Enums are written as their value,
-    MonthIndex as YYYY-MM, tuples as lists, and arrays as lists with NaN
-    written as null.
+    MonthIndex as YYYY-MM, tuples as lists, arrays as lists, and NaN, in an
+    array or alone, as null.
     """
     if isinstance(obj, enum.Enum):
         return obj.value
@@ -49,12 +49,15 @@ def to_json(obj):
         return {k: to_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
     return obj
 
 
 def json_text(obj) -> str:
-    """The file text of `obj`: indented, keys sorted, newline-terminated."""
-    return json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n"
+    """The file text of `obj`: strict JSON, indented, keys sorted,
+    newline-terminated. An infinite number raises ValueError."""
+    return json.dumps(to_json(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ------------------------------------------------------------------ reading

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -353,18 +354,43 @@ def _mistype_generation(text):
     return json.dumps(doc)
 
 
+def _schema_2(text):
+    doc = json.loads(text)
+    doc["schema"] = 2
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [(lambda text: text[: len(text) // 2], "2012-08.json is not valid JSON"),
      (_drop_forecast, "2012-08.json has no field 'forecast'"),
-     (_mistype_generation, "2012-08.json is damaged: ")],
-    ids=["truncated", "no_forecast", "wrong_type"],
+     (_mistype_generation, "2012-08.json is damaged: "),
+     (_schema_2, "2012-08.json has schema 2")],
+    ids=["truncated", "no_forecast", "wrong_type", "schema_2"],
 )
 def test_unreadable_previous_record_exits_1(data_dir, tmp_path, capsys, damage, message):
     assert _rerun_after_damage(data_dir, tmp_path / "unreadable", damage) == 1
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_record_written_before_versions_is_scored(tmp_path):
+    data = tmp_path / "data"
+    synth = ["synth", "--generations", "3", "--seed", "0", "--months-after-final-ga", "20"]
+    assert cli.main([*synth, "--out", str(data)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run-cycle", *_cycle_args(data, out)]) == 0
+    first = out / "cycles" / "gen2" / "2012-09.json"
+    doc = json.loads(first.read_text())
+    del doc["schema"]
+    doc["forecast"]["test_correlation"] = math.nan
+    first.write_text(json.dumps(doc))  # as records were written: no schema, a bare NaN
+    later = _cycle_args(data, out)
+    later[later.index("2012-09")] = "2012-12"
+    assert cli.main(["run-cycle", *later]) == 0
+    ewa = json.loads((out / "cycles" / "gen2" / "2012-12.json").read_text())["ewa"]
+    assert ewa["first_cycle"] is False
 
 
 def test_numeric_failure_exits_3(data_dir, tmp_path, monkeypatch, capsys):

@@ -99,6 +99,26 @@ def test_valid_record_loads_byte_identically(name):
     assert json_text(from_json(CycleRecord, json.loads(text))) == text
 
 
+def test_record_written_before_versions_loads_as_schema_1():
+    text = RECORD_TEXTS["full_nan_correlation"]
+    doc = json.loads(text)
+    del doc["schema"]
+    doc["forecast"]["test_correlation"] = math.nan
+    old = json.dumps(doc)  # as records were written: no schema, a bare NaN
+    assert "NaN" in old
+    record = from_json(CycleRecord, json.loads(old))
+    assert record.schema == 1
+    assert json_text(record) == text
+
+
+def test_json_text_is_strict():
+    assert json_text({"r": math.nan, "values": np.array([1.0, np.nan])}) == (
+        '{\n  "r": null,\n  "values": [\n    1.0,\n    null\n  ]\n}\n'
+    )
+    with pytest.raises(ValueError):
+        json_text({"r": math.inf})
+
+
 def test_damaged_record_names_the_field():
     doc = to_json(CycleRecord.create(month("2012-04"), GEN, forecast_of([1.0, 2.0, 3.0])))
     for field, value in (("ewa", "Green"), ("ewa", 3), ("selected_series", [1.0, 2.0]),
@@ -147,7 +167,9 @@ def test_unreadable_record_names_the_file(tmp_path):
              (json.dumps(no_forecast), "has no field 'forecast'"),
              ("[]", "is not a JSON object"),
              # the damage's own text is kept
-             (_with(doc, ("ewa",), 3), "is damaged: record field 'ewa'")]
+             (_with(doc, ("ewa",), 3), "is damaged: record field 'ewa'"),
+             (_with(doc, ("schema",), 2), "has schema 2; this version reads schema 1"),
+             (_with(doc, ("schema",), "1"), "has schema '1'")]
     cases += [(_with(doc, where, value), f"is damaged: record field '{'.'.join(where)}'")
               for where, value in WRONG_FIELDS]
     for damaged, message in cases:

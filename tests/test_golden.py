@@ -18,6 +18,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -226,6 +227,18 @@ def test_demo_file_matches_golden_bytes(name, demo_files):
 @pytest.mark.parametrize("name", TWO_CYCLE_FILES)
 def test_two_cycle_file_matches_golden_bytes(name, two_cycle_files):
     assert two_cycle_files[name] == (FIXTURES / "two_cycles" / name).read_bytes()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_written_json_is_strict(demo_files, two_cycle_files):
+    """No NaN or Infinity reaches a file: strict parsers read every one."""
+    written = [*demo_files.items(), *two_cycle_files.items()]
+    for name, blob in written:
+        if name.endswith(".json"):
+            json.loads(blob, parse_constant=_refuse_constant)
 
 
 def test_sweep_outcomes_match_golden_lines(tmp_path):
