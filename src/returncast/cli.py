@@ -109,7 +109,7 @@ def cmd_prepare(args) -> int:
         history, calendar, generation, MonthIndex.parse(args.cycle), config
     )
     write_history(out / "prepared.csv", [prepared.donor, prepared.current])
-    (out / "outliers.json").write_text(json_text(outlier_screen(prepared)))
+    (out / "outliers.json").write_text(json_text(outlier_screen(prepared)), encoding="utf-8")
     flagged = sum(r.count for r in prepared.outliers)
     print(
         f"prepare: donor {prepared.donor_id.name}, factor {prepared.normalization:.4f}, "
@@ -182,7 +182,7 @@ def cmd_stage(args) -> int:
     if key is None:
         emit_report(outcome, path)
     else:
-        path.write_text(json_text(outcome.to_dict()[key]))
+        path.write_text(json_text(outcome.to_dict()[key]), encoding="utf-8")
     written = str(path)
     if writes:
         written += f", {store.path_for(outcome.plan.generation, outcome.plan.cycle_month)}"

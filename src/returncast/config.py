@@ -66,7 +66,7 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
         if not path.is_file():
             raise FileNotFoundError(f"no input file at {path}")
         try:
-            parser.read_string(path.read_text())
+            parser.read_string(path.read_text(encoding="utf-8-sig"))
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ValidationError(f"bad config file {path}: {exc}") from exc
 

@@ -108,7 +108,7 @@ class CycleStore:
         path = self.path_for(record.generation, record.cycle_month)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json_text(record))
+        tmp.write_text(json_text(record), encoding="utf-8")
         os.replace(tmp, path)
         return path
 
@@ -117,7 +117,7 @@ class CycleStore:
         if not path.exists():
             return None
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"cycle record {path} is not valid JSON: {exc}") from None
         except (OSError, UnicodeDecodeError) as exc:

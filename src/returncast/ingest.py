@@ -8,7 +8,9 @@ GA calendar schema:
 Months are YYYY-MM. Quantities must be non-negative decimals. Month gaps
 within a generation are errors, never imputed: the lags and the outlier
 repair's moving average assume contiguous months and silent imputation
-would corrupt them. Text that cannot be decoded is a validation error.
+would corrupt them. Files are UTF-8, read with or without the byte-order
+mark that spreadsheet programs write; text that cannot be decoded is a
+validation error.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ def _open_rows(path: str | Path, expected_header: list[str]):
     if not path.is_file():
         raise FileNotFoundError(f"no input file at {path}")
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -110,7 +112,7 @@ def write_history(path: str | Path, series: list[GenerationSeries]) -> None:
     """Emit GenerationSeries back to the history CSV schema (round-trips)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_HEADER)
         for s in sorted(series, key=lambda s: (s.generation.name, s.start)):
@@ -153,7 +155,7 @@ def load_ga_calendar(path: str | Path) -> GaCalendar:
 def write_ga_calendar(path: str | Path, calendar: GaCalendar) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GA_HEADER)
         for e in calendar.entries():

@@ -121,6 +121,27 @@ def test_ga_calendar_roundtrip(tmp_path):
     assert [e.family for e in loaded.entries()] == ["fleet"] * 3
 
 
+@pytest.mark.parametrize(
+    "write, load",
+    [(lambda path: write_history(path, [gen_series("gén1", "2008-01", returns=[1.0, 2.0])]),
+      lambda path: load_history(path)[0].generation.name),
+     (lambda path: write_ga_calendar(path, family_calendar("2008-01", family="flotte-é")),
+      lambda path: load_ga_calendar(path).entries()[0].family)],
+    ids=["history", "ga_calendar"],
+)
+def test_utf8_file_with_a_byte_order_mark_loads(tmp_path, write, load):
+    # written as UTF-8 whatever the locale; read back the same with the
+    # byte-order mark that a spreadsheet program saves in front
+    path = tmp_path / "input.csv"
+    write(path)
+    text = path.read_bytes()
+    assert "é".encode("utf-8") in text
+    expected = load(path)
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load(path) == expected
+    assert "é" in expected
+
+
 def test_ga_calendar_malformed_ordinal(tmp_path):
     path = tmp_path / "ga.csv"
     path.write_text("generation_id,family,ordinal,ga_month\ngen1,fleet,one,2008-01\n")
