@@ -125,19 +125,14 @@ class CycleStore:
         if not isinstance(doc, dict):
             raise ValidationError(f"cycle record {path} is not a JSON object")
         # checked first: another version may shape any other field differently
-        schema = doc.get("schema", 1)
-        if schema != CycleRecord.schema or type(schema) is not int:
-            raise ValidationError(
-                f"cycle record {path} has schema {schema!r}; this version reads schema "
-                f"{CycleRecord.schema}"
-            )
+        if doc.get("schema", 1) != CycleRecord.schema:
+            raise ValidationError(f"cycle record {path} has schema {doc['schema']!r}; "
+                                  f"this version reads schema {CycleRecord.schema}")
         try:
             return from_json(CycleRecord, doc)
         except KeyError as exc:
             raise ValidationError(f"cycle record {path} has no field {exc}") from None
-        # a field of the wrong type or value, named by its dotted path, or an
-        # integer too large for a float
-        except (ValueError, OverflowError) as exc:
+        except ValidationError as exc:  # it names the field by its dotted path
             raise ValidationError(f"cycle record {path} is damaged: {exc}") from None
 
     def list_cycle_months(self, generation: GenerationId) -> list[MonthIndex]:

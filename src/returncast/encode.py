@@ -14,7 +14,7 @@ import enum
 import functools
 import json
 import math
-from typing import Callable, get_args, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -62,133 +62,76 @@ def json_text(obj) -> str:
 
 # ------------------------------------------------------------------ reading
 
-# reads one JSON value at a dotted field path back into its field's type
-_Reader = Callable[[object, str], object]
-
 
 def from_json(kind, data):
-    """The `kind` dataclass that `to_json` wrote as `data`.
-
-    Each field is read by its type hint: a YYYY-MM string as a MonthIndex,
-    an enum by its value, a list as a float array with null as NaN, a
-    number or null as a float, a nested dataclass by the same walk, and an
-    object as the sorted (name, value) pairs of a spec's hyperparameters.
-    A field absent from `data` takes its default; a required one raises
-    KeyError with its dotted path. A value of the wrong shape raises a
-    ValidationError naming the field by its dotted path, as does any rule
-    a nested dataclass checks when it is built.
-    """
-    return _dataclass_reader(kind)(data, "")
+    """The `kind` dataclass that `to_json` wrote as `data`, read field by
+    field through the type hints. A missing field takes its default, or
+    raises KeyError with its dotted path if it has none; a value of the
+    wrong shape raises a ValidationError that names its dotted path."""
+    return _reader(kind)(data, "")
 
 
-def _wrong(path: str, expected: str, value) -> ValidationError:
-    return ValidationError(f"record field '{path}' must be {expected}, got {value!r:.40}")
-
-
-@functools.cache
-def _dataclass_reader(kind) -> _Reader:
-    """The reader of one dataclass, built once per class: its fields' type
-    hints are resolved here, not on every record."""
-    hints = get_type_hints(kind)
-    plan = [
-        (f.name, _reader(hints[f.name]),
-         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-        for f in dataclasses.fields(kind)
-    ]
-
+def _leaf(accepts: tuple, convert, expected: str):
     def read(value, path):
-        if type(value) is not dict:
-            raise _wrong(path, "an object", value)
-        prefix = f"{path}." if path else ""
-        kwargs = {}
-        for name, read_field, required in plan:
-            if name in value:
-                kwargs[name] = read_field(value[name], prefix + name)
-            elif required:
-                raise KeyError(prefix + name)
-        try:
-            return kind(**kwargs)
-        except ValidationError as exc:
-            if not path:  # the record's own rules name their fields
-                raise
-            raise ValidationError(f"record field '{path}': {exc}") from None
-
+        if type(value) in accepts:
+            try:
+                return convert(value)
+            except (ValueError, OverflowError):  # a bad month, or an int past float
+                pass
+        raise ValidationError(f"record field '{path}' must be {expected}, got {value!r:.40}")
     return read
 
 
-def _reader(hint) -> _Reader:
-    """How to read a field of type `hint`; Optional admits null."""
-    args = get_args(hint)
-    if type(None) in args:
-        (inner,) = (_reader(arg) for arg in args if arg is not type(None))
+@functools.cache
+def _reader(hint):
+    """How to read a value of type `hint` at a dotted path, built once per
+    type: a dataclass's field hints are resolved here, not per record."""
+    if hint in _LEAVES:
+        return _leaf(*_LEAVES[hint])
+    if type(None) in get_args(hint):  # Optional: null, or the other type
+        (inner,) = (_reader(arg) for arg in get_args(hint) if arg is not type(None))
         return lambda value, path: None if value is None else inner(value, path)
-    if hint in _LEAVES:  # MonthIndex is a dataclass too, but written as text
-        return _LEAVES[hint]
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return functools.partial(_read_enum, hint)
-    return _dataclass_reader(hint)
+    if issubclass(hint, enum.Enum):
+        return _leaf((str,), hint, f"one of {[m.value for m in hint]}")
+    hints = get_type_hints(hint)
+    plan = [(f.name, _reader(hints[f.name]),
+             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(hint)]
+    read_object = _reader(dict)
+
+    def read(value, path):
+        read_object(value, path)
+        kwargs = {}
+        for name, read_field, required in plan:
+            at = f"{path}.{name}" if path else name
+            if name in value:
+                kwargs[name] = read_field(value[name], at)
+            elif required:
+                raise KeyError(at)
+        try:
+            return hint(**kwargs)
+        except ValidationError as exc:
+            if path:  # a nested type's own rule; the record's rules name their fields
+                raise ValidationError(f"record field '{path}': {exc}") from None
+            raise
+    return read
 
 
-def _read_enum(kind, value, path):
-    try:
-        return kind(value)
-    except ValueError:
-        raise _wrong(path, f"one of {[m.value for m in kind]}", value) from None
+def _floats(values: list) -> np.ndarray:
+    if all(v is None or type(v) in (float, int) for v in values):
+        return np.array(values, dtype=float)  # null as NaN
+    raise ValueError("not a number")
 
 
-def _read_float(value, path):
-    if value is None:
-        return math.nan
-    if type(value) is not float and type(value) is not int:
-        raise _wrong(path, "a number or null", value)
-    return float(value)
-
-
-def _read_int(value, path):
-    if type(value) is not int:
-        raise _wrong(path, "an integer", value)
-    return value
-
-
-def _read_str(value, path):
-    if type(value) is not str:
-        raise _wrong(path, "a string", value)
-    return value
-
-
-def _read_object(value, path):
-    if type(value) is not dict:
-        raise _wrong(path, "an object", value)
-    return value
-
-
-def _read_month(value, path):
-    try:
-        return MonthIndex.parse(value)
-    except (ValidationError, AttributeError):
-        raise _wrong(path, "a YYYY-MM month", value) from None
-
-
-def _read_array(value, path):
-    if type(value) is list:
-        values = [math.nan if v is None else v for v in value]
-        if all(type(v) is float or type(v) is int for v in values):
-            return np.array(values, dtype=float)
-    raise _wrong(path, "a list of numbers and nulls", value)
-
-
-def _read_pairs(value, path):
-    if type(value) is not dict:
-        raise _wrong(path, "an object", value)
-    return tuple(sorted(value.items()))
-
-
-_LEAVES: dict[object, _Reader] = {
-    float: _read_float,
-    int: _read_int,
-    str: _read_str,
-    dict: _read_object,
-    MonthIndex: _read_month,
-    np.ndarray: _read_array,
-    tuple[tuple[str, object], ...]: _read_pairs,  # a spec's hyperparameters
+# type hint -> (the JSON types it reads, how it converts one, what it must be)
+_LEAVES = {
+    float: ((float, int, type(None)), lambda v: math.nan if v is None else float(v),
+            "a number or null"),
+    int: ((int,), int, "an integer"),
+    str: ((str,), str, "a string"),
+    dict: ((dict,), lambda v: v, "an object"),
+    MonthIndex: ((str,), MonthIndex.parse, "a YYYY-MM month"),
+    np.ndarray: ((list,), _floats, "a list of numbers and nulls"),
+    tuple[tuple[str, object], ...]: ((dict,), lambda v: tuple(sorted(v.items())),
+                                     "an object"),  # a spec's hyperparameters
 }
