@@ -1,8 +1,9 @@
 """Per-cycle planning records, persisted one JSON file per generation-month.
 
 A deviation check needs last cycle's forecast and what the planner actually
-committed to, months after the fact. Records are plain JSON on disk so an
-audit can read them without this package.
+committed to, months after the fact. Records are strict JSON on disk,
+versioned by their `schema` field, so an audit can read them without this
+package.
 """
 from __future__ import annotations
 
