@@ -98,6 +98,20 @@ def test_stage_commands_write_their_artifacts(data_dir, tmp_path):
     assert mapes == sorted(mapes)
 
 
+def test_analyze_summary_counts_the_strong_rows(data_dir, tmp_path, capsys):
+    """At cuts the demo's five predictors straddle, the summary's strong and
+    selected counts are those of analysis.json."""
+    ini = tmp_path / "cuts.ini"
+    ini.write_text("[analysis]\nmedium_at = 0.5\nstrong_at = 0.8\n")
+    out = tmp_path / "analyze"
+    assert cli.main(["analyze", *_cycle_args(data_dir, out, ["--config", str(ini)])]) == 0
+    analysis = json.loads((out / "analysis.json").read_text())
+    strengths = [row["strength"] for row in analysis["correlations"]]
+    assert strengths.count("Strong") == 2 and len(strengths) == 5
+    assert len(analysis["selected_predictors"]) == 2
+    assert "5 predictors (2 strong, 2 selected)" in capsys.readouterr().out
+
+
 def test_stage_commands_do_not_persist_cycles(data_dir, tmp_path):
     out = tmp_path / "probe"
     assert cli.main(["forecast", *_cycle_args(data_dir, out)]) == 0

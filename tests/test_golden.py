@@ -9,7 +9,9 @@ and its ewa.json; every cycle of a lifecycle sweep, one line each, which
 pins the order in which a cycle decides its refusals; and, in the same line
 format, every in-process cycle of seed 0 of the benchmark's demo and
 seasonal workloads, where CHAID, CART, TimeSeries, Linear, phase-wise and
-the NN each win at least once. Regenerate the fixtures
+the NN each win at least once; and what each command of the README demo
+prints before ` -> ` (its summary), or its exit code and error line when
+it refuses. Regenerate the fixtures
 (only for a deliberate output change, noted in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -150,6 +152,43 @@ def run_demo_files(work: Path) -> dict[str, bytes]:
     return files
 
 
+# the README demo's commands in its order: both cycles into one store, then
+# every stage that prints a summary, at the first cycle, reading that store
+README_DEMO = (
+    ("run-cycle", "2012-09"),
+    ("run-cycle", "2012-12"),
+    *(
+        (stage, "2012-09")
+        for stage in ("prepare", "analyze", "train", "forecast", "ewa", "adjust")
+    ),
+)
+
+
+def run_readme_demo_summaries(work: Path) -> str:
+    """One line per README demo command: its cycle month, then its stdout
+    up to ` -> `, or its exit code and its error line."""
+    synth_flags, generation, _, _ = CYCLES["demo"]
+    data = _synth(work, synth_flags)
+    store = work / "run1"
+    lines = []
+    for command, cycle in README_DEMO:
+        if command == "run-cycle":
+            args = _cycle_args(data, generation, cycle, store)
+        else:
+            extra = ["--store", str(store / "cycles")]
+            args = _cycle_args(data, generation, cycle, work / "stages", extra)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *args])
+        if code == 0:
+            summary = stdout.getvalue().split(" -> ")[0]
+        else:
+            error = [line for line in stderr.getvalue().splitlines() if line.startswith(command)]
+            summary = f"exit {code} {error[-1]}"
+        lines.append(f"{cycle} {summary}\n")
+    return "".join(lines)
+
+
 def run_two_cycle_files(work: Path) -> dict[str, bytes]:
     """gen2 at 2012-09 then 2012-12 in one store: the second cycle scores EWA."""
     data = _synth(work, ["--generations", "3", "--months-after-final-ga", "20"])
@@ -241,6 +280,11 @@ def test_written_json_is_strict(demo_files, two_cycle_files):
             json.loads(blob, parse_constant=_refuse_constant)
 
 
+def test_readme_demo_summaries_match_golden_lines(tmp_path):
+    expected = (FIXTURES / "readme_demo_summaries.txt").read_text().splitlines()
+    assert run_readme_demo_summaries(tmp_path).splitlines() == expected
+
+
 def test_sweep_outcomes_match_golden_lines(tmp_path):
     expected = (FIXTURES / "sweep.txt").read_text().splitlines()
     assert run_sweep(tmp_path).splitlines() == expected
@@ -262,6 +306,10 @@ if __name__ == "__main__":
             for name, blob in run(Path(work) / folder).items():
                 (FIXTURES / folder / name).write_bytes(blob)
                 print(f"wrote {FIXTURES / folder / name}", file=sys.stderr)
-        for name, run in (("sweep", run_sweep), ("benchmark_cycles", run_benchmark_cycles)):
+        for name, run in (
+            ("readme_demo_summaries", run_readme_demo_summaries),
+            ("sweep", run_sweep),
+            ("benchmark_cycles", run_benchmark_cycles),
+        ):
             (FIXTURES / f"{name}.txt").write_text(run(Path(work) / name))
             print(f"wrote {FIXTURES / name}.txt", file=sys.stderr)
