@@ -6,35 +6,4 @@ models by test MAPE, emits best-fit/LCI/UCI forecasts, and validates each
 planning cycle with a three-step early-warning post-processor.
 """
 
-from .core import (
-    CHANNELS,
-    FeatureMatrix,
-    FeatureSeries,
-    GaCalendar,
-    GaEntry,
-    GenerationId,
-    GenerationSeries,
-    MonthIndex,
-    MonthInterval,
-    align,
-)
-from .errors import MissingGaError, NumericError, ValidationError
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CHANNELS",
-    "FeatureMatrix",
-    "FeatureSeries",
-    "GaCalendar",
-    "GaEntry",
-    "GenerationId",
-    "GenerationSeries",
-    "MissingGaError",
-    "MonthIndex",
-    "MonthInterval",
-    "NumericError",
-    "ValidationError",
-    "align",
-    "__version__",
-]

@@ -178,26 +178,13 @@ class CorrelationEntry:
     strength: Strength
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
-    rows: tuple[CorrelationEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def strong(self) -> tuple[CorrelationEntry, ...]:
-        return tuple(r for r in self.rows if r.strength is Strength.STRONG)
-
-
 def build_correlation_table(
     predictors: list[FeatureSeries],
     target: FeatureSeries,
     config: AnalysisConfig = AnalysisConfig(),
-) -> CorrelationTable:
-    """Correlate each predictor with the target over their defined overlap.
+) -> tuple[CorrelationEntry, ...]:
+    """Correlate each predictor with the target over their defined overlap;
+    one entry per kept predictor, in name order.
 
     Predictors that are degenerate on the overlap (constant, or too few
     paired months) cannot be modeled and are dropped with a warning.
@@ -217,7 +204,7 @@ def build_correlation_table(
                 strength=classify_strength(r, config),
             )
         )
-    return CorrelationTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------- genealogy

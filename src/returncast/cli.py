@@ -33,6 +33,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .analysis import Strength
 from .config import AppConfig, load_config
 from .core import MonthIndex
 from .cycle_store import CycleStore, PlannerChoice
@@ -126,7 +127,8 @@ _STAGES = {
         "analysis.json",
         "analysis",
         lambda o: f"donor {o.donor.name}, {len(o.plan.table)} predictors "
-        f"({len(o.plan.table.strong())} strong, {len(o.plan.selected)} selected)",
+        f"({sum(r.strength is Strength.STRONG for r in o.plan.table)} strong, "
+        f"{len(o.plan.selected)} selected)",
     ),
     "train": (
         "fit the model zoo and rank by test MAPE",

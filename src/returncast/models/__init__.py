@@ -2,7 +2,6 @@
 # each kind's module registers its fitter on import
 from . import cart, chaid, linear, neural, timeseries  # noqa: F401
 from .base import (
-    FittedModel,
     ForecastSeries,
     ModelKind,
     ModelLeaderboard,
@@ -18,7 +17,6 @@ from .base import (
 from .phasewise import fit_phasewise, phasewise_spec
 
 __all__ = [
-    "FittedModel",
     "ForecastSeries",
     "ModelKind",
     "ModelLeaderboard",

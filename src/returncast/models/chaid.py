@@ -141,16 +141,14 @@ def _bin_ids(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, x, side="right")
 
 
+# a split's groups: each a run of adjacent bin ids, merged
+_Groups = tuple[tuple[int, ...], ...]
+
+
 def _in_group(bins: np.ndarray, g) -> np.ndarray:
     """Row mask of a group: a run of adjacent occupied bins, so a range test
     selects the same rows, in the same order, as membership in ``g``."""
     return (bins >= g[0]) & (bins <= g[-1])
-
-
-@dataclass(frozen=True)
-class _MergeResult:
-    groups: tuple[tuple[int, ...], ...]  # adjacent bin ids, merged
-    p_adjusted: float
 
 
 def _merge_bins(
@@ -159,11 +157,12 @@ def _merge_bins(
     n_bins: int,
     min_segment: int,
     merge_alpha: float,
-) -> Optional[_MergeResult]:
+) -> Optional[tuple[_Groups, float]]:
     """Merge adjacent bins that the F-test cannot distinguish.
 
     Undersized groups are folded into their most-similar neighbor first.
-    Returns None when everything collapses into a single group.
+    Returns the groups and their Bonferroni-adjusted p-value, or None when
+    everything collapses into a single group.
     """
     # bin 0 (strictly below the lowest edge) is empty when that edge is the
     # minimum; seed the merge from the occupied bins only
@@ -206,7 +205,7 @@ def _merge_bins(
     p_raw = _f_test(values, stats)
     # Bonferroni cost of reducing the occupied ordered bins to these groups
     p_adj = min(1.0, p_raw * math.comb(occupied - 1, len(groups) - 1))
-    return _MergeResult(groups=tuple(tuple(g) for g in groups), p_adjusted=p_adj)
+    return tuple(tuple(g) for g in groups), p_adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +213,7 @@ class ChaidNode:
     value: float
     feature: Optional[int] = None
     edges: Optional[np.ndarray] = None
-    groups: tuple[tuple[int, ...], ...] = ()
+    groups: _Groups = ()
     children: tuple["ChaidNode", ...] = ()
 
     @property
@@ -243,7 +242,7 @@ def _grow(
     if depth >= max_depth or len(y) < 2 * min_segment:
         return leaf
 
-    best: Optional[tuple[float, int, np.ndarray, _MergeResult]] = None
+    best: Optional[tuple[float, int, np.ndarray, _Groups]] = None
     for j in range(X.shape[1]):
         edges = _decile_edges(X[:, j])
         n_bins = len(edges) + 1
@@ -252,15 +251,16 @@ def _grow(
         merged = _merge_bins(_bin_ids(X[:, j], edges), y, n_bins, min_segment, merge_alpha)
         if merged is None:
             continue
-        if best is None or merged.p_adjusted < best[0] - 1e-15:
-            best = (merged.p_adjusted, j, edges, merged)
+        groups, p_adjusted = merged
+        if best is None or p_adjusted < best[0] - 1e-15:
+            best = (p_adjusted, j, edges, groups)
 
     if best is None or best[0] >= split_alpha:
         return leaf
-    _, j, edges, merged = best
+    _, j, edges, groups = best
     bins = _bin_ids(X[:, j], edges)
     children = []
-    for g in merged.groups:
+    for g in groups:
         mask = _in_group(bins, g)
         children.append(
             _grow(X[mask], y[mask], depth + 1, min_segment, merge_alpha, split_alpha, max_depth)
@@ -269,7 +269,7 @@ def _grow(
         value=leaf.value,
         feature=j,
         edges=edges,
-        groups=merged.groups,
+        groups=groups,
         children=tuple(children),
     )
 

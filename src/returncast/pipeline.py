@@ -30,9 +30,10 @@ import numpy as np
 
 from .analysis import (
     AnalysisConfig,
-    CorrelationTable,
+    CorrelationEntry,
     LifecyclePhases,
     SeasonalDecomposition,
+    Strength,
     build_correlation_table,
     decompose_seasonal,
     genealogy_match,
@@ -133,7 +134,7 @@ class CycleOutcome:
                 "outliers": outlier_screen(plan.prepared),
                 "analysis": {
                     "donor": self.donor.name,
-                    "correlations": plan.table.rows,
+                    "correlations": plan.table,
                     "selected_predictors": plan.selected,
                     "phases": plan.phases,
                 },
@@ -169,7 +170,7 @@ class CyclePlan:
     config: AppConfig
     prepared: PreparedHistories
     phases: LifecyclePhases
-    table: CorrelationTable
+    table: tuple[CorrelationEntry, ...]
     selected: tuple[str, ...]  # in selection order, which the matrix does not keep
     matrix: FeatureMatrix
     train: FeatureMatrix
@@ -405,11 +406,11 @@ def _zoo(config: AppConfig, rel_phases: LifecyclePhases) -> list[ModelSpec]:
 
 
 def select_for_model(
-    table: CorrelationTable, candidates: list[FeatureSeries], cap: int
+    table: tuple[CorrelationEntry, ...], candidates: list[FeatureSeries], cap: int
 ) -> list[FeatureSeries]:
     """Strong predictors, best first, truncated to the cap; top-correlated
     fallback when nothing clears the bar. Redundancy is the models' problem."""
-    rows = table.strong()
+    rows = [r for r in table if r.strength is Strength.STRONG]
     if not rows:
         rows = sorted(table, key=lambda r: -abs(r.pearson_r))[:3]
         log.warning("no strong predictors; falling back to top %d by |r|", len(rows))
@@ -459,7 +460,7 @@ def plan_cycle(
     usable = coverage_greedy(usable, donor_target, config.pipeline.min_matrix_rows)
 
     table = build_correlation_table(usable, donor_target, config.analysis)
-    if not len(table):
+    if not table:
         raise ValidationError("every usable predictor is degenerate on the donor history")
     chosen = select_for_model(table, usable, config.pipeline.max_predictors)
 

@@ -85,24 +85,20 @@ def _trailing_mean_run(values: np.ndarray, w: int) -> np.ndarray:
     return total / np.minimum(np.arange(1, len(values) + 1), w)
 
 
-def _per_defined_run(values: np.ndarray, func) -> np.ndarray:
-    """Apply func to each contiguous run of defined values; NaN elsewhere.
-
-    A masked month resets the computation: windows never straddle a hole.
-    """
-    out = np.full(len(values), np.nan)
-    for i, j in zip(*true_runs(np.isfinite(values))):
-        out[i:j] = func(values[i:j])
-    return out
-
-
 def moving_average(feature: FeatureSeries, w: int) -> FeatureSeries:
-    """Trailing w-month mean; the first w-1 months of a run use the available prefix."""
+    """Trailing w-month mean; the first w-1 months of a run use the available prefix.
+
+    Each run of defined months is averaged on its own, so a masked month
+    resets the window: windows never straddle a hole.
+    """
     if w < 1:
         raise ValidationError(f"moving-average window must be >= 1, got {w}")
     if w == 1:
         return feature
-    smoothed = _per_defined_run(feature.values, lambda run: _trailing_mean_run(run, w))
+    values = feature.values
+    smoothed = np.full(len(values), np.nan)
+    for i, j in zip(*true_runs(np.isfinite(values))):
+        smoothed[i:j] = _trailing_mean_run(values[i:j], w)
     return feature.with_values(smoothed, name=f"{feature.name}_ma_{w}")
 
 

@@ -1,10 +1,14 @@
 """Every name a package exports has a caller, and so does every public
 top-level function and class.
 
-A name in a package's `__all__` must be referenced somewhere in `src/`
-outside the module that defines it (and the `__init__` that re-exports it),
-or be imported by the acceptance criteria. An export that nothing uses is
-dead weight: drop it from `__all__`, or the code with it.
+A name in a package's `__all__` must be imported through that package
+(`from returncast.models import fit`, or `from .models import fit` inside
+`src/`) by a module in `src/`, the acceptance criteria or the benchmark
+under `perfbench/`; and it must be referenced somewhere in `src/` outside
+the module that defines it (and the `__init__` that re-exports it), or be
+imported by the acceptance criteria. An export that nothing uses is dead
+weight, and one that every caller imports from its defining module is a
+second way to spell it: drop it from `__all__`, or the code with it.
 
 A public top-level function or class must be referenced somewhere in `src/`
 besides its own definition (a re-export in an `__init__` does not count),
@@ -25,7 +29,15 @@ import pytest
 SRC = Path(__file__).parents[1] / "src" / "returncast"
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
-PACKAGES = ("returncast", "returncast.models")
+# every package under src/ that declares an `__all__`
+PACKAGES = tuple(
+    name
+    for name in (
+        ".".join(("returncast", *path.relative_to(SRC).parent.parts))
+        for path in sorted(SRC.rglob("__init__.py"))
+    )
+    if hasattr(importlib.import_module(name), "__all__")
+)
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:
@@ -69,6 +81,38 @@ def test_exported_name_has_a_caller(package, name):
     assert callers or name in ACCEPTANCE_IMPORTS, (
         f"{package}.{name} is exported but nothing in src/ outside its module uses it, "
         "and the acceptance criteria do not import it"
+    )
+
+
+def _from_imports(path: Path, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for each `from module import name` in a file, with a
+    relative module resolved against the package of a file under `src/`."""
+    package = ("returncast", *path.relative_to(SRC).parent.parts) if SRC in path.parents else ()
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join((*base, *([node.module] if node.module else [])))
+            pairs.update((module, alias.name) for alias in node.names)
+    return pairs
+
+
+CALLERS = [*SOURCES, ACCEPTANCE, *sorted(PERFBENCH.glob("*.py"))]
+IMPORTED = set().union(*(_from_imports(path, ast.parse(path.read_text())) for path in CALLERS))
+
+
+def test_every_export_is_imported_through_its_package():
+    unused = [
+        f"{package}.{name}"
+        for package in PACKAGES
+        for name in importlib.import_module(package).__all__
+        if (package, name) not in IMPORTED
+    ]
+    assert not unused, (
+        "exported, but nothing in src/, the acceptance criteria or perfbench/ imports "
+        f"these through their package: {', '.join(unused)}"
     )
 
 

@@ -41,7 +41,6 @@ from returncast.models.chaid import (
     _decile_edges,
     _f_sf,
     _merge_bins,
-    _MergeResult,
 )
 from returncast.models.neural import _standardizer, loss_and_grad, unpack_params
 from returncast.models.timeseries import WEIGHT_GRID
@@ -523,7 +522,7 @@ def _merge_bins_reference(bins, y, n_bins, min_segment, merge_alpha):
         return None
     p_raw = _anova_p([values(g) for g in groups])
     p_adj = min(1.0, p_raw * math.comb(occupied - 1, len(groups) - 1))
-    return _MergeResult(groups=tuple(tuple(g) for g in groups), p_adjusted=p_adj)
+    return tuple(tuple(g) for g in groups), p_adj
 
 
 @st.composite

@@ -37,7 +37,6 @@ from returncast.pipeline import (
 )
 from returncast.analysis import (
     CorrelationEntry,
-    CorrelationTable,
     LifecyclePhases,
     Strength,
     build_correlation_table,
@@ -262,11 +261,9 @@ def test_select_for_model_caps_and_falls_back():
 
 def test_select_for_model_warns_once_when_nothing_is_strong(caplog):
     weak = [fs(np.arange(4.0), name=name) for name in ("w1", "w2")]
-    table = CorrelationTable(
-        rows=tuple(
-            CorrelationEntry(p.name, "gross_returns", r, Strength.WEAK)
-            for p, r in zip(weak, (0.1, -0.12))
-        )
+    table = tuple(
+        CorrelationEntry(p.name, "gross_returns", r, Strength.WEAK)
+        for p, r in zip(weak, (0.1, -0.12))
     )
     with caplog.at_level("DEBUG", logger="returncast"):
         select_for_model(table, weak, cap=8)
