@@ -30,6 +30,10 @@ log = logging.getLogger(__name__)
 
 MIN_CORRELATION_POINTS = 3
 
+# `accepts` is the range the config loader takes, as in `returncast.errors`;
+# a period below 2 has no season, so the seasonal rule would silently not run
+_PERIOD = {"accepts": (lambda value: value >= 2, "must be >= 2")}
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -38,7 +42,7 @@ class AnalysisConfig:
     strong_at: float = 0.186
     ramp_up_months: int = field(default=15, metadata=NON_NEGATIVE)
     plateau_months: int = 10  # when the calendar has no launch two generations out
-    seasonal_period: int = 12
+    seasonal_period: int = field(default=12, metadata=_PERIOD)
     min_genealogy_overlap: int = 6  # aligned post-trigger return months a donor needs
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval, true_runs
-from .errors import ValidationError
+from .errors import NON_NEGATIVE, ValidationError
 
 # `accepts` is the range the config loader takes, as in `returncast.errors`
 _LAGS = {
@@ -31,7 +31,8 @@ _WINDOWS = {"accepts": (lambda value: all(w >= 1 for w in value), "every window 
 class PrepConfig:
     lags: tuple[int, ...] = field(default=(24, 30, 42, 48, 54), metadata=_LAGS)
     moving_averages: tuple[int, ...] = field(default=(3, 6), metadata=_WINDOWS)
-    receipt_exclusion_months: int = 6  # the pre-GA window of masked receipts
+    # the pre-GA window of masked receipts; below 0 it would mask none, as 0 does
+    receipt_exclusion_months: int = field(default=6, metadata=NON_NEGATIVE)
 
 
 def filter_post_ga(series: GenerationSeries, calendar: GaCalendar) -> GenerationSeries:

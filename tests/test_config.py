@@ -176,6 +176,10 @@ def test_every_ranged_key_is_documented_with_its_default():
         ("[analysis]\nmedium_at = 0.5\n", "[analysis]: need 0 < medium_at < strong_at <= 1"),
         ("[analysis]\nstrong_at = 1.5\n", "[analysis]: need 0 < medium_at < strong_at <= 1"),
         ("[adjust]\nfactor_min = 3\nfactor_max = 2\n", "[adjust]: need factor_min <= factor_max"),
+        # values a cycle reads as another value: no seasonal rule, no masked receipts
+        ("[analysis]\nseasonal_period = 1\n", "[analysis] seasonal_period"),
+        ("[analysis]\nseasonal_period = 0\n", "[analysis] seasonal_period"),
+        ("[prep]\nreceipt_exclusion_months = -3\n", "[prep] receipt_exclusion_months"),
     ],
 )
 def test_bad_value_names_its_key(tmp_path, text, where):
@@ -246,14 +250,16 @@ def test_smallest_accepted_model_values_load(tmp_path):
 def test_smallest_accepted_prep_and_cycle_values_load(tmp_path):
     config = _load(
         tmp_path,
-        "[prep]\nlags = 0, 1\nmoving_averages = 1\n[preprocess]\nsigma_multiplier = 1e-9\n"
-        "[analysis]\nramp_up_months = 0\n[models]\ntrain_fraction = 0.01\n"
+        "[prep]\nlags = 0, 1\nmoving_averages = 1\nreceipt_exclusion_months = 0\n"
+        "[preprocess]\nsigma_multiplier = 1e-9\n"
+        "[analysis]\nramp_up_months = 0\nseasonal_period = 2\n[models]\ntrain_fraction = 0.01\n"
         "[ewa]\nlookback_months = 1\nscore_window = 1\nprojection_window = 1\n"
         "[adjust]\nseasonal_damp = -2.5\n",
     )
     assert (config.prep.lags, config.prep.moving_averages) == ((0, 1), (1,))
     assert config.preprocess.sigma_multiplier == 1e-9
-    assert config.analysis.ramp_up_months == 0
+    assert config.prep.receipt_exclusion_months == 0
+    assert (config.analysis.ramp_up_months, config.analysis.seasonal_period) == (0, 2)
     assert config.models.train_fraction == 0.01
     assert (config.ewa.lookback_months, config.ewa.score_window) == (1, 1)
     assert config.ewa.projection_window == 1
@@ -304,6 +310,11 @@ def test_run_cycle_exits_1_on_a_model_value_that_would_crash(tmp_path, capsys):
             "[preprocess] smoothing_window = '0': must be >= 1",
         ),
         ("[models]\nseed = -1\n", "[models] seed = '-1': must be >= 0"),
+        ("[analysis]\nseasonal_period = 1\n", "[analysis] seasonal_period = '1': must be >= 2"),
+        (
+            "[prep]\nreceipt_exclusion_months = -3\n",
+            "[prep] receipt_exclusion_months = '-3': must be >= 0",
+        ),
         (
             "[analysis]\nmedium_at = 0.5\n",
             "[analysis]: need 0 < medium_at < strong_at <= 1, got 0.5, 0.186",
@@ -337,7 +348,8 @@ def demo():
     return generate(ScenarioSpec(generations=3, months_after_final_ga=8, seed=0))
 
 
-# integer keys with no lower bound of their own
+# integer keys with no lower bound of their own, and two that were
+# unbounded until a low value was seen to mean another value silently
 UNBOUNDED_KEYS = [
     ("models", "seed"),
     ("models", "cart_max_depth"),
