@@ -348,8 +348,8 @@ def demo():
     return generate(ScenarioSpec(generations=3, months_after_final_ga=8, seed=0))
 
 
-# integer keys with no lower bound of their own, and two that were
-# unbounded until a low value was seen to mean another value silently
+# integer keys with no lower bound of their own, and two whose bound
+# refuses -1 at load (seasonal_period refuses 0 as well)
 UNBOUNDED_KEYS = [
     ("models", "seed"),
     ("models", "cart_max_depth"),
