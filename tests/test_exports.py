@@ -104,15 +104,15 @@ IMPORTED = set().union(*(_from_imports(path, ast.parse(path.read_text())) for pa
 
 
 def test_every_export_is_imported_through_its_package():
-    unused = [
+    bypassed = [
         f"{package}.{name}"
         for package in PACKAGES
         for name in importlib.import_module(package).__all__
         if (package, name) not in IMPORTED
     ]
-    assert not unused, (
+    assert not bypassed, (
         "exported, but nothing in src/, the acceptance criteria or perfbench/ imports "
-        f"these through their package: {', '.join(unused)}"
+        f"these through their package: {', '.join(bypassed)}"
     )
 
 
