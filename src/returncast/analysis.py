@@ -253,8 +253,6 @@ def genealogy_match(
         raise ValidationError("genealogy match needs at least one candidate")
     scored: list[tuple[float, int, GenerationId]] = []
     for cand in candidates:
-        if cand.generation == current.generation:
-            continue
         try:
             ret_x, ret_y = _aligned_pairs(current, cand, calendar, "gross_returns", True)
             if len(ret_x) < min_overlap:

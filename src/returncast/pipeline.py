@@ -212,17 +212,18 @@ def donor_candidates(
     generation: GenerationId,
     calendar: GaCalendar,
 ) -> list[GenerationSeries]:
-    """Generations usable as history donors: not the current one, and with
-    their own returns trigger (a successor launch) on the calendar."""
+    """Generations usable as history donors: launched before the current
+    one, and with their own returns trigger (a successor launch) on the
+    calendar."""
+    ga = calendar.ga_month(generation)
     candidates = []
     for s in visible:
-        if s.generation.name == generation.name:
-            continue
         try:
-            calendar.ga_of_next(s.generation)
+            if calendar.ga_month(s.generation) < ga:
+                calendar.ga_of_next(s.generation)
+                candidates.append(s)
         except ValidationError:
             continue
-        candidates.append(s)
     return candidates
 
 

@@ -40,6 +40,7 @@ from returncast.analysis import (
     LifecyclePhases,
     Strength,
     build_correlation_table,
+    genealogy_match,
 )
 from returncast.prep import cumulative_sum, lag, moving_average
 from returncast.report import render_report, validate_report
@@ -68,7 +69,26 @@ def test_donor_candidates_need_their_own_trigger():
         gen_series("gen3", "2012-01", returns=[1] * 5, ordinal=3),
     ]
     got = donor_candidates(history, cal.resolve("gen2"), cal)
-    # gen2 is the current generation; gen3 has no successor launch yet
+    # gen2 is the current generation; gen3 launched after it, and has no
+    # successor launch yet
+    assert [s.generation.name for s in got] == ["gen1"]
+
+
+def test_donor_candidates_are_earlier_generations_even_when_a_later_one_matches_best():
+    cal = family_calendar("2008-01", "2010-01", "2012-01", "2014-01")
+    rising, ship = [10, 20, 30, 40, 50, 60], [5, 6, 7, 8, 9, 10, 11, 12]
+
+    def shaped(name, ordinal, trigger, returns, shipments):
+        # [trigger - 2, trigger + 6), returns from the trigger on
+        return gen_series(name, str(month(trigger) - 2), returns=[0, 0, *returns],
+                          shipments=shipments, ordinal=ordinal)
+
+    current = shaped("gen2", 2, "2012-01", rising, ship)
+    earlier = shaped("gen1", 1, "2010-01", rising[::-1], ship[::-1])
+    later = shaped("gen3", 3, "2014-01", [2 * v for v in rising], ship)
+    # the later generation is the planted match: it would score highest
+    assert genealogy_match(current, [earlier, later], cal).name == "gen3"
+    got = donor_candidates([earlier, current, later], current.generation, cal)
     assert [s.generation.name for s in got] == ["gen1"]
 
 
@@ -429,7 +449,8 @@ REFUSALS = (
 @settings(max_examples=4, deadline=None)
 def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude, train_fraction):
     """Every month of every generation, one store per generation, ends in a
-    report that validates or in a documented refusal; never anything else."""
+    report that validates, from a donor launched before its generation, or
+    in a documented refusal; never anything else."""
     series, calendar, _ = generate(
         ScenarioSpec(
             generations=generations,
@@ -448,6 +469,9 @@ def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude, 
                 ), f"undocumented refusal {type(outcome).__name__}: {outcome}"
             else:
                 validate_report(render_report(outcome))
+                assert calendar.ga_month(outcome.donor) < calendar.ga_month(
+                    outcome.plan.generation
+                )
 
 
 # README refusal rows 1-6: the ones `plan_cycle` decides
@@ -523,8 +547,8 @@ def test_plan_lists_the_zoo_and_the_horizon_matrix_without_a_fit(monkeypatch):
         assert neural in plan.zoo, f"{generation} {cycle_month}"
         assert plan.horizon_matrix.predictor_names == plan.matrix.predictor_names
         assert len(plan.horizon_matrix) == config.pipeline.horizon_months
-    # the sweep's 7 reports and its 33 refusals after planning, all EWA's
-    assert planned == 40
+    # the sweep's 5 reports and its 10 refusals after planning, all EWA's
+    assert planned == 15
 
 
 def _same(a, b) -> bool:
@@ -565,5 +589,5 @@ def test_outcome_keeps_its_plan_its_record_and_the_previous_record_ewa_scored(tm
         )
         assert _same(outcome.previous, previous), where
         scored += previous is not None
-    # the sweep's 7 reports; all but each generation's first scored a record
-    assert (reported, scored) == (7, 5)
+    # the sweep's 5 reports, all gen2's; all but the first scored a record
+    assert (reported, scored) == (5, 4)
