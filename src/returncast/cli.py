@@ -1,25 +1,23 @@
 """Command-line interface.
 
-Each subcommand runs one stage of the planning pipeline and writes its
-artifact files under --out, printing a one-line summary. `run-cycle` chains
-every stage for one monthly cycle, writes the report file and stores the
-cycle record; the other stages only read the store. Every stage recomputes
-from the raw inputs, so any stage can be re-run and inspected on its own.
+Each subcommand runs the planning pipeline through the last stage its
+artifact comes from, writes that artifact under --out and prints a one-line
+summary. Only the stages that run the whole cycle read the cycle store, and
+only `run-cycle` writes to it: it stores the cycle record beside the report
+file. Every stage recomputes from the raw inputs, so any stage can be re-run
+and inspected on its own.
 
 Every JSON artifact is one key of `CycleOutcome.to_dict()`:
 
-    stage      artifact                                CycleOutcome.to_dict() key
-    prepare    prepared.csv, outliers.json             outliers (the CSV: both prepared histories)
-    analyze    analysis.json                           analysis
-    train      leaderboard.json                        leaderboard
-    forecast   forecast.json                           forecast
-    ewa        ewa.json                                ewa
-    adjust     adjust.json                             adjust
-    report     report.csv                              (rendered from the outcome)
-    run-cycle  report.csv, <store>/<gen>/<month>.json  record
-
-`prepare` stops after the donor pick and the cleaning, so it writes the
-`outliers` document from `prepare_histories` without running the cycle.
+    stage      runs through        artifact                                CycleOutcome.to_dict() key
+    prepare    prepare_histories   prepared.csv, outliers.json             outliers (the CSV: both prepared histories)
+    analyze    plan_cycle          analysis.json                           analysis
+    train      train_plan          leaderboard.json                        leaderboard
+    forecast   train_plan          forecast.json                           forecast
+    ewa        cycle_outcome       ewa.json                                ewa
+    adjust     cycle_outcome       adjust.json                             adjust
+    report     cycle_outcome       report.csv                              (rendered from the outcome)
+    run-cycle  run_cycle           report.csv, <store>/<gen>/<month>.json  record
 
 Exit codes: 0 success, 1 validation error (undecodable text, an unreadable
 stored record), 2 missing input file (or not a regular file), 3 numeric
@@ -31,6 +29,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .analysis import Strength
@@ -40,7 +39,9 @@ from .cycle_store import CycleStore, PlannerChoice
 from .encode import json_text
 from .errors import NumericError, ValidationError
 from .ingest import load_ga_calendar, load_history, write_ga_calendar, write_history
-from .pipeline import cycle_outcome, outlier_screen, prepare_histories, run_cycle
+from .pipeline import (
+    cycle_outcome, outlier_screen, plan_cycle, prepare_histories, run_cycle, train_plan,
+)
 from .report import emit_report
 from .synth import ScenarioSpec, generate
 
@@ -119,47 +120,54 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-# command -> (help, artifact under --out, CycleOutcome.to_dict() key or None
-# for the rendered report, summary of the outcome or None)
+# command -> (help, artifact under --out, the last pipeline stage it runs,
+# the artifact's document in that stage's result or None for the rendered
+# report, summary of the result or None)
 _STAGES = {
     "analyze": (
         "genealogy, correlations, lifecycle phases",
         "analysis.json",
-        "analysis",
-        lambda o: f"donor {o.donor.name}, {len(o.plan.table)} predictors "
-        f"({sum(r.strength is Strength.STRONG for r in o.plan.table)} strong, "
-        f"{len(o.plan.selected)} selected)",
+        "plan_cycle",
+        lambda plan: plan.analysis,
+        lambda plan: f"donor {plan.prepared.donor_id.name}, {len(plan.table)} predictors "
+        f"({sum(r.strength is Strength.STRONG for r in plan.table)} strong, "
+        f"{len(plan.selected)} selected)",
     ),
     "train": (
         "fit the model zoo and rank by test MAPE",
         "leaderboard.json",
-        "leaderboard",
-        lambda o: f"{len(o.leaderboard)} models, winner {o.leaderboard.winner.spec.label()} "
-        f"(test MAPE {o.leaderboard.winner.mape_best_fit:.2f}%)",
+        "train_plan",
+        lambda t: t.leaderboard,
+        lambda t: f"{len(t.leaderboard)} models, winner {t.leaderboard.winner.spec.label()} "
+        f"(test MAPE {t.leaderboard.winner.mape_best_fit:.2f}%)",
     ),
     "forecast": (
         "predict the horizon with the winning model",
         "forecast.json",
-        "forecast",
-        lambda o: f"{o.forecast_raw.model.label()} over {o.forecast_raw.interval}, "
-        f"test MAPE {o.forecast_raw.test_mape:.2f}%",
+        "train_plan",
+        lambda t: t.forecast_raw,
+        lambda t: f"{t.forecast_raw.model.label()} over {t.forecast_raw.interval}, "
+        f"test MAPE {t.forecast_raw.test_mape:.2f}%",
     ),
     "ewa": (
         "validate the previous cycle's forecast",
         "ewa.json",
-        "ewa",
+        "cycle_outcome",
+        lambda o: o.ewa,
         lambda o: f"alert {o.ewa.alert.value}, recommendation {o.ewa.recommendation.value}",
     ),
     "adjust": (
         "apply post-forecast adjustment rules",
         "adjust.json",
-        "adjust",
+        "cycle_outcome",
+        lambda o: o.adjustments,
         lambda o: o.adjustments.describe(),
     ),
-    "report": ("write the cycle report CSV", "report.csv", None, None),
+    "report": ("write the cycle report CSV", "report.csv", "cycle_outcome", None, None),
     "run-cycle": (
         "run every stage and store the cycle record",
         "report.csv",
+        "run_cycle",
         None,
         lambda o: f"{o.plan.generation.name} {o.plan.cycle_month} "
         f"winner {o.forecast.model.label()} (test MAPE {o.forecast.test_mape:.2f}%), "
@@ -169,27 +177,35 @@ _STAGES = {
 
 
 def cmd_stage(args) -> int:
-    """Run the cycle and write the command's artifact; the store is only
-    read, except that `run-cycle` writes the cycle record to it."""
-    _, artifact, key, summary = _STAGES[args.command]
+    """Run the cycle through the last pipeline stage the command's artifact
+    comes from and write the artifact. Only the stages that run the whole
+    cycle read the store; `run-cycle` also writes the cycle record to it."""
+    _, artifact, last, document, summary = _STAGES[args.command]
     history, calendar, config = _load(args)
     out = _outdir(args)
-    store = CycleStore(args.store if args.store else out / "cycles")
-    writes = args.command == "run-cycle"
-    outcome = (run_cycle if writes else cycle_outcome)(
-        history, calendar, args.generation, MonthIndex.parse(args.cycle), store, config,
-        _CHOICES[args.select],
-    )
-    path = out / artifact
-    if key is None:
-        emit_report(outcome, path)
+    cycle = (history, calendar, args.generation, MonthIndex.parse(args.cycle))
+    written = ""
+    if last in ("plan_cycle", "train_plan"):
+        result = plan_cycle(*cycle, config)
+        if last == "train_plan":
+            leaderboard, forecast_raw = train_plan(result)
+            result = SimpleNamespace(leaderboard=leaderboard, forecast_raw=forecast_raw)
     else:
-        path.write_text(json_text(outcome.to_dict()[key]), encoding="utf-8")
-    written = str(path)
-    if writes:
-        written += f", {store.path_for(outcome.plan.generation, outcome.plan.cycle_month)}"
-    head = f"{summary(outcome)} -> " if summary else ""
-    print(f"{args.command}: {head}{written}")
+        store = CycleStore(args.store if args.store else out / "cycles")
+        writes = last == "run_cycle"
+        # looked up at call time: the benchmark's tracer wraps `cli.run_cycle`
+        result = (run_cycle if writes else cycle_outcome)(
+            *cycle, store, config, _CHOICES[args.select]
+        )
+        if writes:
+            written = f", {store.path_for(result.plan.generation, result.plan.cycle_month)}"
+    path = out / artifact
+    if document is None:
+        emit_report(result, path)
+    else:
+        path.write_text(json_text(document(result)), encoding="utf-8")
+    head = f"{summary(result)} -> " if summary else ""
+    print(f"{args.command}: {head}{path}{written}")
     return 0
 
 

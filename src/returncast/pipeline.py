@@ -128,16 +128,10 @@ class CycleOutcome:
     def to_dict(self) -> dict:
         """Every stage artifact as JSON data, one key per artifact; the CLI
         stages write these (the table in `returncast.cli`)."""
-        plan = self.plan
         return to_json(
             {
-                "outliers": outlier_screen(plan.prepared),
-                "analysis": {
-                    "donor": self.donor.name,
-                    "correlations": plan.table,
-                    "selected_predictors": plan.selected,
-                    "phases": plan.phases,
-                },
+                "outliers": outlier_screen(self.plan.prepared),
+                "analysis": self.plan.analysis,
                 "leaderboard": self.leaderboard,
                 "forecast": self.forecast_raw,
                 "ewa": self.ewa,
@@ -178,6 +172,17 @@ class CyclePlan:
     zoo: tuple[ModelSpec, ...]
     horizon_matrix: FeatureMatrix  # the current generation's, rebased to its trigger
     actuals: FeatureSeries
+
+    @property
+    def analysis(self) -> dict:
+        """The analyze stage's artifact, for `to_json`: donor, correlation
+        table, selected predictors and lifecycle phases."""
+        return {
+            "donor": self.prepared.donor_id.name,
+            "correlations": self.table,
+            "selected_predictors": self.selected,
+            "phases": self.phases,
+        }
 
 
 def outlier_screen(prepared: PreparedHistories) -> dict:

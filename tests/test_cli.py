@@ -14,8 +14,9 @@ import returncast.cli as cli
 from returncast import pipeline, report
 from returncast.core import MonthIndex
 from returncast.cycle_store import CycleStore
-from returncast.errors import NumericError
+from returncast.errors import NumericError, ValidationError
 from returncast.ingest import load_ga_calendar, load_history
+from returncast.models import base
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,61 @@ def test_inspection_stage_creates_no_store(data_dir, tmp_path):
     assert cli.main(["analyze", *_cycle_args(data_dir, out)]) == 0
     assert not (out / "cycles").exists()
     assert [p.name for p in out.iterdir()] == ["analysis.json"]
+
+
+def _at_2012_12(data_dir, out, extra=()):
+    args = _cycle_args(data_dir, out, extra)
+    args[args.index("2012-09")] = "2012-12"
+    return args
+
+
+def test_stages_before_ewa_report_against_a_store_ewa_refuses(data_dir, tmp_path, capsys):
+    """The README demo: after `run-cycle` at 2012-09, EWA cannot yet score
+    the stored forecast at 2012-12. The stages whose artifact comes before
+    EWA write what they write against an empty store; the others refuse."""
+    assert cli.main(["run-cycle", *_cycle_args(data_dir, tmp_path / "run1")]) == 0
+    stored = ["--store", str(tmp_path / "run1" / "cycles")]
+    for command in ("analyze", "train", "forecast"):
+        artifact = cli._STAGES[command][1]
+        assert cli.main([command, *_at_2012_12(data_dir, tmp_path / "stored", stored)]) == 0
+        assert cli.main([command, *_at_2012_12(data_dir, tmp_path / "empty")]) == 0
+        written = (tmp_path / "stored" / artifact).read_bytes()
+        assert written == (tmp_path / "empty" / artifact).read_bytes(), command
+    capsys.readouterr()
+    for command in ("ewa", "adjust", "report"):
+        assert cli.main([command, *_at_2012_12(data_dir, tmp_path / "refused", stored)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"{command}: EWA needs 3 months of actuals overlapping the previous forecast"
+        )
+
+
+def test_stages_before_ewa_read_no_record_and_analyze_fits_no_model(
+    data_dir, tmp_path, monkeypatch, capsys
+):
+    assert cli.main(["run-cycle", *_cycle_args(data_dir, tmp_path / "run1")]) == 0
+    fits = []
+    for kind, fitter in list(base._FITTERS.items()):
+        def counted(spec, train, fitter=fitter):
+            fits.append(spec.kind)
+            return fitter(spec, train)
+
+        monkeypatch.setitem(base._FITTERS, kind, counted)
+
+    def unreadable(*args, **kwargs):
+        raise ValidationError("the store was read")
+
+    for attr in ("load_cycle", "load_previous_cycle", "list_cycle_months"):
+        monkeypatch.setattr(CycleStore, attr, unreadable)
+    stored = ["--store", str(tmp_path / "run1" / "cycles")]
+    assert cli.main(["analyze", *_at_2012_12(data_dir, tmp_path / "out", stored)]) == 0
+    assert fits == []
+    for command in ("train", "forecast"):
+        assert cli.main([command, *_at_2012_12(data_dir, tmp_path / "out", stored)]) == 0
+    assert fits  # the counters see the zoo's fits
+    capsys.readouterr()
+    # the stages after them do read it
+    assert cli.main(["ewa", *_at_2012_12(data_dir, tmp_path / "out", stored)]) == 1
+    assert capsys.readouterr().err == "ewa: the store was read\n"
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
