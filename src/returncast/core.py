@@ -240,9 +240,6 @@ class FeatureSeries:
     def interval(self) -> MonthInterval:
         return MonthInterval(self.start, self.end)
 
-    def months(self) -> list[MonthIndex]:
-        return list(self.interval)
-
     @property
     def defined_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
