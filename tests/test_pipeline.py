@@ -1,5 +1,6 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
 import dataclasses
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from returncast import pipeline
+from returncast import errors, pipeline
 from returncast.config import AppConfig
 from returncast.core import (
+    GaCalendar,
+    GaEntry,
     GenerationId,
     GenerationSeries,
     MonthIndex,
@@ -71,6 +74,20 @@ def test_donor_candidates_need_their_own_trigger():
     got = donor_candidates(history, cal.resolve("gen2"), cal)
     # gen2 is the current generation; gen3 launched after it, and has no
     # successor launch yet
+    assert [s.generation.name for s in got] == ["gen1"]
+
+
+def test_donor_candidates_skip_the_last_launch_of_another_family():
+    # an earlier generation of the current family always has a successor;
+    # one of another family with no later launch has no trigger of its own
+    fleet = family_calendar("2008-01", "2010-01", "2012-01").entries()
+    cal = GaCalendar([*fleet, GaEntry(GenerationId("solo1", ordinal=1), "solo", month("2009-01"))])
+    history = [
+        gen_series("gen1", "2008-01", returns=[1] * 30, ordinal=1),
+        gen_series("solo1", "2009-01", returns=[1] * 20, ordinal=1),
+        gen_series("gen2", "2010-01", returns=[1] * 20, ordinal=2),
+    ]
+    got = donor_candidates(history, cal.resolve("gen2"), cal)
     assert [s.generation.name for s in got] == ["gen1"]
 
 
@@ -413,25 +430,28 @@ def test_run_cycle_phasewise_flag_adds_a_contender(scenario):
     assert len(outcome.leaderboard) == 6
 
 
-# every documented refusal, in the order a cycle decides them (README,
-# "Refusals"): exception type and the first words of its message
-REFUSALS = (
-    (MissingGaError, "no GA entry for "),
-    (ValidationError, "no history visible before "),
-    (ValidationError, "no visible history for "),
-    (ValidationError, "genealogy match needs at least one candidate"),
-    (ValidationError, "no candidate generation has "),
-    (ValidationError, "no predictor is observable across the horizon "),
-    (ValidationError, "every usable predictor is degenerate on the donor history"),
-    (ValidationError, "aligned donor matrix has only "),
-    (ValidationError, "cannot split "),
-    (ValidationError, "no model in the zoo could be fitted and evaluated"),
-    (ValidationError, "EWA needs "),
-    (ValidationError, "cycle record "),
-    (NumericError, "every actual is zero; percentage deviation is undefined"),
-    (NumericError, "window actuals sum to zero; aggregate pad undefined"),
-    (ValidationError, "no ranked model can forecast the horizon: "),
-)
+def _readme_refusals() -> list[tuple[str, type, str]]:
+    """Every documented refusal, in the order a cycle decides them: per
+    prefix in the "exception: message starts" column of the README
+    "Refusals" table, its row's stage, exception type and the prefix."""
+    refusals = []
+    in_table = False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        in_table = line.startswith("|") and (
+            in_table or line == "| # | refusal | stage | exception: message starts | exit |"
+        )
+        if not in_table or line.startswith(("| #", "|---")):
+            continue
+        cells = [cell.strip() for cell in line.split("|")]
+        # `Type`: `prefix`, `prefix`; `Type`: `prefix`
+        for group in cells[4].split(";"):
+            kind, *prefixes = re.findall(r"`([^`]+)`", group)
+            refusals += [(cells[3], getattr(errors, kind), prefix) for prefix in prefixes]
+    return refusals
+
+
+# exception type and the first words of its message
+REFUSALS = tuple((kind, prefix) for _, kind, prefix in _readme_refusals())
 
 
 @given(
@@ -474,8 +494,81 @@ def test_every_lifecycle_cycle_reports_or_refuses(seed, generations, amplitude, 
                 )
 
 
-# README refusal rows 1-6: the ones `plan_cycle` decides
-PLAN_REFUSALS = REFUSALS[: REFUSALS.index((ValidationError, "EWA needs "))]
+def _no_usable_lag(series):
+    """The demo with no lag the horizon can observe: every lag is below it."""
+    return series, replace(AppConfig(), prep=replace(AppConfig().prep, lags=(6,)))
+
+
+def _degenerate_predictors(series):
+    """The demo with the current shipments undefined where a lag of them
+    would cover the horizon, and the donor's upgrades and receipts all zero:
+    the observable lags are constant on the donor history."""
+    gen1, gen2, gen3 = series
+    zeros = np.zeros(len(gen1))
+    gen1 = gen1.replace_channel("upgrades", zeros).replace_channel("new_receipts", zeros)
+    shipments = gen2.shipments.copy()
+    shipments[2:20] = np.nan  # 2010-03 to 2011-08, under lags 24 and 30
+    return [gen1, gen2.replace_channel("shipments", shipments), gen3], AppConfig()
+
+
+def _holey_donor_returns(series):
+    """The demo with every sixth post-trigger month of the donor's returns
+    undefined: enough paired months to pick it, no run of six to train on."""
+    gen1, gen2, gen3 = series
+    returns = gen1.gross_returns.copy()
+    returns[24 + 5 :: 6] = np.nan  # gen1's trigger is its 24th month
+    return [gen1.replace_channel("gross_returns", returns), gen2, gen3], AppConfig()
+
+
+def _band_below_best_fit(series):
+    """The demo at a negative band multiplier, which no forecast can hold."""
+    return series, replace(AppConfig(), models=replace(AppConfig().models, z_multiplier=-1.0))
+
+
+@pytest.mark.parametrize(
+    "cycle_month, inputs, message, trains",
+    [
+        ("2009-06", lambda series: (series, AppConfig()),
+         "no visible history for gen2 before 2009-06", False),
+        ("2012-09", _no_usable_lag,
+         "no predictor is observable across the horizon [2012-09, 2013-09); "
+         "shorten the horizon or extend the lag set", False),
+        ("2012-09", _degenerate_predictors,
+         "every usable predictor is degenerate on the donor history", False),
+        ("2012-09", _holey_donor_returns,
+         "aligned donor matrix has only 5 rows; not enough to train", False),
+        ("2012-09", _band_below_best_fit,
+         "no ranked model can forecast the horizon: "
+         "forecast bands must satisfy lci <= best_fit <= uci", True),
+    ],
+    ids=["row2_no_visible_history", "row3_no_observable_predictor",
+         "row4_degenerate_predictors", "row5_too_few_matrix_rows", "row9_no_winner_forecast"],
+)
+def test_run_cycle_refuses_with_the_documented_message(
+    scenario, monkeypatch, cycle_month, inputs, message, trains
+):
+    """README refusal rows the lifecycle sweeps never reach, each through
+    `run_cycle`; a row `plan_cycle` decides runs no fitter."""
+    fits = []
+    for kind, fitter in list(base._FITTERS.items()):
+        def counted(spec, train, fitter=fitter):
+            fits.append(spec.kind)
+            return fitter(spec, train)
+
+        monkeypatch.setitem(base._FITTERS, kind, counted)
+    history, config = inputs(list(scenario[0]))
+    with pytest.raises(ValidationError) as refused:
+        run_cycle(history, scenario[1], "gen2", month(cycle_month), config=config)
+    assert type(refused.value) is ValidationError
+    assert str(refused.value) == message
+    assert any(kind is ValidationError and message.startswith(prefix) for kind, prefix in REFUSALS)
+    assert bool(fits) is trains
+
+
+# the README refusal rows that `plan_cycle` decides
+PLAN_REFUSALS = tuple(
+    (kind, prefix) for stage, kind, prefix in _readme_refusals() if stage == "`plan_cycle`"
+)
 
 
 def _untouchable(*args, **kwargs):
