@@ -1,9 +1,9 @@
 """Rule-based corrections applied to a forecast before it is reported.
 
-Models extrapolate; these rules anchor the result to reality: recent actuals
-rescale a drifting forecast, known seasonality is layered in (dampened while
-the generation is still active), and months before the returns onset are
-zeroed because hardware cannot come back before it has aged.
+Models extrapolate; these rules anchor the result to the product's
+lifecycle: known seasonality is layered in (dampened while the generation
+is still active), and months before the returns onset are zeroed because
+hardware cannot come back before it has aged.
 
 `AdjustConfig`, the `[adjust]` config section, tunes the rules and holds
 their defaults.
@@ -16,12 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeatureSeries, GaCalendar, GenerationId, MonthIndex, MonthInterval, defined_on
+from .core import GaCalendar, GenerationId, MonthIndex
 from .errors import MissingGaError, ValidationError
 from .analysis import SeasonalDecomposition
-from .ewa import EwaThresholds
 from .models import ForecastSeries
-from .models.base import deviation, pad
 
 log = logging.getLogger(__name__)
 
@@ -32,8 +30,10 @@ _DAMP = {"accepts": (lambda value: -10 <= value <= 10, "must be finite and betwe
 
 @dataclass(frozen=True)
 class AdjustConfig:
-    pad_threshold: float = 10.0  # mean |pad| above which the rescale fires
-    factor_min: float = 0.5  # the rescale factor's clamp
+    # no-ops, accepted and checked so existing config files load; no rule
+    # reads them until ROADMAP item 7 brings one that leaves forecasts no worse
+    pad_threshold: float = 10.0
+    factor_min: float = 0.5
     factor_max: float = 2.0
     seasonal_damp: float = field(default=0.8, metadata=_DAMP)  # while the generation is active
     onset_months: int = 12  # months after GA before any return
@@ -70,31 +70,18 @@ class AdjustResult:
         return "; ".join(n.describe() for n in self.notes) if self.notes else "none"
 
 
-def _lookback_months(
-    forecast: ForecastSeries, actuals: FeatureSeries, decision_point: MonthIndex, lookback: int
-) -> np.ndarray:
-    """Forecast offsets of the last `lookback` months before the decision
-    point with both an actual and a forecast value."""
-    window = MonthInterval(forecast.start, min(forecast.interval.end, decision_point))
-    return np.flatnonzero(defined_on(actuals, window))[-lookback:]
-
-
 def adjust_forecast(
     forecast: ForecastSeries,
-    actuals: Optional[FeatureSeries],
     calendar: GaCalendar,
     generation: GenerationId,
     seasonal: Optional[SeasonalDecomposition] = None,
-    decision_point: Optional[MonthIndex] = None,
-    lookback: int = EwaThresholds.lookback_months,
     config: AdjustConfig = AdjustConfig(),
 ) -> AdjustResult:
     """Apply the post-forecast rules in order, tuned by `config`; every
-    change is itemized. `apply_seasonal` is the caller's to honour: it
-    decides whether to pass `seasonal` at all.
+    change is itemized. The forecast's first month is the decision point.
+    `apply_seasonal` is the caller's to honour: it decides whether to pass
+    `seasonal` at all.
 
-    The rescale multiplies the entire series (not only future months) so a
-    rerun with the same actuals computes a factor of 1 and changes nothing.
     Seasonal injection is a one-shot enrichment: pass the decomposition only
     on the first application.
     """
@@ -103,48 +90,11 @@ def adjust_forecast(
     uci = forecast.uci.copy()
     notes: list[AdjustmentNote] = []
 
-    if decision_point is None:
-        decision_point = actuals.end if actuals is not None else forecast.start
-
-    # rules 1/2: recent mean absolute deviation beyond threshold -> rescale
-    offsets = (
-        _lookback_months(forecast, actuals, decision_point, lookback)
-        if actuals is not None
-        else []
-    )
-    if actuals is None or len(offsets) < lookback:
-        log.warning(
-            "adjust: only %d of %d lookback months available; skipping rescale",
-            len(offsets), lookback,
-        )
-    else:
-        a = actuals.values[offsets + (forecast.start - actuals.start)]
-        f = forecast.best_fit[offsets]
-        if (a == 0.0).all() or f.sum() == 0.0:
-            log.warning("adjust: degenerate lookback window; skipping rescale")
-        else:
-            _, absolute = pad(deviation(a, f), a)
-            mean_abs_pad = float(np.nanmean(absolute))
-            if mean_abs_pad > config.pad_threshold:
-                raw = float(a.sum() / f.sum())
-                factor = float(np.clip(raw, config.factor_min, config.factor_max))
-                best *= factor
-                lci *= factor
-                uci *= factor
-                notes.append(
-                    AdjustmentNote("rescale", factor, tuple(forecast.months()))
-                )
-                log.info(
-                    "adjust: mean |pad| %.1f%% over %s..%s, rescaling by %.4f",
-                    mean_abs_pad, forecast.start + offsets[0], forecast.start + offsets[-1],
-                    factor,
-                )
-
-    # rule 3: layer in seasonality, dampened while the generation is active
+    # layer in seasonality, dampened while the generation is active
     if seasonal is not None:
         nxt = calendar.successor(generation)
         after = calendar.successor(nxt.generation) if nxt is not None else None
-        active = after is None or after.ga_month >= decision_point
+        active = after is None or after.ga_month >= forecast.start
         damp = config.seasonal_damp if active else 1.0
         component = np.array([seasonal.seasonal_at(m) * damp for m in forecast.months()])
         best = np.maximum(best + component, 0.0)
@@ -152,7 +102,7 @@ def adjust_forecast(
         uci = np.maximum(uci + component, 0.0)
         notes.append(AdjustmentNote("seasonal", damp, tuple(forecast.months())))
 
-    # rule 4: no returns before the onset lag after this generation's own GA
+    # no returns before the onset lag after this generation's own GA
     try:
         onset = calendar.ga_month(generation) + config.onset_months
     except MissingGaError:

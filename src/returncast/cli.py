@@ -7,17 +7,18 @@ only `run-cycle` writes to it: it stores the cycle record beside the report
 file. Every stage recomputes from the raw inputs, so any stage can be re-run
 and inspected on its own.
 
-Every JSON artifact is one key of `CycleOutcome.to_dict()`:
+The JSON artifacts are encoded by `returncast.encode.to_json`, as the cycle
+record is:
 
-    stage      runs through        artifact                                CycleOutcome.to_dict() key
-    prepare    prepare_histories   prepared.csv, outliers.json             outliers (the CSV: both prepared histories)
-    analyze    plan_cycle          analysis.json                           analysis
-    train      train_plan          leaderboard.json                        leaderboard
-    forecast   train_plan          forecast.json                           forecast
-    ewa        cycle_outcome       ewa.json                                ewa
-    adjust     cycle_outcome       adjust.json                             adjust
-    report     cycle_outcome       report.csv                              (rendered from the outcome)
-    run-cycle  run_cycle           report.csv, <store>/<gen>/<month>.json  record
+    stage      runs through        artifact
+    prepare    prepare_histories   prepared.csv (both prepared histories), outliers.json
+    analyze    plan_cycle          analysis.json
+    train      train_plan          leaderboard.json
+    forecast   train_plan          forecast.json
+    ewa        cycle_outcome       ewa.json
+    adjust     cycle_outcome       adjust.json
+    report     cycle_outcome       report.csv (rendered from the outcome)
+    run-cycle  run_cycle           report.csv, <store>/<gen>/<month>.json (the cycle record)
 
 Exit codes: 0 success, 1 validation error (undecodable text, an unreadable
 stored record), 2 missing input file (or not a regular file), 3 numeric

@@ -15,6 +15,7 @@ validation error.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +56,7 @@ def _parse_quantity(text: str, column: str, path, lineno: int) -> float:
         value = float(text)
     except ValueError:
         raise ValidationError(f"{path} line {lineno}: malformed {column} {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(f"{path} line {lineno}: non-finite {column}")
     if value < 0:
         raise ValidationError(f"{path} line {lineno}: negative {column}")

@@ -199,8 +199,7 @@ def deviation(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
 def pad(deviations: np.ndarray, actual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(signed, absolute) percentage deviation; zero-actual months become NaN.
 
-    The one percentage error: MAPE, EWA's month scores and the adjust
-    rescale test all read it.
+    The one percentage error: MAPE and EWA's month scores both read it.
     """
     d = np.asarray(deviations, dtype=float)
     a = np.asarray(actual, dtype=float)

@@ -125,21 +125,6 @@ class CycleOutcome:
         """The adjusted forecast, as recorded."""
         return self.record.forecast
 
-    def to_dict(self) -> dict:
-        """Every stage artifact as JSON data, one key per artifact; the CLI
-        stages write these (the table in `returncast.cli`)."""
-        return to_json(
-            {
-                "outliers": outlier_screen(self.plan.prepared),
-                "analysis": self.plan.analysis,
-                "leaderboard": self.leaderboard,
-                "forecast": self.forecast_raw,
-                "ewa": self.ewa,
-                "adjust": self.adjustments,
-                "record": self.record,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class PreparedHistories:
@@ -513,12 +498,9 @@ def finish_cycle(
     config = plan.config
     adjusted = adjust_forecast(
         forecast_raw,
-        actuals=plan.actuals,
         calendar=plan.calendar,
         generation=plan.generation,
         seasonal=_donor_seasonality(plan.prepared.donor, config),
-        decision_point=plan.cycle_month,
-        lookback=config.ewa.lookback_months,
         config=config.adjust,
     )
 

@@ -15,8 +15,9 @@ from returncast.core import (
     MonthIndex,
 )
 from returncast.cycle_store import CycleStore
+from returncast.encode import to_json
 from returncast.errors import NumericError, ValidationError
-from returncast.pipeline import run_cycle
+from returncast.pipeline import CycleOutcome, outlier_screen, run_cycle
 
 
 def month(text: str) -> MonthIndex:
@@ -79,3 +80,19 @@ def lifecycle_cycles(history, calendar: GaCalendar, root, config: AppConfig):
             except (ValidationError, NumericError) as exc:
                 outcome = exc
             yield series.generation.name, month, outcome
+
+
+def stage_documents(outcome: CycleOutcome) -> dict:
+    """Every stage artifact of a cycle as JSON data, one key per artifact:
+    what the CLI stages write (the table in `returncast.cli`)."""
+    return to_json(
+        {
+            "outliers": outlier_screen(outcome.plan.prepared),
+            "analysis": outcome.plan.analysis,
+            "leaderboard": outcome.leaderboard,
+            "forecast": outcome.forecast_raw,
+            "ewa": outcome.ewa,
+            "adjust": outcome.adjustments,
+            "record": outcome.record,
+        }
+    )

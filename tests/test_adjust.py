@@ -1,11 +1,10 @@
-"""Post-forecast correction rules: rescale, seasonality, onset clamp."""
+"""Post-forecast correction rules: seasonality, onset clamp."""
 import numpy as np
 import pytest
 
 from returncast.adjust import AdjustConfig, adjust_forecast
 from returncast.analysis import decompose_seasonal
 from returncast.core import GenerationId
-from returncast.errors import ValidationError
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
 
 from helpers import family_calendar, fs, month
@@ -28,62 +27,10 @@ def forecast_of(values, start="2012-01"):
     )
 
 
-def test_deviation_at_threshold_leaves_forecast_alone():
-    # mean |pad| of exactly 10% does not trip the strictly-greater rule
-    forecast = forecast_of([110.0] * 3)
-    actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
-    result = adjust_forecast(forecast, actuals, CAL, GEN1)
-    assert result.notes == ()
-    assert np.array_equal(result.forecast.best_fit, forecast.best_fit)
-
-
-def test_rescale_matches_recent_volume():
-    values = [400.0 / 3] * 3 + [120.0] * 9
-    forecast = forecast_of(values)
-    actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
-    result = adjust_forecast(forecast, actuals, CAL, GEN1)
-    assert len(result.notes) == 1
-    note = result.notes[0]
-    assert note.rule == "rescale"
-    assert note.factor == pytest.approx(0.75)
-    assert np.allclose(result.forecast.best_fit, np.asarray(values) * 0.75)
-    # the whole band scales together
-    assert np.allclose(result.forecast.lci, np.asarray(values) * 0.9 * 0.75)
-    assert np.allclose(result.forecast.uci, np.asarray(values) * 1.1 * 0.75)
-
-
-def test_rescale_factor_is_bounded():
-    forecast = forecast_of([600.0] * 3)
-    actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
-    result = adjust_forecast(forecast, actuals, CAL, GEN1)
-    assert result.notes[0].factor == pytest.approx(0.5)  # raw 1/6 clips to the floor
-
-
-def test_rescale_clamp_must_be_ordered():
-    # reversed, np.clip would return factor_max for every ratio
-    with pytest.raises(ValidationError, match="need factor_min <= factor_max, got 3.0, 2.0"):
-        AdjustConfig(factor_min=3.0, factor_max=2.0)
-    forecast = forecast_of([600.0] * 3)
-    actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
-    pinned = AdjustConfig(factor_min=0.75, factor_max=0.75)
-    result = adjust_forecast(forecast, actuals, CAL, GEN1, config=pinned)
-    assert result.notes[0].factor == 0.75
-
-
-def test_rescale_is_idempotent_on_values():
-    values = [150.0, 130.0, 110.0] + [100.0] * 9
-    actuals = fs([50.0, 100.0, 150.0], start="2012-01", name="gross_returns")
-    once = adjust_forecast(forecast_of(values), actuals, CAL, GEN1)
-    twice = adjust_forecast(once.forecast, actuals, CAL, GEN1)
-    assert np.allclose(twice.forecast.best_fit, once.forecast.best_fit, rtol=1e-12)
-    assert np.allclose(twice.forecast.lci, once.forecast.lci, rtol=1e-12)
-    assert np.allclose(twice.forecast.uci, once.forecast.uci, rtol=1e-12)
-
-
 def test_accurate_forecast_passes_through_unchanged():
-    forecast = forecast_of([105.0] * 3 + [100.0] * 9)
-    actuals = fs([100.0] * 3, start="2012-01", name="gross_returns")
-    result = adjust_forecast(forecast, actuals, CAL, GEN1)
+    # past gen1's onset and with no seasonality to layer in, no rule applies
+    forecast = forecast_of([100.0] * 12)
+    result = adjust_forecast(forecast, CAL, GEN1)
     assert result.notes == ()
     assert np.array_equal(result.forecast.best_fit, forecast.best_fit)
     assert np.array_equal(result.forecast.lci, forecast.lci)
@@ -100,40 +47,35 @@ def _seasonal():
 
 def test_seasonal_component_is_dampened_while_generation_active():
     seasonal = _seasonal()
-    forecast = forecast_of([100.0] * 12, start="2012-02")
+    # gen3, two launches after gen1, is not out yet at 2011-06
+    forecast = forecast_of([100.0] * 12, start="2011-06")
     expect = np.array([seasonal.seasonal_at(m) for m in forecast.months()])
-
-    active = adjust_forecast(
-        forecast, None, CAL, GEN1, seasonal=seasonal, decision_point=month("2011-06")
-    )
+    active = adjust_forecast(forecast, CAL, GEN1, seasonal=seasonal)
     assert active.notes[0].rule == "seasonal"
     assert active.notes[0].factor == pytest.approx(0.8)
     assert np.allclose(active.forecast.best_fit, 100.0 + 0.8 * expect)
 
     # the follow-on launch already happened: full seasonal weight
-    retired = adjust_forecast(
-        forecast, None, CAL, GEN1, seasonal=seasonal, decision_point=month("2012-06")
-    )
+    forecast = forecast_of([100.0] * 12, start="2012-06")
+    expect = np.array([seasonal.seasonal_at(m) for m in forecast.months()])
+    retired = adjust_forecast(forecast, CAL, GEN1, seasonal=seasonal)
     assert retired.notes[0].factor == pytest.approx(1.0)
     assert np.allclose(retired.forecast.best_fit, 100.0 + expect)
 
 
 def test_seasonal_without_two_launches_ahead_stays_dampened():
     seasonal = _seasonal()
-    forecast = forecast_of([100.0] * 12, start="2013-01")
-    result = adjust_forecast(
-        forecast, None, CAL, GEN2, seasonal=seasonal, decision_point=month("2014-01")
-    )
+    forecast = forecast_of([100.0] * 12, start="2014-01")
+    result = adjust_forecast(forecast, CAL, GEN2, seasonal=seasonal)
     assert result.notes[0].factor == pytest.approx(0.8)
 
 
 def test_seasonal_damp_comes_from_the_config():
     seasonal = _seasonal()
-    forecast = forecast_of([100.0] * 12, start="2012-02")
+    forecast = forecast_of([100.0] * 12, start="2011-06")
     expect = np.array([seasonal.seasonal_at(m) for m in forecast.months()])
     result = adjust_forecast(
-        forecast, None, CAL, GEN1, seasonal=seasonal, decision_point=month("2011-06"),
-        config=AdjustConfig(seasonal_damp=0.5),
+        forecast, CAL, GEN1, seasonal=seasonal, config=AdjustConfig(seasonal_damp=0.5)
     )
     assert result.notes[0].factor == 0.5
     assert np.allclose(result.forecast.best_fit, 100.0 + 0.5 * expect)
@@ -141,10 +83,8 @@ def test_seasonal_damp_comes_from_the_config():
 
 def test_seasonal_floor_at_zero():
     seasonal = _seasonal()
-    forecast = forecast_of([1.0] * 12, start="2012-02")
-    result = adjust_forecast(
-        forecast, None, CAL, GEN1, seasonal=seasonal, decision_point=month("2012-06")
-    )
+    forecast = forecast_of([1.0] * 12, start="2012-06")
+    result = adjust_forecast(forecast, CAL, GEN1, seasonal=seasonal)
     assert (result.forecast.best_fit >= 0.0).all()
     assert (result.forecast.lci >= 0.0).all()
     assert result.forecast.best_fit.min() == 0.0
@@ -153,7 +93,7 @@ def test_seasonal_floor_at_zero():
 def test_months_before_onset_are_zeroed():
     # gen1 launched 2008-01: nothing can come back before 2009-01
     forecast = forecast_of([50.0] * 12, start="2008-06")
-    result = adjust_forecast(forecast, None, CAL, GEN1)
+    result = adjust_forecast(forecast, CAL, GEN1)
     assert result.notes[-1].rule == "zero_before_onset"
     assert len(result.notes[-1].months) == 7
     assert (result.forecast.best_fit[:7] == 0.0).all()
@@ -161,13 +101,13 @@ def test_months_before_onset_are_zeroed():
     assert np.array_equal(result.forecast.best_fit[7:], forecast.best_fit[7:])
 
     # once zeroed, a rerun has nothing left to clamp
-    again = adjust_forecast(result.forecast, None, CAL, GEN1)
+    again = adjust_forecast(result.forecast, CAL, GEN1)
     assert again.notes == ()
 
 
 def test_unknown_generation_skips_onset_rule():
     forecast = forecast_of([50.0] * 6, start="2008-06")
-    result = adjust_forecast(forecast, None, CAL, GenerationId("ghost", 9))
+    result = adjust_forecast(forecast, CAL, GenerationId("ghost", 9))
     assert result.notes == ()
     assert np.array_equal(result.forecast.best_fit, forecast.best_fit)
 
@@ -176,11 +116,8 @@ def test_band_ordering_survives_all_rules():
     seasonal = _seasonal()
     values = [400.0 / 3] * 3 + [120.0] * 9
     forecast = forecast_of(values, start="2008-10")
-    actuals = fs([100.0] * 3, start="2008-10", name="gross_returns")
-    result = adjust_forecast(
-        forecast, actuals, CAL, GEN1, seasonal=seasonal, decision_point=month("2009-01")
-    )
+    result = adjust_forecast(forecast, CAL, GEN1, seasonal=seasonal)
     rules = [n.rule for n in result.notes]
-    assert rules == ["rescale", "seasonal", "zero_before_onset"]
+    assert rules == ["seasonal", "zero_before_onset"]
     f = result.forecast
     assert (f.lci <= f.best_fit).all() and (f.best_fit <= f.uci).all()

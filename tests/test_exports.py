@@ -15,13 +15,16 @@ besides its own definition (a re-export in an `__init__` does not count),
 or be imported by the acceptance criteria.
 
 A public method or property of a class in `src/` must be read as `.name`
-somewhere in `src/` outside its own definition, in the acceptance criteria,
-or in the benchmark under `perfbench/`, which drives the package as a caller
-would (it reads `GroundTruth.truth_for`, say).
+in the code (not a docstring or a comment) somewhere in `src/` outside its
+own definition, in the acceptance criteria, or in the benchmark under
+`perfbench/`, which drives the package as a caller would (it reads
+`GroundTruth.truth_for`, say).
 """
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -146,6 +149,21 @@ def _without(text: str, node: ast.AST) -> str:
     return "\n".join(lines)
 
 
+def _code(text: str) -> str:
+    """`text` with its docstrings and comments blanked out, line for line."""
+    lines = text.splitlines()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                lines[doc.lineno - 1 : doc.end_lineno] = [""] * (doc.end_lineno - doc.lineno + 1)
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col]
+    return "\n".join(lines)
+
+
 METHODS = [
     (path, cls.name, item)
     for path, text in SOURCES.items()
@@ -154,7 +172,8 @@ METHODS = [
     for item in cls.body
     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
 ]
-OUTSIDE_SRC = [ACCEPTANCE.read_text(), *(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))]
+CODE = {path: _code(text) for path, text in SOURCES.items()}
+OUTSIDE_SRC = [_code(p.read_text()) for p in [ACCEPTANCE, *sorted(PERFBENCH.glob("*.py"))]]
 
 
 @pytest.mark.parametrize(
@@ -165,7 +184,7 @@ OUTSIDE_SRC = [ACCEPTANCE.read_text(), *(p.read_text() for p in sorted(PERFBENCH
 def test_public_method_has_a_caller(path, cls, method):
     pattern = re.compile(rf"\.{re.escape(method.name)}\b")
     texts = [
-        _without(text, method) if p == path else text for p, text in SOURCES.items()
+        _without(text, method) if p == path else text for p, text in CODE.items()
     ] + OUTSIDE_SRC
     assert any(pattern.search(text) for text in texts), (
         f"{cls}.{method.name} in {path.relative_to(SRC)} is never read as "

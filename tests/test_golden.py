@@ -37,7 +37,7 @@ from returncast.pipeline import run_cycle
 from returncast.report import render_report
 from returncast.synth import ScenarioSpec, generate
 
-from helpers import lifecycle_cycles
+from helpers import lifecycle_cycles, stage_documents
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -152,11 +152,13 @@ def run_demo_files(work: Path) -> dict[str, bytes]:
     return files
 
 
-# the README demo's commands in its order: both cycles into one store, then
-# every stage that prints a summary, at the first cycle, reading that store
+# the README demo's commands in its order: both cycles into one store,
+# `analyze` at the second cycle, then every stage that prints a summary, at
+# the first cycle, reading that store
 README_DEMO = (
     ("run-cycle", "2012-09"),
     ("run-cycle", "2012-12"),
+    ("analyze", "2012-12"),
     *(
         (stage, "2012-09")
         for stage in ("prepare", "analyze", "train", "forecast", "ewa", "adjust")
@@ -207,12 +209,12 @@ def _outcome_line(generation: str, month, outcome) -> str:
     """Generation, month, then either the refusal's exception type and
     message, or the kind that forecast, the leaderboard's kinds in rank
     order and the SHA-256 of the rendered report followed by
-    `json_text(outcome.to_dict())`. The kinds come first so that a diff of
+    `json_text(stage_documents(outcome))`. The kinds come first so that a diff of
     regenerated lines shows whether a ranking moved or only digits did."""
     if isinstance(outcome, Exception):
         result = f"{type(outcome).__name__}: {outcome}"
     else:
-        blob = render_report(outcome) + json_text(outcome.to_dict())
+        blob = render_report(outcome) + json_text(stage_documents(outcome))
         order = ",".join(str(row.spec.kind) for row in outcome.leaderboard)
         digest = hashlib.sha256(blob.encode()).hexdigest()
         result = f"report {outcome.forecast_raw.model.kind} {order} {digest}"

@@ -49,7 +49,7 @@ from returncast.prep import cumulative_sum, lag, moving_average
 from returncast.report import render_report, validate_report
 from returncast.synth import ScenarioSpec, generate
 
-from helpers import family_calendar, fs, gen_series, lifecycle_cycles, month
+from helpers import family_calendar, fs, gen_series, lifecycle_cycles, month, stage_documents
 
 
 def test_visible_history_truncates_and_drops():
@@ -396,7 +396,7 @@ def test_run_cycle_is_deterministic(scenario):
     assert a.plan.selected == b.plan.selected
     assert [r.spec.kind for r in a.leaderboard] == [r.spec.kind for r in b.leaderboard]
     # dict equality trips over NaN != NaN, so compare serialized form
-    assert json_text(a.to_dict()) == json_text(b.to_dict())
+    assert json_text(stage_documents(a)) == json_text(stage_documents(b))
 
 
 def test_prep_values_no_cycle_can_observe_leave_the_demo_cycle_byte_identical(scenario):
@@ -406,12 +406,38 @@ def test_prep_values_no_cycle_can_observe_leave_the_demo_cycle_byte_identical(sc
     def run(prep):
         config = replace(AppConfig(), prep=prep)
         outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=config)
-        return json_text(outcome.to_dict()), render_report(outcome)
+        return json_text(stage_documents(outcome)), render_report(outcome)
 
     prep = AppConfig().prep
     expected = run(prep)
     assert run(replace(prep, moving_averages=(1, 2, 9))) == expected
     assert run(replace(prep, lags=prep.lags + (0, 1, 6, 11))) == expected
+
+
+def test_adjust_no_op_keys_leave_report_and_record_byte_identical(scenario, tmp_path):
+    """`pad_threshold`, `factor_min` and `factor_max` are read by no rule: at
+    values that would have rescaled every forecast, the README demo cycle
+    and a second cycle that scores the first's stored record write the
+    default config's bytes."""
+    longer = generate(ScenarioSpec(generations=3, months_after_final_ga=20, seed=0))
+    no_op = replace(AppConfig().adjust, pad_threshold=0.0, factor_min=0.1, factor_max=0.1)
+
+    def run(config, root):
+        written = []
+        for name, (series, calendar, _), months in (
+            ("demo", scenario, ["2012-09"]),
+            ("two_cycles", longer, ["2012-09", "2012-12"]),
+        ):
+            store = CycleStore(root / name)
+            for m in months:
+                outcome = run_cycle(series, calendar, "gen2", month(m), store, config)
+            assert (outcome.previous is not None) == (name == "two_cycles")
+            path = store.path_for(outcome.plan.generation, outcome.plan.cycle_month)
+            written += [render_report(outcome), path.read_bytes()]
+        return written
+
+    expected = run(AppConfig(), tmp_path / "default")
+    assert run(replace(AppConfig(), adjust=no_op), tmp_path / "no_op") == expected
 
 
 def test_run_cycle_rejects_generation_without_trigger(scenario):
