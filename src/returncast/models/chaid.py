@@ -4,12 +4,16 @@ Each split bins one predictor into deciles, merges adjacent bins that are
 statistically alike, and keeps the split only if the across-group ANOVA
 survives a Bonferroni-adjusted significance test.
 
-A fit scores thousands of small groups, so its cost is per-call overhead,
-not arithmetic. Group means are `np.add.reduce(g) / n`, exactly what
-`ndarray.mean()` computes, without the method's Python wrapper; the merge
-keeps each group's size, mean and sum of squares between passes; the decile
-edges come from the sorted column rather than `np.unique`, which imports
-`numpy.ma`; and the F tail is a standard-library continued fraction.
+A fit scores thousands of small groups of 1 to a few dozen rows, so its
+cost is per-call overhead, not arithmetic. So the merge holds each group's
+values as Python floats and computes its stats on them, summing in the
+order of numpy's `np.add.reduce`: every mean, sum of squares and p-value
+has the bits the array arithmetic gives. The merge keeps each group's
+size, mean and sum of squares between passes, and scores an adjacent pair
+when it is first read, as folding an undersized group reads only the two
+pairs beside it. The decile edges come from the sorted column rather than
+`np.unique`, which imports `numpy.ma`; and the F tail is a standard-library
+continued fraction.
 """
 from __future__ import annotations
 
@@ -85,32 +89,54 @@ def _f_sf(f: float, d1: float, d2: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, y) / b
 
 
-def _group_stats(g: np.ndarray) -> tuple[int, float, float]:
+def _sum(values: list[float]) -> float:
+    """`np.add.reduce` of the float64 array of `values`, bit for bit.
+
+    numpy sums pairwise: fewer than 8 values in sequence from +0.0; up to
+    128 in eight strided accumulators, added as a tree, then the rest in
+    sequence; beyond that, the two halves apart, the first a multiple of 8
+    long. The reduce adds the sum to +0.0, so all -0.0 sums to +0.0.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    total = 0.0
+    end = 0 if n < 8 else n - n % 8
+    if end:
+        acc = values[:8]
+        for i in range(8, end, 8):
+            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[end:]:
+        total += v
+    return total
+
+
+def _group_stats(values: list[float]) -> tuple[int, float, float]:
     """(size, mean, within-group sum of squares) of one non-empty group.
 
-    `np.add.reduce(g) / n` is exactly `g.mean()`, the same pairwise sum and
-    one IEEE divide, without the method's Python wrapper; likewise the sum
-    of `d * d` is exactly `(d ** 2).sum()`.
+    Bit for bit what `g.mean()` and `((g - g.mean()) ** 2).sum()` give on
+    the group's array: the same pairwise sums and IEEE operations.
     """
-    n = len(g)
-    mean = np.add.reduce(g) / n
-    d = g - mean
-    return n, float(mean), float(np.add.reduce(d * d))
+    n = len(values)
+    mean = _sum(values) / n
+    return n, mean, _sum([(v - mean) * (v - mean) for v in values])
 
 
 def _anova_p(groups: list[np.ndarray]) -> float:
     """One-way ANOVA F-test p-value across groups of target values."""
-    groups = [g for g in groups if len(g)]
+    groups = [g.tolist() for g in groups if len(g)]
     return _f_test(groups, [_group_stats(g) for g in groups])
 
 
-def _f_test(groups: list[np.ndarray], stats: list[tuple[int, float, float]]) -> float:
+def _f_test(groups: list[list[float]], stats: list[tuple[int, float, float]]) -> float:
     """`_anova_p` of non-empty groups whose `_group_stats` are known."""
     k = len(groups)
     n = sum(size for size, _, _ in stats)
     if k < 2 or n - k <= 0:
         return 1.0
-    grand = float(np.add.reduce(np.concatenate(groups)) / n)
+    grand = _sum([v for g in groups for v in g]) / n
     ssb = sum(size * (mean - grand) ** 2 for size, mean, _ in stats)
     ssw = sum(ss for _, _, ss in stats)
     if ssw <= 1e-300:
@@ -170,12 +196,22 @@ def _merge_bins(
         [b] for b in np.flatnonzero(np.bincount(bins, minlength=n_bins)).tolist()
     ]
     occupied = len(groups)
-    # each group's values and stats and each adjacent pair's p-value carry
-    # over between passes; a merge rescores only the two pairs beside the
-    # merged group
-    values = [y[bins == g[0]] for g in groups]
+    # each group's values (in row order) and stats carry over between
+    # passes; a pair's p-value is scored when first read and kept until a
+    # merge changes one of its groups
+    rows = list(zip(bins.tolist(), y.tolist()))
+    by_bin: dict[int, list[float]] = {g[0]: [] for g in groups}
+    for b, v in rows:
+        by_bin[b].append(v)
+    values = list(by_bin.values())
     stats = [_group_stats(v) for v in values]
-    pair_ps = [_f_test(values[i : i + 2], stats[i : i + 2]) for i in range(len(groups) - 1)]
+    pair_ps: list[Optional[float]] = [None] * (len(groups) - 1)
+
+    def pair_p(i: int) -> float:
+        p = pair_ps[i]
+        if p is None:
+            p = pair_ps[i] = _f_test(values[i : i + 2], stats[i : i + 2])
+        return p
 
     while len(groups) > 1:
         multiplier = len(pair_ps)
@@ -183,22 +219,24 @@ def _merge_bins(
         if undersized:
             i = undersized[0]
             # merge toward the more similar neighbor
-            left_p = pair_ps[i - 1] if i > 0 else -1.0
-            right_p = pair_ps[i] if i < len(pair_ps) else -1.0
+            left_p = pair_p(i - 1) if i > 0 else -1.0
+            right_p = pair_p(i) if i < len(pair_ps) else -1.0
             at = i - 1 if left_p >= right_p else i
         else:
-            best = max(range(len(pair_ps)), key=lambda i: pair_ps[i])
-            if min(1.0, pair_ps[best] * multiplier) <= merge_alpha:
+            scores = [pair_p(i) for i in range(len(pair_ps))]
+            best = max(range(len(scores)), key=scores.__getitem__)
+            if min(1.0, scores[best] * multiplier) <= merge_alpha:
                 break
             at = best
         groups[at] = groups[at] + groups[at + 1]
         del groups[at + 1], values[at + 1], stats[at + 1], pair_ps[at]
-        values[at] = y[_in_group(bins, groups[at])]
+        lo, hi = groups[at][0], groups[at][-1]
+        values[at] = [v for b, v in rows if lo <= b <= hi]
         stats[at] = _group_stats(values[at])
         if at > 0:
-            pair_ps[at - 1] = _f_test(values[at - 1 : at + 1], stats[at - 1 : at + 1])
+            pair_ps[at - 1] = None
         if at < len(pair_ps):
-            pair_ps[at] = _f_test(values[at : at + 2], stats[at : at + 2])
+            pair_ps[at] = None
 
     if len(groups) < 2:
         return None

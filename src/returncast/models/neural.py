@@ -6,10 +6,20 @@ different predictor scales. Everything is seeded and deterministic.
 Training is bound by numpy's per-call overhead, not arithmetic: the network
 is small, and an epoch is ten array calls plus the update. So parameters and
 gradient live in two flat buffers, every intermediate has a preallocated
-home, and an epoch allocates nothing. The four matrix products are bound
+home, and an epoch allocates nothing. The five matrix products are bound
 `ndarray.dot` calls with `out`, which skip the dispatch layer of `np.dot`.
 Scalar operands are 0-d arrays built once per fit: a ufunc takes an array
 operand as it is, where a Python float is converted on every call.
+
+The outer product `w2 ⊗ s` of the hidden deltas is one of the five: a
+`(hidden, 1) · (1, n)` product costs a third of the broadcast multiply,
+which numpy runs through its general iterator. With K = 1 each entry is one
+rounded product `w2[j] * s[i]` on every BLAS kernel; only a zero's sign can
+differ, as BLAS adds the product to +0.0 and writes +0.0 where the multiply
+writes -0.0. That sign cannot reach the gradient: past the slope multiply,
+which keeps a zero a zero, the deltas are read only by the input product.
+Its sums also start at +0.0, and from +0.0 a sum of terms that are zero or
+cancel is +0.0 whatever their signs.
 
 The biases and the target ride inside the products, so no epoch spends a
 call on a bias add, a target subtract or an axis reduce:
@@ -71,10 +81,10 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int, scale
     slope = np.empty((hidden, n))
     err = np.empty(n)
     s = np.empty(n)
-    forward, residual = w1b.T.dot, work[k:].dot
+    forward, residual, outer = w1b.T.dot, work[k:].dot, w2_col.dot
     out_grad, in_grad = acts[: hidden + 1].dot, inputs.dot
     multiply, subtract, tanh = np.multiply, np.subtract, np.tanh
-    d_z, g_out = d_zt.T, grad[k:]
+    d_z, g_out, s_row = d_zt.T, grad[k:], s[None, :]
     scale, one = np.array(scale), np.array(1.0)
 
     def step() -> None:
@@ -85,7 +95,7 @@ def _backprop(flat: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int, scale
         multiply(err, scale, s)
         out_grad(s, g_out)
         # Dᵀ = (w2 ⊗ s) * (1 - Zᵀ * Zᵀ)
-        multiply(w2_col, s, d_zt)
+        outer(s_row, d_zt)
         multiply(zt, zt, slope)
         subtract(one, slope, slope)
         multiply(d_zt, slope, d_zt)

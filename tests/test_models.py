@@ -27,7 +27,7 @@ from returncast.models import (
     residual_band,
     split_chronological,
 )
-from returncast.models import base
+from returncast.models import base, chaid
 from returncast.models.base import LeaderboardRow, prediction_correlation, rank_models
 from returncast.models.cart import best_split
 from returncast.models.chaid import (
@@ -41,6 +41,7 @@ from returncast.models.chaid import (
     _decile_edges,
     _f_sf,
     _merge_bins,
+    _sum,
 )
 from returncast.models.neural import _standardizer, loss_and_grad, unpack_params
 from returncast.models.timeseries import WEIGHT_GRID
@@ -553,6 +554,143 @@ def test_merge_bins_matches_full_rescore(case):
     assert _merge_bins(*case) == _merge_bins_reference(*case)
 
 
+def _sum_cases(rng):
+    for n in range(1, 301):
+        yield rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 6.0, n)
+        yield np.abs(rng.normal(0.0, 1.0, n)) * 10.0 ** rng.uniform(-3.0, 6.0)
+        yield rng.choice([0.0, -0.0], n)
+        yield np.full(n, -0.0)
+        # zeros of both signs among values that cancel exactly
+        yield rng.choice([0.0, -0.0, 1e-3, -1e-3, 1e6, -1e6], n)
+
+
+def test_sum_equals_add_reduce_bit_for_bit():
+    # lengths 1-300 cover numpy's three regimes: sequential below 8 values,
+    # eight accumulators up to 128, halving beyond
+    for a in _sum_cases(np.random.default_rng(29)):
+        assert np.float64(_sum(a.tolist())).tobytes() == np.add.reduce(a).tobytes(), len(a)
+
+
+class _EagerMerge:
+    """`_merge_bins` as it was before pairs were scored lazily: every
+    adjacent pair scored up front and both pairs beside a merged group
+    rescored after each merge, on numpy arrays. It counts its F-tests and
+    notes which branches a case reached."""
+
+    def __init__(self):
+        self.f_tests = 0
+        self.seen = set()
+
+    def group_stats(self, g):
+        n = len(g)
+        mean = np.add.reduce(g) / n
+        d = g - mean
+        return n, float(mean), float(np.add.reduce(d * d))
+
+    def f_test(self, groups, stats):
+        self.f_tests += 1
+        k = len(groups)
+        n = sum(size for size, _, _ in stats)
+        if k < 2 or n - k <= 0:
+            return 1.0
+        grand = float(np.add.reduce(np.concatenate(groups)) / n)
+        ssb = sum(size * (mean - grand) ** 2 for size, mean, _ in stats)
+        ssw = sum(ss for _, _, ss in stats)
+        if ssw <= 1e-300:
+            self.seen.add("constant groups")
+            return 0.0 if ssb > 1e-12 else 1.0
+        f_stat = (ssb / (k - 1)) / (ssw / (n - k))
+        return _f_sf(f_stat, k - 1, n - k)
+
+    def __call__(self, bins, y, n_bins, min_segment, merge_alpha):
+        groups = [[b] for b in np.flatnonzero(np.bincount(bins, minlength=n_bins)).tolist()]
+        occupied = len(groups)
+        values = [y[bins == g[0]] for g in groups]
+        stats = [self.group_stats(v) for v in values]
+        pair_ps = [self.f_test(values[i : i + 2], stats[i : i + 2])
+                   for i in range(len(groups) - 1)]
+        while len(groups) > 1:
+            multiplier = len(pair_ps)
+            undersized = [i for i, (size, _, _) in enumerate(stats) if size < min_segment]
+            if undersized:
+                i = undersized[0]
+                left_p = pair_ps[i - 1] if i > 0 else -1.0
+                right_p = pair_ps[i] if i < len(pair_ps) else -1.0
+                self.seen.add("undersized")
+                if left_p == right_p:
+                    self.seen.add("equal neighbours")
+                at = i - 1 if left_p >= right_p else i
+            else:
+                best = max(range(len(pair_ps)), key=lambda i: pair_ps[i])
+                if min(1.0, pair_ps[best] * multiplier) <= merge_alpha:
+                    break
+                at = best
+            groups[at] = groups[at] + groups[at + 1]
+            del groups[at + 1], values[at + 1], stats[at + 1], pair_ps[at]
+            values[at] = y[(bins >= groups[at][0]) & (bins <= groups[at][-1])]
+            stats[at] = self.group_stats(values[at])
+            if at > 0:
+                pair_ps[at - 1] = self.f_test(values[at - 1 : at + 1], stats[at - 1 : at + 1])
+            if at < len(pair_ps):
+                pair_ps[at] = self.f_test(values[at : at + 2], stats[at : at + 2])
+        if len(groups) < 2:
+            return None
+        p_raw = self.f_test(values, stats)
+        p_adj = min(1.0, p_raw * math.comb(occupied - 1, len(groups) - 1))
+        return tuple(tuple(g) for g in groups), p_adj
+
+
+def _merge_case(rng):
+    n = int(rng.integers(10, 61))
+    n_bins = int(rng.integers(2, 11))
+    occupied = np.sort(rng.choice(n_bins, size=int(rng.integers(1, n_bins + 1)), replace=False))
+    bins = rng.choice(occupied, n)
+    style = int(rng.integers(4))
+    if style == 0:  # wide noisy floats: sums depend on their order
+        y = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 6.0) + rng.uniform(-1e3, 1e3)
+    elif style == 1:  # a few integer levels: exact sums, so tied p-values
+        y = rng.integers(0, 3, n).astype(float)
+    elif style == 2:  # every bin constant
+        y = rng.choice([0.0, -0.0, 2.5, 7.0], n_bins)[bins]
+    else:  # mirrored bins around a small middle bin: equal neighbour p-values
+        side = rng.integers(0, 4, n // 2 - 1).astype(float)
+        middle = rng.integers(0, 4, n - 2 * len(side)).astype(float)
+        bins = np.repeat(np.array([0, 1, 2]), [len(side), len(middle), len(side)])
+        y, n_bins = np.concatenate([side, middle, side]), 3
+    return bins, y, n_bins, int(rng.integers(1, 9)), float(rng.choice([0.01, 0.05, 0.3, 1.0]))
+
+
+def _bits(merged):
+    return None if merged is None else (merged[0], merged[1].hex())
+
+
+def test_lazy_merge_matches_the_eager_merge(monkeypatch):
+    # pairs scored when read give the groups and p-value bits of pairs scored
+    # up front, with no more F-tests
+    calls = [0]
+    f_test = chaid._f_test
+
+    def counted(groups, stats):
+        calls[0] += 1
+        return f_test(groups, stats)
+
+    monkeypatch.setattr(chaid, "_f_test", counted)
+    rng = np.random.default_rng(31)
+    eager_total = lazy_total = 0
+    seen = set()
+    for _ in range(600):
+        case = _merge_case(rng)
+        eager = _EagerMerge()
+        expected = eager(*case)
+        calls[0] = 0
+        assert _bits(_merge_bins(*case)) == _bits(expected)
+        assert calls[0] <= eager.f_tests
+        eager_total, lazy_total = eager_total + eager.f_tests, lazy_total + calls[0]
+        seen |= eager.seen
+    assert seen == {"undersized", "constant groups", "equal neighbours"}
+    assert lazy_total < eager_total
+
+
 # ------------------------------------------------------------ neural network
 
 
@@ -625,6 +763,39 @@ def test_loss_and_grad_matches_reference_at_unit_and_folded_shapes(p, hidden):
         ref_loss, ref_grad = _loss_and_grad_reference(flat, X, y, hidden)
         assert loss == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("p, hidden", [(1, 1), (5, 8), (3, 12)])
+def test_loss_and_grad_signed_zeros_do_not_reach_the_gradient(p, hidden):
+    # BLAS writes the hidden deltas' outer product w2 ⊗ s as +0.0 where the
+    # reference's broadcast multiply writes -0.0; the input product sums
+    # from +0.0, so the gradient bits are the same
+    rng = np.random.default_rng(p + hidden)
+    n, k = 13, (p + 1) * hidden
+    X = rng.normal(0.0, 1.0, (n, p))
+    flat = rng.normal(0.0, 0.5, k + hidden + 1)
+    zero_w2 = flat.copy()
+    zero_w2[k : k + hidden] = 0.0  # every delta a zero, signed as its residual
+    flat_net = flat.copy()
+    flat_net[:k] = 0.0  # hidden activations exactly 0: the output is b2
+    flat_net[k : k + hidden] = -np.abs(flat_net[k : k + hidden])
+    b2 = flat_net[-1]
+    cases = [
+        (zero_w2, rng.normal(0.0, 1.0, n)),
+        (flat_net, np.full(n, b2)),  # every residual exactly zero
+        (flat_net, np.where(rng.random(n) < 0.5, b2, rng.normal(0.0, 1.0, n))),
+    ]
+    for params, y in cases:
+        loss, grad = loss_and_grad(params, X, y, hidden)
+        ref_loss, ref_grad = _loss_and_grad_reference(params, X, y, hidden)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+    # the cases are what they claim: the broadcast writes negative zeros,
+    # and the second case's residuals are exactly zero
+    residual = flat[-1] - cases[0][1]
+    assert np.signbit(zero_w2[k : k + hidden, None] * residual).any()
+    assert np.signbit(flat_net[k : k + hidden, None] * 0.0).all()
+    assert loss_and_grad(flat_net, X, cases[1][1], hidden)[0] == 0.0
 
 
 def _fit_neural_reference(spec, train):
