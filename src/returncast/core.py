@@ -399,10 +399,6 @@ class FeatureMatrix:
         return self.n_rows
 
     @property
-    def is_empty(self) -> bool:
-        return self.n_rows == 0
-
-    @property
     def interval(self) -> MonthInterval:
         return MonthInterval(self.start, self.start + self.n_rows)
 

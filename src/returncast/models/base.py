@@ -12,7 +12,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,12 +73,9 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.hyperparameters, Mapping):
-            object.__setattr__(
-                self, "hyperparameters", tuple(sorted(self.hyperparameters.items()))
-            )
-        else:
-            object.__setattr__(self, "hyperparameters", tuple(sorted(self.hyperparameters)))
+        # from a mapping or from (name, value) pairs
+        pairs = tuple(sorted(dict(self.hyperparameters).items()))
+        object.__setattr__(self, "hyperparameters", pairs)
 
     @property
     def params(self) -> dict:

@@ -2,7 +2,9 @@
 
 Each split bins one predictor into deciles, merges adjacent bins that are
 statistically alike, and keeps the split only if the across-group ANOVA
-survives a Bonferroni-adjusted significance test.
+survives a Bonferroni-adjusted significance test. The tree grows to the
+fixed `MAX_DEPTH`; the spec records the segment size and the two alphas,
+not the depth.
 
 A fit scores thousands of small groups of 1 to a few dozen rows, so its
 cost is per-call overhead, not arithmetic. So the merge holds each group's
@@ -27,7 +29,7 @@ from ..core import FeatureMatrix
 from ..errors import NumericError
 from .base import ModelKind, ModelsConfig, ModelSpec, TreeModel, register_fitter, require_rows
 
-MAX_DEPTH = 4  # fixed: no config key sets it
+MAX_DEPTH = 4  # fixed: no config or spec key sets it
 DECILES = tuple(i / 10.0 for i in range(1, 10))
 
 _CF_TINY = 1e-300  # keeps a Lentz denominator off zero
@@ -180,7 +182,6 @@ def _in_group(bins: np.ndarray, g) -> np.ndarray:
 def _merge_bins(
     bins: np.ndarray,
     y: np.ndarray,
-    n_bins: int,
     min_segment: int,
     merge_alpha: float,
 ) -> Optional[tuple[_Groups, float]]:
@@ -193,7 +194,7 @@ def _merge_bins(
     # bin 0 (strictly below the lowest edge) is empty when that edge is the
     # minimum; seed the merge from the occupied bins only
     groups: list[list[int]] = [
-        [b] for b in np.flatnonzero(np.bincount(bins, minlength=n_bins)).tolist()
+        [b] for b in np.flatnonzero(np.bincount(bins)).tolist()
     ]
     occupied = len(groups)
     # each group's values (in row order) and stats carry over between
@@ -274,19 +275,15 @@ def _grow(
     min_segment: int,
     merge_alpha: float,
     split_alpha: float,
-    max_depth: int,
 ) -> ChaidNode:
     leaf = ChaidNode(value=float(y.mean()))
-    if depth >= max_depth or len(y) < 2 * min_segment:
+    if depth >= MAX_DEPTH or len(y) < 2 * min_segment:
         return leaf
 
     best: Optional[tuple[float, int, np.ndarray, _Groups]] = None
     for j in range(X.shape[1]):
         edges = _decile_edges(X[:, j])
-        n_bins = len(edges) + 1
-        if n_bins < 2:
-            continue
-        merged = _merge_bins(_bin_ids(X[:, j], edges), y, n_bins, min_segment, merge_alpha)
+        merged = _merge_bins(_bin_ids(X[:, j], edges), y, min_segment, merge_alpha)
         if merged is None:
             continue
         groups, p_adjusted = merged
@@ -300,9 +297,7 @@ def _grow(
     children = []
     for g in groups:
         mask = _in_group(bins, g)
-        children.append(
-            _grow(X[mask], y[mask], depth + 1, min_segment, merge_alpha, split_alpha, max_depth)
-        )
+        children.append(_grow(X[mask], y[mask], depth + 1, min_segment, merge_alpha, split_alpha))
     return ChaidNode(
         value=leaf.value,
         feature=j,
@@ -316,9 +311,8 @@ def fit_chaid(spec: ModelSpec, train: FeatureMatrix) -> TreeModel:
     min_segment = int(spec.param("min_segment", ModelsConfig.chaid_min_segment))
     merge_alpha = float(spec.param("merge_alpha", ModelsConfig.chaid_merge_alpha))
     split_alpha = float(spec.param("split_alpha", ModelsConfig.chaid_split_alpha))
-    max_depth = int(spec.param("max_depth", MAX_DEPTH))
     require_rows(spec.kind, train, 2 * min_segment)
-    root = _grow(train.X, train.y, 0, min_segment, merge_alpha, split_alpha, max_depth)
+    root = _grow(train.X, train.y, 0, min_segment, merge_alpha, split_alpha)
     return TreeModel(spec, train.predictor_names, train.interval, root)
 
 

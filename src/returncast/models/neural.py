@@ -114,11 +114,9 @@ def loss_and_grad(
     return 0.5 * float(err @ err) / n, grad
 
 
-def _standardizer(values: np.ndarray, axis=0):
-    mean = values.mean(axis=axis)
-    sd = values.std(axis=axis)
-    sd = np.where(sd == 0.0, 1.0, sd) if np.ndim(sd) else (sd if sd != 0.0 else 1.0)
-    return mean, sd
+def _standardizer(values: np.ndarray):
+    sd = values.std(axis=0)
+    return values.mean(axis=0), np.where(sd == 0.0, 1.0, sd)
 
 
 class NeuralModel(FittedModel):

@@ -2,10 +2,13 @@
 
 The ramp phases behave like sloped lines while the plateau is close to
 level-plus-noise, so each phase gets the model shape that suits it instead
-of forcing one global fit across regime changes.
+of forcing one global fit across regime changes. A phase too thin for its
+own model falls back to one global Linear fit over the whole matrix, made
+the first time a phase needs it and shared by every phase that does.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -24,14 +27,6 @@ PHASE_ORDER = ("ramp_up", "plateau", "ramp_down")
 PHASE_BOUNDS = ("ramp_up_start", "plateau_start", "ramp_down_start", "ramp_down_end")
 
 
-def _default_phase_specs(period: int) -> dict[str, ModelSpec]:
-    return {
-        "ramp_up": ModelSpec(ModelKind.LINEAR),
-        "plateau": ModelSpec(ModelKind.TIMESERIES, {"seasonal": False, "period": period}),
-        "ramp_down": ModelSpec(ModelKind.LINEAR),
-    }
-
-
 class PhaseWiseModel(FittedModel):
     def __init__(self, spec, predictor_names, window, phases, phase_models, used_fallback):
         super().__init__(spec, predictor_names, window)
@@ -47,16 +42,12 @@ class PhaseWiseModel(FittedModel):
         return "ramp_up" if month < self.phases.ramp_up.start else "ramp_down"
 
     def _predict_raw(self, matrix: FeatureMatrix) -> np.ndarray:
-        months = matrix.months()
-        labels = [self._phase_for(m) for m in months]
         out = np.empty(len(matrix))
         i = 0
-        while i < len(labels):
-            j = i
-            while j < len(labels) and labels[j] == labels[i]:
-                j += 1
-            segment = matrix.slice_rows(i, j)
-            out[i:j] = self.phase_models[labels[i]].predict(segment)
+        # each run of months in one phase is predicted by that phase's model
+        for name, run in itertools.groupby(self._phase_for(m) for m in matrix.months()):
+            j = i + len(list(run))
+            out[i:j] = self.phase_models[name].predict(matrix.slice_rows(i, j))
             i = j
         return out
 
@@ -81,8 +72,6 @@ def fit_phasewise(
 
 
 def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
-    if matrix.is_empty:
-        raise ValidationError("phase-wise fit needs a non-empty matrix")
     require_rows(ModelKind.PHASEWISE, matrix, 2)
     try:
         a, b, c, d = (MonthIndex(int(spec.params[name])) for name in PHASE_BOUNDS)
@@ -91,16 +80,14 @@ def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
     phases = LifecyclePhases(
         ramp_up=MonthInterval(a, b), plateau=MonthInterval(b, c), ramp_down=MonthInterval(c, d)
     )
-    specs = _default_phase_specs(int(spec.param("period", ModelsConfig.ts_period)))
+    period = int(spec.param("period", ModelsConfig.ts_period))
+    specs = {
+        "ramp_up": ModelSpec(ModelKind.LINEAR),
+        "plateau": ModelSpec(ModelKind.TIMESERIES, {"seasonal": False, "period": period}),
+        "ramp_down": ModelSpec(ModelKind.LINEAR),
+    }
     fallback_spec = ModelSpec(ModelKind.LINEAR)
-    fallback_model: FittedModel | None = None
-
-    def global_fallback() -> FittedModel:
-        nonlocal fallback_model
-        if fallback_model is None:
-            fallback_model = fit(fallback_spec, matrix)
-        return fallback_model
-
+    fallback: FittedModel | None = None
     phase_models: dict[str, FittedModel] = {}
     used_fallback: set[str] = set()
     for name in PHASE_ORDER:
@@ -110,7 +97,9 @@ def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
             phase_models[name] = fit(specs[name], sub)
         except ValidationError as exc:
             log.warning("phase %s falls back to %s: %s", name, fallback_spec.label(), exc)
-            phase_models[name] = global_fallback()
+            if fallback is None:
+                fallback = fit(fallback_spec, matrix)
+            phase_models[name] = fallback
             used_fallback.add(name)
 
     return PhaseWiseModel(

@@ -1,5 +1,6 @@
 """Planning-cycle orchestration: staging helpers and the full run."""
 import dataclasses
+import json
 import re
 import tempfile
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import returncast.cli as cli
 from returncast import errors, pipeline
 from returncast.config import AppConfig
 from returncast.core import (
@@ -45,7 +47,9 @@ from returncast.analysis import (
     build_correlation_table,
     genealogy_match,
 )
+from returncast.ingest import write_ga_calendar, write_history
 from returncast.prep import cumulative_sum, lag, moving_average
+from returncast.preprocess import repair_outliers
 from returncast.report import render_report, validate_report
 from returncast.synth import ScenarioSpec, generate
 
@@ -454,6 +458,96 @@ def test_run_cycle_phasewise_flag_adds_a_contender(scenario):
     labels = [r.spec.label() for r in outcome.leaderboard]
     assert "PhaseWise" in labels
     assert len(outcome.leaderboard) == 6
+
+
+def test_every_zoo_fit_reads_only_keys_its_spec_records(scenario, monkeypatch):
+    """Each name a fit asks `ModelSpec.param` for is a hyperparameter of the
+    asking spec, PhaseWise's sub-specs included, so the specs a cycle records
+    name every setting that shaped its fits."""
+    series, calendar, _ = scenario
+    models = replace(
+        AppConfig().models, include_phasewise=True, include_polynomial=True, ts_seasonal=True
+    )
+    config = replace(AppConfig(), models=models)
+    plan = plan_cycle(series, calendar, "gen2", month("2012-09"), config)
+    asked = []
+    param = ModelSpec.param
+
+    def recording(spec, name, default):
+        asked.append((spec, name))
+        return param(spec, name, default)
+
+    monkeypatch.setattr(ModelSpec, "param", recording)
+    for spec in plan.zoo:
+        try:
+            base.fit(spec, plan.train)
+        except (ValidationError, NumericError):
+            pass  # seasonal TimeSeries and Polynomial need more rows than the split has
+    assert {spec.kind for spec, _ in asked} == {
+        ModelKind.CART, ModelKind.CHAID, ModelKind.NEURAL, ModelKind.TIMESERIES,
+        ModelKind.PHASEWISE,
+    }
+    unrecorded = sorted({(spec.label(), name) for spec, name in asked if name not in spec.params})
+    assert not unrecorded
+
+
+def test_donor_outlier_is_repaired_and_reported_through_a_cycle(scenario, tmp_path):
+    """A spike in the donor's returns is flagged, repaired to the trailing
+    mean before the volume rescale, and shown in the report and in the
+    prepare stage's outliers.json."""
+    series, calendar, _ = scenario
+    donor, spike = series[0], month("2010-06")  # gen1's trigger + 5
+    returns = donor.gross_returns.copy()
+    returns[spike - donor.start] = 2917.8
+    history = [donor.replace_channel("gross_returns", returns), *series[1:]]
+
+    outcome = run_cycle(history, calendar, "gen2", month("2012-09"))
+    prepared = outcome.plan.prepared
+    assert prepared.donor_id.name == "gen1"
+    screen = {report.feature: report for report in prepared.outliers}
+    flagged = screen["gross_returns"]
+    assert flagged.months == (spike,) and flagged.values == (2917.8,)
+    assert round(flagged.lower, 1) == -999.4 and round(flagged.upper, 1) == 1404.2
+    assert screen["new_receipts"].months == ()
+    repaired = repair_outliers(history[0].feature("gross_returns"), flagged)
+    assert prepared.donor.feature("gross_returns").value_at(spike) == (
+        repaired.value_at(spike) * prepared.normalization
+    )
+    row = f"gross_returns,2010-06,{2917.8:.4f},{flagged.lower:.4f},{flagged.upper:.4f}"
+    assert row in render_report(outcome).splitlines()
+
+    write_history(tmp_path / "history.csv", history)
+    write_ga_calendar(tmp_path / "ga.csv", calendar)
+    assert cli.main([
+        "prepare", "--history", str(tmp_path / "history.csv"), "--ga", str(tmp_path / "ga.csv"),
+        "--generation", "gen2", "--cycle", "2012-09", "--out", str(tmp_path / "out"),
+    ]) == 0
+    written = json.loads((tmp_path / "out" / "outliers.json").read_text())
+    assert [(o["feature"], o["months"], o["values"]) for o in written["outliers"]] == [
+        ("gross_returns", ["2010-06"], [2917.8]), ("new_receipts", [], []),
+    ]
+
+
+def test_seasonal_adjustment_off_paths_leave_the_forecast_raw(scenario):
+    """The README demo cycle's one adjustment is the donor's seasonality. With
+    `apply_seasonal` off no rule fires and every band stays raw; with a
+    24-month period the donor is too short to decompose (48 months needed),
+    so no seasonal note is made."""
+    series, calendar, _ = scenario
+
+    def notes(outcome):
+        return [note.rule for note in outcome.adjustments.notes]
+
+    default = AppConfig()
+    assert notes(run_cycle(series, calendar, "gen2", month("2012-09"))) == ["seasonal"]
+    off = replace(default, adjust=replace(default.adjust, apply_seasonal=False))
+    outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=off)
+    assert notes(outcome) == []
+    for band in ("best_fit", "lci", "uci"):
+        assert np.array_equal(getattr(outcome.forecast, band), getattr(outcome.forecast_raw, band))
+    long_period = replace(default, analysis=replace(default.analysis, seasonal_period=24))
+    outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=long_period)
+    assert "seasonal" not in notes(outcome)
 
 
 def _readme_refusals() -> list[tuple[str, type, str]]:
