@@ -44,7 +44,6 @@ class PhaseWiseModel(FittedModel):
     def _predict_raw(self, matrix: FeatureMatrix) -> np.ndarray:
         out = np.empty(len(matrix))
         i = 0
-        # each run of months in one phase is predicted by that phase's model
         for name, run in itertools.groupby(self._phase_for(m) for m in matrix.months()):
             j = i + len(list(run))
             out[i:j] = self.phase_models[name].predict(matrix.slice_rows(i, j))
