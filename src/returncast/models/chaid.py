@@ -8,14 +8,14 @@ not the depth.
 
 A fit scores thousands of small groups of 1 to a few dozen rows, so its
 cost is per-call overhead, not arithmetic. So the merge holds each group's
-values as Python floats and computes its stats on them, summing in the
-order of numpy's `np.add.reduce`: every mean, sum of squares and p-value
-has the bits the array arithmetic gives. The merge keeps each group's
-size, mean and sum of squares between passes, and scores an adjacent pair
-when it is first read, as folding an undersized group reads only the two
-pairs beside it. The decile edges come from the sorted column rather than
-`np.unique`, which imports `numpy.ma`; and the F tail is a standard-library
-continued fraction.
+values as Python floats and computes its stats on them with correctly
+rounded sums (`math.fsum`), so every mean, sum of squares and p-value is
+the same whatever the order of the rows or the groups. The merge keeps
+each group's size, mean and sum of squares between passes, and scores an
+adjacent pair when it is first read, as folding an undersized group reads
+only the two pairs beside it. The decile edges come from the sorted column
+rather than `np.unique`, which imports `numpy.ma`; and the F tail is a
+standard-library continued fraction.
 """
 from __future__ import annotations
 
@@ -91,39 +91,15 @@ def _f_sf(f: float, d1: float, d2: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, y) / b
 
 
-def _sum(values: list[float]) -> float:
-    """`np.add.reduce` of the float64 array of `values`, bit for bit.
-
-    numpy sums pairwise: fewer than 8 values in sequence from +0.0; up to
-    128 in eight strided accumulators, added as a tree, then the rest in
-    sequence; beyond that, the two halves apart, the first a multiple of 8
-    long. The reduce adds the sum to +0.0, so all -0.0 sums to +0.0.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    total = 0.0
-    end = 0 if n < 8 else n - n % 8
-    if end:
-        acc = values[:8]
-        for i in range(8, end, 8):
-            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
-        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for v in values[end:]:
-        total += v
-    return total
-
-
 def _group_stats(values: list[float]) -> tuple[int, float, float]:
     """(size, mean, within-group sum of squares) of one non-empty group.
 
-    Bit for bit what `g.mean()` and `((g - g.mean()) ** 2).sum()` give on
-    the group's array: the same pairwise sums and IEEE operations.
+    The mean and the sum of squares come from correctly rounded sums, so
+    neither depends on the order of the values.
     """
     n = len(values)
-    mean = _sum(values) / n
-    return n, mean, _sum([(v - mean) * (v - mean) for v in values])
+    mean = math.fsum(values) / n
+    return n, mean, math.fsum((v - mean) * (v - mean) for v in values)
 
 
 def _anova_p(groups: list[np.ndarray]) -> float:
@@ -138,9 +114,9 @@ def _f_test(groups: list[list[float]], stats: list[tuple[int, float, float]]) ->
     n = sum(size for size, _, _ in stats)
     if k < 2 or n - k <= 0:
         return 1.0
-    grand = _sum([v for g in groups for v in g]) / n
-    ssb = sum(size * (mean - grand) ** 2 for size, mean, _ in stats)
-    ssw = sum(ss for _, _, ss in stats)
+    grand = math.fsum(v for g in groups for v in g) / n
+    ssb = math.fsum(size * (mean - grand) ** 2 for size, mean, _ in stats)
+    ssw = math.fsum(ss for _, _, ss in stats)
     if ssw <= 1e-300:
         return 0.0 if ssb > 1e-12 else 1.0
     f_stat = (ssb / (k - 1)) / (ssw / (n - k))
@@ -197,12 +173,11 @@ def _merge_bins(
         [b] for b in np.flatnonzero(np.bincount(bins)).tolist()
     ]
     occupied = len(groups)
-    # each group's values (in row order) and stats carry over between
-    # passes; a pair's p-value is scored when first read and kept until a
-    # merge changes one of its groups
-    rows = list(zip(bins.tolist(), y.tolist()))
+    # each group's values and stats carry over between passes; a pair's
+    # p-value is scored when first read and kept until a merge changes one
+    # of its groups
     by_bin: dict[int, list[float]] = {g[0]: [] for g in groups}
-    for b, v in rows:
+    for b, v in zip(bins.tolist(), y.tolist()):
         by_bin[b].append(v)
     values = list(by_bin.values())
     stats = [_group_stats(v) for v in values]
@@ -230,9 +205,8 @@ def _merge_bins(
                 break
             at = best
         groups[at] = groups[at] + groups[at + 1]
+        values[at] = values[at] + values[at + 1]
         del groups[at + 1], values[at + 1], stats[at + 1], pair_ps[at]
-        lo, hi = groups[at][0], groups[at][-1]
-        values[at] = [v for b, v in rows if lo <= b <= hi]
         stats[at] = _group_stats(values[at])
         if at > 0:
             pair_ps[at - 1] = None

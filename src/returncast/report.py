@@ -118,7 +118,7 @@ def _monthly_rows(outcome: CycleOutcome) -> list[str]:
     for m in forecast.months():
         by_quarter.setdefault((m.year, m.quarter), []).append(m)
     for (year, quarter), q_months in sorted(by_quarter.items()):
-        sums = [_num(sum(forecast.value_at(m, band) for m in q_months)) for band in _BANDS]
+        sums = [_num(math.fsum(forecast.value_at(m, b) for m in q_months)) for b in _BANDS]
         rows.append(",".join([f"{year}-Q{quarter}", "", *sums, *[""] * 9]))
     return rows
 

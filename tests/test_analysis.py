@@ -164,6 +164,21 @@ def test_genealogy_match_tie_goes_to_most_recent():
     assert got.name == "gen2"
 
 
+def test_genealogy_match_skips_a_candidate_with_constant_returns(caplog):
+    cal = family_calendar("2008-01", "2010-01", "2012-01", "2014-01")
+    rising = [10, 20, 30, 40, 50, 60]
+    ship = [5, 6, 7, 8, 9, 10, 11, 12]
+    current = _aligned_generation("gen3", 3, "2014-01", rising, ship)
+    # gen2 has no returns correlation to score; gen1 is a poor but scorable match
+    flat = _aligned_generation("gen2", 2, "2012-01", [30] * 6, ship)
+    poor = _aligned_generation("gen1", 1, "2010-01", rising[::-1], ship[::-1])
+    with caplog.at_level("WARNING", logger="returncast.analysis"):
+        got = genealogy_match(current, [poor, flat], cal)
+    assert got.name == "gen1"
+    skips = [r.getMessage() for r in caplog.records if "genealogy: skipping" in r.getMessage()]
+    assert len(skips) == 1 and skips[0].startswith("genealogy: skipping gen2: returns vs gen2:")
+
+
 def test_genealogy_match_needs_aligned_overlap():
     cal = family_calendar("2008-01", "2010-01", "2012-01", "2014-01")
     rising = [10, 20, 30, 40, 50, 60]

@@ -1,4 +1,6 @@
 """CSV ingestion: schemas, roundtrips, error reporting."""
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from returncast.errors import ValidationError
 from helpers import family_calendar, gen_series, month
 
 GOOD_HEADER = "generation_id,month,shipments,upgrades,new_receipts,gross_returns\n"
+GA_HEADER = "generation_id,family,ordinal,ga_month\n"
 
 
 def test_history_roundtrip(tmp_path):
@@ -106,8 +109,41 @@ def test_header_only_file_loads_empty(tmp_path):
     path.write_text(GOOD_HEADER)
     assert load_history(path) == []
     ga = tmp_path / "ga.csv"
-    ga.write_text("generation_id,family,ordinal,ga_month\n")
+    ga.write_text(GA_HEADER)
     assert len(load_ga_calendar(ga)) == 0
+
+
+def test_zero_byte_file_loads_empty(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    assert load_history(path) == []
+    assert len(load_ga_calendar(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [(load_history, GOOD_HEADER + "gen1,2008-01,10,0,3,1\ngen1,2008-02,10,0,3\n",
+      "expected 6 fields, got 5"),
+     (load_history, GOOD_HEADER + "gen1,2008-01,10,0,3,1\ngen1,2008-02,10,0,3,1,7\n",
+      "expected 6 fields, got 7"),
+     (load_ga_calendar, GA_HEADER + "gen1,fleet,1,2008-01\ngen2,fleet,2\n",
+      "expected 4 fields, got 3"),
+     (load_history, GOOD_HEADER + "gen1,2008-01,10,0,3,1\n,2008-02,10,0,3,1\n",
+      "empty generation_id"),
+     (load_ga_calendar, GA_HEADER + "gen1,fleet,1,2008-01\n ,fleet,2,2010-01\n",
+      "empty generation_id"),
+     (load_history, GOOD_HEADER + "gen1,2008-01,10,0,3,1\ngen1,2008-02,10,nan,3,1\n",
+      "non-finite upgrades"),
+     (load_history, GOOD_HEADER + "gen1,2008-01,10,0,3,1\ngen1,2008-02,10,0,3,inf\n",
+      "non-finite gross_returns")],
+    ids=["history-short-row", "history-long-row", "ga-short-row", "history-empty-generation",
+         "ga-empty-generation", "nan-quantity", "inf-quantity"],
+)
+def test_refused_row_names_the_file_and_line(tmp_path, load, text, message):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path} line 3: {message}')}$"):
+        load(path)
 
 
 def test_ga_calendar_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -41,7 +41,6 @@ from returncast.models.chaid import (
     _decile_edges,
     _f_sf,
     _merge_bins,
-    _sum,
 )
 from returncast.models.neural import _standardizer, loss_and_grad, unpack_params
 from returncast.models.timeseries import WEIGHT_GRID
@@ -391,15 +390,17 @@ def test_f_tail_decides_near_alpha_as_scipy_does(d1, d2):
 
 
 def _anova_p_mean_reference(groups):
-    """The F-test with means from ndarray.mean(), as first written."""
+    """The F-test on the group arrays, as first written, with every sum
+    correctly rounded."""
     groups = [g for g in groups if len(g)]
     k = len(groups)
     n = sum(len(g) for g in groups)
     if k < 2 or n - k <= 0:
         return 1.0
-    grand = float(np.concatenate(groups).mean())
-    ssb = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
-    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
+    grand = math.fsum(np.concatenate(groups)) / n
+    means = [math.fsum(g) / len(g) for g in groups]
+    ssb = math.fsum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ssw = math.fsum(math.fsum((g - m) ** 2) for g, m in zip(groups, means))
     if ssw <= 1e-300:
         return 0.0 if ssb > 1e-12 else 1.0
     f_stat = (ssb / (k - 1)) / (ssw / (n - k))
@@ -407,7 +408,7 @@ def _anova_p_mean_reference(groups):
 
 
 # few distinct levels make ties, constant groups and signed zeros common;
-# the wide floats make sums depend on their order
+# the wide floats make sums whose rounding depends on their order
 _LEVELS = st.lists(
     st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e6, 1e6)),
     min_size=1, max_size=5,
@@ -430,6 +431,29 @@ def _target_groups(draw):
 @settings(max_examples=400, deadline=None)
 def test_anova_p_equals_the_mean_formulation(groups):
     assert _anova_p(groups) == _anova_p_mean_reference(groups)
+
+
+@st.composite
+def _reordered_target_groups(draw):
+    """Groups of target values, and the same groups with the rows inside
+    each and the groups themselves permuted."""
+    groups = draw(_target_groups())
+    rows = [g[draw(st.permutations(range(len(g))))] for g in groups]
+    return groups, draw(st.permutations(rows))
+
+
+# plain left-to-right sums of ssb and ssw round these two orders apart
+_THREE_GROUPS = [
+    np.array([0.0, 0, 0, 1, 1]), np.array([0.0, 0, 0]), np.array([0.0] * 10 + [1, 1])
+]
+
+
+@given(case=_reordered_target_groups())
+@example(case=(_THREE_GROUPS, [_THREE_GROUPS[i] for i in (0, 2, 1)]))
+@settings(max_examples=400, deadline=None)
+def test_anova_p_ignores_row_and_group_order(case):
+    groups, reordered = case
+    assert _anova_p(reordered) == _anova_p(groups)
 
 
 @st.composite
@@ -535,8 +559,8 @@ def _binned_targets(draw):
     n = draw(st.integers(1, 60))
     bins = np.array(draw(st.lists(st.sampled_from(sorted(occupied)), min_size=n, max_size=n)),
                     dtype=np.int64)
-    # few distinct levels tie values, noise on some rows makes sums depend on
-    # row order, and some bins hold one constant value
+    # few distinct levels tie values, noise on some rows makes inexact sums,
+    # and some bins hold one constant value
     levels = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
     y = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
     noise = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
@@ -555,23 +579,6 @@ def test_merge_bins_matches_full_rescore(case):
     assert _merge_bins(*case[:2], *case[3:]) == _merge_bins_reference(*case)
 
 
-def _sum_cases(rng):
-    for n in range(1, 301):
-        yield rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 6.0, n)
-        yield np.abs(rng.normal(0.0, 1.0, n)) * 10.0 ** rng.uniform(-3.0, 6.0)
-        yield rng.choice([0.0, -0.0], n)
-        yield np.full(n, -0.0)
-        # zeros of both signs among values that cancel exactly
-        yield rng.choice([0.0, -0.0, 1e-3, -1e-3, 1e6, -1e6], n)
-
-
-def test_sum_equals_add_reduce_bit_for_bit():
-    # lengths 1-300 cover numpy's three regimes: sequential below 8 values,
-    # eight accumulators up to 128, halving beyond
-    for a in _sum_cases(np.random.default_rng(29)):
-        assert np.float64(_sum(a.tolist())).tobytes() == np.add.reduce(a).tobytes(), len(a)
-
-
 class _EagerMerge:
     """`_merge_bins` as it was before pairs were scored lazily: every
     adjacent pair scored up front and both pairs beside a merged group
@@ -584,9 +591,9 @@ class _EagerMerge:
 
     def group_stats(self, g):
         n = len(g)
-        mean = np.add.reduce(g) / n
+        mean = math.fsum(g) / n
         d = g - mean
-        return n, float(mean), float(np.add.reduce(d * d))
+        return n, mean, math.fsum(d * d)
 
     def f_test(self, groups, stats):
         self.f_tests += 1
@@ -594,9 +601,9 @@ class _EagerMerge:
         n = sum(size for size, _, _ in stats)
         if k < 2 or n - k <= 0:
             return 1.0
-        grand = float(np.add.reduce(np.concatenate(groups)) / n)
-        ssb = sum(size * (mean - grand) ** 2 for size, mean, _ in stats)
-        ssw = sum(ss for _, _, ss in stats)
+        grand = math.fsum(np.concatenate(groups)) / n
+        ssb = math.fsum(size * (mean - grand) ** 2 for size, mean, _ in stats)
+        ssw = math.fsum(ss for _, _, ss in stats)
         if ssw <= 1e-300:
             self.seen.add("constant groups")
             return 0.0 if ssb > 1e-12 else 1.0
@@ -647,7 +654,7 @@ def _merge_case(rng):
     occupied = np.sort(rng.choice(n_bins, size=int(rng.integers(1, n_bins + 1)), replace=False))
     bins = rng.choice(occupied, n)
     style = int(rng.integers(4))
-    if style == 0:  # wide noisy floats: sums depend on their order
+    if style == 0:  # wide noisy floats: inexact sums
         y = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 6.0) + rng.uniform(-1e3, 1e3)
     elif style == 1:  # a few integer levels: exact sums, so tied p-values
         y = rng.integers(0, 3, n).astype(float)
@@ -950,6 +957,24 @@ def test_timeseries_seasonal_tracks_cycle():
     # seasonal smoothing should beat a plain trend line on this shape
     line = fit(ModelSpec(ModelKind.LINEAR), train)
     assert evaluate_mape(y, pred) < evaluate_mape(y, line.predict(train))
+
+
+def test_timeseries_seasonal_forecast_past_the_window():
+    # a noise-free trend plus a zero-sum season of period 6
+    season = np.array([5.0, -3.0, 8.0, -6.0, 0.0, -4.0])
+    t = np.arange(36)
+    y = 100.0 + 2.0 * t + season[t % 6]
+    model = fit(ModelSpec(ModelKind.TIMESERIES, {"seasonal": True, "period": 6}),
+                matrix(t.astype(float), y))
+    ahead = np.arange(36, 50)  # 14 months past the window: more than two periods
+    pred = model.predict(matrix(ahead.astype(float), start="2013-01"))
+    state = model.state
+    assert pred.tolist() == [
+        state.level + h * state.trend + state.seasonals[(h - 1) % 6] for h in range(1, 15)
+    ]
+    # within 1% of the truth; dropping the season would miss some months by over 4%
+    truth = 100.0 + 2.0 * ahead + season[ahead % 6]
+    assert np.all(np.abs(pred - truth) <= 0.01 * truth)
 
 
 def _holt_reference(y, alpha, beta):

@@ -64,6 +64,22 @@ def test_generation_volume_scales_by_the_configured_factor():
     assert peak2 / peak1 == pytest.approx(3.5, rel=1e-12)
 
 
+def test_smooth_shape_truth_is_one_bump_on_the_support():
+    # a window long enough for gen2's whole support
+    spec = ScenarioSpec(generations=3, smooth_shape=True, months_after_final_ga=36)
+    _, _, truth = generate(spec)
+    for i, name in enumerate(("gen1", "gen2")):
+        t = truth.truth_for(name)
+        values = t.true_returns.values
+        lo, hi = t.trigger - t.true_returns.start, t.support_end - t.true_returns.start
+        assert 0 < lo < hi < len(values)
+        assert (values[:lo] == 0.0).all() and (values[hi:] == 0.0).all()
+        assert (values[lo:hi] > 0.0).all()
+        peak = spec.peak_volume * spec.scale_factor**i
+        assert 0.99 * peak <= values.max() <= peak
+    assert (truth.truth_for("gen3").true_returns.values == 0.0).all()  # no successor
+
+
 def test_receipts_lead_returns_by_the_configured_lag():
     series, _, _ = generate(ScenarioSpec(generations=3, noise_sd=0.0))
     gen1 = series[0]
