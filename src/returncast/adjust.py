@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GaCalendar, GenerationId, MonthIndex
-from .errors import MissingGaError, ValidationError
+from .errors import MissingGaError
 from .analysis import SeasonalDecomposition
 from .models import ForecastSeries
 
@@ -30,20 +30,9 @@ _DAMP = {"accepts": (lambda value: -10 <= value <= 10, "must be finite and betwe
 
 @dataclass(frozen=True)
 class AdjustConfig:
-    # no-ops, accepted and checked so existing config files load; no rule
-    # reads them until ROADMAP item 7 brings one that leaves forecasts no worse
-    pad_threshold: float = 10.0
-    factor_min: float = 0.5
-    factor_max: float = 2.0
     seasonal_damp: float = field(default=0.8, metadata=_DAMP)  # while the generation is active
     onset_months: int = 12  # months after GA before any return
     apply_seasonal: bool = True
-
-    def __post_init__(self):
-        if not self.factor_min <= self.factor_max:
-            raise ValidationError(
-                f"need factor_min <= factor_max, got {self.factor_min}, {self.factor_max}"
-            )
 
 
 @dataclass(frozen=True)

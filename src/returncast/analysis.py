@@ -55,6 +55,10 @@ class AnalysisConfig:
 # ---------------------------------------------------------------- lifecycle
 
 
+# the names of `LifecyclePhases`' fields, in month order
+PHASES = ("ramp_up", "plateau", "ramp_down")
+
+
 @dataclass(frozen=True)
 class LifecyclePhases:
     """GA-anchored partition of a returns series into its three phases."""
@@ -68,13 +72,13 @@ class LifecyclePhases:
             raise ValidationError("lifecycle phases must be contiguous and ordered")
 
     def phase_of(self, month: MonthIndex) -> str | None:
-        for name in ("ramp_up", "plateau", "ramp_down"):
+        for name in PHASES:
             if month in getattr(self, name):
                 return name
         return None
 
     def __str__(self) -> str:
-        return f"ramp_up {self.ramp_up}, plateau {self.plateau}, ramp_down {self.ramp_down}"
+        return ", ".join(f"{name} {getattr(self, name)}" for name in PHASES)
 
 
 def segment_lifecycle(

@@ -238,8 +238,10 @@ class ChaidNode:
         for g, child in zip(self.groups, self.children):
             if b in g:
                 return child
-        # value beyond any training bin: clamp to the nearest outer group
-        return self.children[0] if b < self.groups[0][0] else self.children[-1]
+        # every bin but bin 0 holds its lower edge, and the top bin the
+        # column's maximum, so only a value below the training minimum can
+        # miss every group: clamp it to the lowest
+        return self.children[0]
 
 
 def _grow(

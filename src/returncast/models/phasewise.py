@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from ..analysis import LifecyclePhases
+from ..analysis import PHASES, LifecyclePhases
 from ..core import FeatureMatrix, MonthIndex, MonthInterval
 from ..errors import ValidationError
 from .base import (
@@ -22,7 +22,6 @@ from .base import (
 
 log = logging.getLogger(__name__)
 
-PHASE_ORDER = ("ramp_up", "plateau", "ramp_down")
 # hyperparameter names of the phase bounds, in month order
 PHASE_BOUNDS = ("ramp_up_start", "plateau_start", "ramp_down_start", "ramp_down_end")
 
@@ -89,7 +88,7 @@ def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
     fallback: FittedModel | None = None
     phase_models: dict[str, FittedModel] = {}
     used_fallback: set[str] = set()
-    for name in PHASE_ORDER:
+    for name in PHASES:
         window = getattr(phases, name).intersect(matrix.interval)
         sub = matrix.slice_rows(window.start - matrix.start, window.end - matrix.start)
         try:

@@ -41,6 +41,7 @@ from .analysis import (
 )
 from .adjust import AdjustConfig, AdjustResult, adjust_forecast
 from .core import (
+    CHANNELS,
     FeatureMatrix,
     FeatureSeries,
     GaCalendar,
@@ -262,7 +263,7 @@ def normalize_to_current(
         log.warning("normalization skipped (%s); factor 1.0", exc)
         return donor, 1.0
     scaled = donor
-    for channel in ("shipments", "upgrades", "new_receipts", "gross_returns"):
+    for channel in CHANNELS:
         scaled = scaled.replace_channel(channel, scaled.channel(channel) * factor)
     return scaled, factor
 

@@ -24,13 +24,11 @@ _LAGS = {
         "every lag must be >= 0, none repeated",
     )
 }
-_WINDOWS = {"accepts": (lambda value: all(w >= 1 for w in value), "every window must be >= 1")}
 
 
 @dataclass(frozen=True)
 class PrepConfig:
     lags: tuple[int, ...] = field(default=(24, 30, 42, 48, 54), metadata=_LAGS)
-    moving_averages: tuple[int, ...] = field(default=(3, 6), metadata=_WINDOWS)
     # the pre-GA window of masked receipts; below 0 it would mask none, as 0 does
     receipt_exclusion_months: int = field(default=6, metadata=NON_NEGATIVE)
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from .analysis import PHASES
 from .core import MonthIndex
 from .errors import ValidationError
-from .models import ForecastSeries
 from .pipeline import CycleOutcome
 
 MONTHLY_HEADER = (
@@ -66,14 +66,6 @@ def _flag(x: Optional[bool]) -> str:
     return "" if x is None else ("true" if x else "false")
 
 
-def _band_at(
-    forecast: Optional[ForecastSeries], month: MonthIndex, band: str
-) -> Optional[float]:
-    if forecast is None or month not in forecast.interval:
-        return None
-    return forecast.value_at(month, band)
-
-
 def _monthly_rows(outcome: CycleOutcome) -> list[str]:
     """EWA-scored months, then the horizon, then quarterly subtotals."""
     ewa, forecast, plan = outcome.ewa, outcome.forecast, outcome.plan
@@ -95,6 +87,8 @@ def _monthly_rows(outcome: CycleOutcome) -> list[str]:
     for m in sorted(set(scored) | set(forecast.months())):
         in_horizon = m in forecast.interval
         is_cycle_row = m == plan.cycle_month
+        # a scored month outside the horizon was scored against the previous
+        # forecast, so it lies in that forecast, which exists whenever EWA scored
         bands = forecast if in_horizon else previous
         dev, pad, color = scored.get(m, (None, None, ""))
         notes = ";".join(
@@ -103,7 +97,7 @@ def _monthly_rows(outcome: CycleOutcome) -> list[str]:
         cells = [
             str(m),
             _num(plan.actuals.value_at(m)),
-            *(_num(_band_at(bands, m, band)) for band in _BANDS),
+            *(_num(bands.value_at(m, band)) for band in _BANDS),
             _num(forecast.test_mape) if is_cycle_row else "",
             _num(dev),
             _num(pad),
@@ -136,7 +130,7 @@ def render_report(outcome: CycleOutcome) -> str:
         ("planner_choice", outcome.record.planner_selected.value),
         ("first_cycle", _flag(ewa.first_cycle)),
     ]
-    phases = [(name, getattr(plan.phases, name)) for name in ("ramp_up", "plateau", "ramp_down")]
+    phases = [(name, getattr(plan.phases, name)) for name in PHASES]
     six_mean, six_sd = ewa.six_month if ewa.six_month is not None else (None, None)
     stats = [
         ("first_cycle", _flag(ewa.first_cycle)),

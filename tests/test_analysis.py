@@ -216,6 +216,22 @@ def test_decompose_seasonal_recovers_planted_components():
     )
 
 
+def test_decompose_seasonal_with_an_odd_period_recovers_the_season_exactly():
+    # integer values, and a season that sums to 0, keep every mean exact
+    start = month("2010-01")
+    n, period = 12, 3
+    season = np.array([3.0, -1.0, -2.0])
+    positions = (start.value + np.arange(n)) % period
+    values = 50.0 + 2.0 * np.arange(n) + season[positions]
+
+    decomp = decompose_seasonal(fs(values, name="returns"), period)
+    assert np.array_equal(decomp.seasonal.values, season[positions])
+    trend = decomp.trend.values
+    assert np.isnan(trend[[0, n - 1]]).all()
+    for i in range(1, n - 1):
+        assert trend[i] == (values[i - 1] + values[i] + values[i + 1]) / 3 == 50.0 + 2.0 * i
+
+
 def test_decompose_seasonal_validation():
     with pytest.raises(ValidationError):
         decompose_seasonal(fs(np.ones(20), name="short"), 12)

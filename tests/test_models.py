@@ -304,6 +304,18 @@ def test_chaid_separates_clusters():
     assert np.allclose(warped.predict(matrix(x**3, y)), pred, atol=1e-9)
 
 
+def test_chaid_clamps_a_value_below_the_training_minimum_to_the_first_child():
+    # x = 0..9 falls in bins 1..9: the lowest edge is the minimum, so bin 0
+    # is empty; the step in y at 5 groups the bins (1..5), (6..9)
+    x = np.arange(10.0)
+    model = fit(ModelSpec(ModelKind.CHAID, {"min_segment": 5}), matrix(x, np.where(x < 5, 1.0, 3.0)))
+    assert model.root.groups == ((1, 2, 3, 4, 5), (6, 7, 8, 9))
+    first, last = model.root.children
+    assert (first.value, last.value) == (1.0, 3.0)
+    # -5 lands in bin 0, which no group holds; 100 in the top bin
+    assert model.predict(matrix([-5.0, 100.0])).tolist() == [first.value, last.value]
+
+
 def test_chaid_constant_target_is_single_leaf():
     spec = ModelSpec(ModelKind.CHAID, {"min_segment": 5})
     train = matrix(np.arange(20.0), np.full(20, 7.0))

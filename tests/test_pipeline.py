@@ -33,6 +33,7 @@ from returncast.pipeline import (
     build_predictors,
     coverage_greedy,
     donor_candidates,
+    normalize_to_current,
     observable_predictors,
     plan_cycle,
     rebase_phases,
@@ -187,15 +188,16 @@ def test_coverage_greedy_raises_aligns_name_errors():
     ) == []
 
 
-def _reference_build_predictors(series, config):
+def _reference_build_predictors(series, config, windows):
     """Every transform of every predictor channel, as built before the
-    horizon decided which to build, each paired with whether it is a lag."""
+    horizon decided which to build, each paired with whether it is a lag;
+    the moving averages are over `windows`."""
     out = []
     for channel in PREDICTOR_CHANNELS:
         raw = series.feature(channel)
         out.append((False, raw))
         out += [(True, lag(raw, k)) for k in config.prep.lags]
-        out += [(False, moving_average(raw, w)) for w in config.prep.moving_averages]
+        out += [(False, moving_average(raw, w)) for w in windows]
         out.append((False, cumulative_sum(raw)))
     return out
 
@@ -239,8 +241,7 @@ def test_build_predictors_matches_build_then_filter_reference(
     current, donor, lags, windows, placement, data
 ):
     config = AppConfig()
-    config = replace(config, prep=replace(config.prep, lags=tuple(lags),
-                                          moving_averages=tuple(windows)))
+    config = replace(config, prep=replace(config.prep, lags=tuple(lags)))
     lo, hi = current.start.value, current.end.value
     size = data.draw(st.integers(min_value=0, max_value=6))
     first = data.draw({
@@ -254,7 +255,7 @@ def test_build_predictors_matches_build_then_filter_reference(
     horizon = MonthInterval(MonthIndex(first), MonthIndex(first + size))
 
     available = _reference_horizon_available(
-        _reference_build_predictors(current, config), horizon
+        _reference_build_predictors(current, config, windows), horizon
     )
     lags_available = [p for is_lag, p in available if is_lag]
     plan = observable_predictors(current, horizon, config)
@@ -265,7 +266,7 @@ def test_build_predictors_matches_build_then_filter_reference(
     assert _bits(built) == _bits(lags_available)
     names = {p.name for p in lags_available}
     assert _bits(build_predictors(donor, plan)) == _bits(
-        [p for is_lag, p in _reference_build_predictors(donor, config)
+        [p for is_lag, p in _reference_build_predictors(donor, config, windows)
          if is_lag and p.name in names]
     )
 
@@ -281,6 +282,18 @@ def test_moving_average_and_running_sum_are_defined_where_their_input_is(values,
     for derived in (moving_average(feature, w), cumulative_sum(feature)):
         assert derived.start == feature.start
         assert np.array_equal(derived.defined_mask, feature.defined_mask)
+
+
+def test_normalize_to_current_keeps_a_donor_without_shipments(caplog):
+    # the donor ships nothing on the GA-aligned window: no volume ratio exists
+    calendar = family_calendar("2010-01", "2011-01", "2012-01")
+    donor = gen_series("gen1", "2010-01", np.ones(12), ordinal=1)
+    current = gen_series("gen2", "2011-01", np.ones(6), shipments=np.full(6, 5.0), ordinal=2)
+    with caplog.at_level("WARNING", logger="returncast.pipeline"):
+        scaled, factor = normalize_to_current(donor, current, calendar)
+    assert scaled is donor and factor == 1.0
+    skips = [r.getMessage() for r in caplog.records if "normalization skipped" in r.getMessage()]
+    assert len(skips) == 1
 
 
 def test_select_for_model_caps_and_falls_back():
@@ -404,7 +417,7 @@ def test_run_cycle_is_deterministic(scenario):
 
 
 def test_prep_values_no_cycle_can_observe_leave_the_demo_cycle_byte_identical(scenario):
-    # moving averages and lags below the horizon's length are never built
+    # lags below the horizon's length are never built
     series, calendar, _ = scenario
 
     def run(prep):
@@ -414,34 +427,7 @@ def test_prep_values_no_cycle_can_observe_leave_the_demo_cycle_byte_identical(sc
 
     prep = AppConfig().prep
     expected = run(prep)
-    assert run(replace(prep, moving_averages=(1, 2, 9))) == expected
     assert run(replace(prep, lags=prep.lags + (0, 1, 6, 11))) == expected
-
-
-def test_adjust_no_op_keys_leave_report_and_record_byte_identical(scenario, tmp_path):
-    """`pad_threshold`, `factor_min` and `factor_max` are read by no rule: at
-    values that would have rescaled every forecast, the README demo cycle
-    and a second cycle that scores the first's stored record write the
-    default config's bytes."""
-    longer = generate(ScenarioSpec(generations=3, months_after_final_ga=20, seed=0))
-    no_op = replace(AppConfig().adjust, pad_threshold=0.0, factor_min=0.1, factor_max=0.1)
-
-    def run(config, root):
-        written = []
-        for name, (series, calendar, _), months in (
-            ("demo", scenario, ["2012-09"]),
-            ("two_cycles", longer, ["2012-09", "2012-12"]),
-        ):
-            store = CycleStore(root / name)
-            for m in months:
-                outcome = run_cycle(series, calendar, "gen2", month(m), store, config)
-            assert (outcome.previous is not None) == (name == "two_cycles")
-            path = store.path_for(outcome.plan.generation, outcome.plan.cycle_month)
-            written += [render_report(outcome), path.read_bytes()]
-        return written
-
-    expected = run(AppConfig(), tmp_path / "default")
-    assert run(replace(AppConfig(), adjust=no_op), tmp_path / "no_op") == expected
 
 
 def test_run_cycle_rejects_generation_without_trigger(scenario):

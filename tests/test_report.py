@@ -1,6 +1,9 @@
 """Cycle report rendering and schema validation."""
+from dataclasses import replace
+
 import pytest
 
+from returncast.config import AppConfig
 from returncast.core import MonthIndex
 from returncast.cycle_store import CycleStore
 from returncast.errors import ValidationError
@@ -114,3 +117,18 @@ def test_monthly_rows_cover_the_horizon(outcomes):
     for m in horizon:
         row = parsed["months"][m]
         assert row[2] and row[3] and row[4]  # all three bands present
+
+
+def test_onset_clamp_is_itemized_in_the_report():
+    # the README demo cycle with an onset 36 months after gen2's GA (2010-01)
+    series, calendar, _ = generate(ScenarioSpec(generations=3, months_after_final_ga=8, seed=0))
+    config = replace(AppConfig(), adjust=replace(AppConfig().adjust, onset_months=36))
+    outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=config)
+    parsed = validate_report(render_report(outcome))
+    note = "zero_before_onset [2012-09..2012-12]"
+    for m in ("2012-09", "2012-10", "2012-11", "2012-12"):
+        row = parsed["months"][m]
+        assert row[2:5] == ["0.0000"] * 3
+        assert note in row[-1].split(";")
+    assert note not in parsed["months"]["2013-01"][-1]
+    assert "zero_before_onset,,2012-09..2012-12" in parsed["adjustments"]
