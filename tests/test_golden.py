@@ -9,9 +9,11 @@ and its ewa.json; every cycle of a lifecycle sweep, one line each, which
 pins the order in which a cycle decides its refusals; and, in the same line
 format, every in-process cycle of seed 0 of the benchmark's demo and
 seasonal workloads, where CHAID, CART, TimeSeries, Linear, phase-wise and
-the NN each win at least once; and what each command of the README demo
+the NN each win at least once; what each command of the README demo
 prints before ` -> ` (its summary), or its exit code and error line when
-it refuses. Regenerate the fixtures
+it refuses; and the plan (`plan_cycle`) of every sweep and benchmark
+cycle, one line each, which pins a refused plan's correlation table too.
+Regenerate the fixtures
 (only for a deliberate output change, noted in CHANGES.md) with:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -28,12 +30,13 @@ from pathlib import Path
 import pytest
 
 import returncast.cli as cli
+from returncast import pipeline
 from returncast.config import AppConfig
-from returncast.core import MonthIndex
+from returncast.core import CHANNELS, MonthIndex
 from returncast.cycle_store import CycleStore
 from returncast.encode import json_text
 from returncast.errors import NumericError, ValidationError
-from returncast.pipeline import run_cycle
+from returncast.pipeline import outlier_screen, plan_cycle, run_cycle
 from returncast.report import render_report
 from returncast.synth import ScenarioSpec, generate
 
@@ -244,6 +247,76 @@ def run_benchmark_cycles(work: Path) -> str:
     return "".join(lines)
 
 
+def _plan_digest(plan) -> str:
+    """SHA-256 over the plan's artifacts (analysis, outlier screen, zoo
+    specs), both prepared histories, every matrix's start, names, X and y
+    bytes, and the current generation's actuals."""
+    blob = hashlib.sha256(
+        json_text(
+            {
+                "analysis": plan.analysis,
+                "outliers": outlier_screen(plan.prepared),
+                "zoo": plan.zoo,
+            }
+        ).encode()
+    )
+    for series in (plan.prepared.donor, plan.prepared.current):
+        blob.update(f"{series.generation} {series.start}".encode())
+        for channel in CHANNELS:
+            blob.update(series.channel(channel).tobytes())
+    for matrix in (plan.matrix, plan.train, plan.test, plan.horizon_matrix):
+        blob.update(f"{matrix.start} {matrix.n_rows} {matrix.predictor_names}".encode())
+        blob.update(matrix.X.tobytes())
+        if matrix.target is not None:
+            blob.update(f"{matrix.target.name}".encode() + matrix.y.tobytes())
+    blob.update(f"{plan.actuals.start}".encode() + plan.actuals.values.tobytes())
+    return blob.hexdigest()
+
+
+def _plan_cycles():
+    """(label, history, calendar, generation, month, config) for every
+    cycle of the sweep, then every benchmark cycle, in run order."""
+    history, calendar, _ = generate(SWEEP)
+    for series in sorted(history, key=lambda s: s.generation.ordinal):
+        for j in range(1, len(series) + 1):
+            yield "sweep", history, calendar, series.generation.name, series.start + j, AppConfig()
+    for name, (spec, draws, months, config) in BENCHMARK_CYCLES.items():
+        for j in range(draws):
+            history, calendar, _ = generate(dataclasses.replace(spec, seed=j))
+            for month in months(calendar):
+                yield f"{name} {j}", history, calendar, "gen2", month, config
+
+
+def run_plan_cycles() -> str:
+    """One line per planned cycle: its label, generation and month, then
+    `plan` and the plan's digest, or the refusal's type and message. A plan
+    refused after its correlation table was built names the table's digest
+    before the refusal."""
+    tables = []
+    build_table = pipeline.build_correlation_table
+
+    def recording(*args, **kwargs):
+        tables.append(build_table(*args, **kwargs))
+        return tables[-1]
+
+    lines = []
+    pipeline.build_correlation_table = recording
+    try:
+        for label, history, calendar, generation, month, config in _plan_cycles():
+            tables.clear()
+            try:
+                result = f"plan {_plan_digest(plan_cycle(history, calendar, generation, month, config))}"
+            except (ValidationError, NumericError) as exc:
+                result = f"{type(exc).__name__}: {exc}"
+                if tables:
+                    table = hashlib.sha256(json_text(tables[-1]).encode()).hexdigest()
+                    result = f"table {table} {result}"
+            lines.append(f"{label} {generation} {month} {result}\n")
+    finally:
+        pipeline.build_correlation_table = build_table
+    return "".join(lines)
+
+
 @pytest.fixture(scope="module")
 def demo_files(tmp_path_factory):
     return run_demo_files(tmp_path_factory.mktemp("demo"))
@@ -297,6 +370,11 @@ def test_benchmark_cycle_outcomes_match_golden_lines(tmp_path):
     assert run_benchmark_cycles(tmp_path).splitlines() == expected
 
 
+def test_plan_of_every_sweep_and_benchmark_cycle_matches_golden_lines():
+    expected = (FIXTURES / "plan_cycles.txt").read_text().splitlines()
+    assert run_plan_cycles().splitlines() == expected
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name in sorted(CYCLES):
@@ -312,6 +390,7 @@ if __name__ == "__main__":
             ("readme_demo_summaries", run_readme_demo_summaries),
             ("sweep", run_sweep),
             ("benchmark_cycles", run_benchmark_cycles),
+            ("plan_cycles", lambda work: run_plan_cycles()),
         ):
             (FIXTURES / f"{name}.txt").write_text(run(Path(work) / name))
             print(f"wrote {FIXTURES / name}.txt", file=sys.stderr)
