@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,29 +125,35 @@ class Strength(enum.Enum):
         return self.value
 
 
-def _paired_defined(a: FeatureSeries, b: FeatureSeries) -> tuple[np.ndarray, np.ndarray]:
-    window = a.interval.intersect(b.interval)
-    if window.is_empty:
+def _paired_defined(
+    a: np.ndarray, a0: int, b: np.ndarray, b0: int, lo: float = -math.inf, hi: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values of two series, whose first months are `a0` and `b0`, at
+    the months within [lo, hi) that both define."""
+    lo, hi = max(a0, b0, lo), min(a0 + len(a), b0 + len(b), hi)
+    if lo >= hi:
         return np.empty(0), np.empty(0)
-    av = a.restrict(window).values
-    bv = b.restrict(window).values
-    mask = np.isfinite(av) & np.isfinite(bv)
-    return av[mask], bv[mask]
+    a, b = a[lo - a0 : hi - a0], b[lo - b0 : hi - b0]
+    both = np.isfinite(a) & np.isfinite(b)
+    return a[both], b[both]
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Pearson r of two paired arrays, or None when either is constant.
+    """Pearson r of two paired float arrays, or None when either is constant.
 
     The one correlation arithmetic: the donor analysis and the zoo's
     leaderboard both call it, and each decides what a constant input means.
+    Every sum is `np.add.reduce`, the reduction behind `ndarray.sum()`;
+    `ndarray.mean()` is that sum divided by the length.
     """
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(np.sqrt((xc * xc).sum()))
-    sy = float(np.sqrt((yc * yc).sum()))
+    add = np.add.reduce
+    xc = x - add(x) / len(x)
+    yc = y - add(y) / len(y)
+    sx = math.sqrt(add(xc * xc))
+    sy = math.sqrt(add(yc * yc))
     if sx == 0.0 or sy == 0.0:
         return None
-    return float((xc * yc).sum() / (sx * sy))
+    return float(add(xc * yc) / (sx * sy))
 
 
 def _pearson_arrays(x: np.ndarray, y: np.ndarray, what: str) -> float:
@@ -162,7 +169,7 @@ def _pearson_arrays(x: np.ndarray, y: np.ndarray, what: str) -> float:
 
 def pearson(a: FeatureSeries, b: FeatureSeries) -> float:
     """Pearson correlation over the defined overlap of two series."""
-    x, y = _paired_defined(a, b)
+    x, y = _paired_defined(a.values, a.start.value, b.values, b.start.value)
     return _pearson_arrays(x, y, f"pearson({a.name}, {b.name})")
 
 
@@ -218,27 +225,9 @@ def build_correlation_table(
 # ---------------------------------------------------------------- genealogy
 
 
-def _trigger_aligned(
-    series: GenerationSeries, calendar: GaCalendar, channel: str
-) -> FeatureSeries:
-    """Channel re-anchored so that month 0 is the generation's returns trigger."""
-    trigger = calendar.ga_of_next(series.generation)
-    return series.feature(channel).shift(-trigger.value)
-
-
-def _aligned_pairs(
-    a: GenerationSeries,
-    b: GenerationSeries,
-    calendar: GaCalendar,
-    channel: str,
-    post_trigger_only: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    fa = _trigger_aligned(a, calendar, channel)
-    fb = _trigger_aligned(b, calendar, channel)
-    if post_trigger_only:
-        horizon = MonthInterval(MonthIndex(0), MonthIndex(10**6))
-        fa, fb = fa.restrict(horizon), fb.restrict(horizon)
-    return _paired_defined(fa, fb)
+def _trigger_offset(series: GenerationSeries, calendar: GaCalendar) -> int:
+    """The series' first month, counted from the generation's returns trigger."""
+    return series.start.value - calendar.ga_of_next(series.generation).value
 
 
 def genealogy_match(
@@ -258,14 +247,16 @@ def genealogy_match(
     scored: list[tuple[float, int, GenerationId]] = []
     for cand in candidates:
         try:
-            ret_x, ret_y = _aligned_pairs(current, cand, calendar, "gross_returns", True)
+            a0, b0 = _trigger_offset(current, calendar), _trigger_offset(cand, calendar)
+            # returns from the trigger on, shipments over the whole overlap
+            ret_x, ret_y = _paired_defined(current.gross_returns, a0, cand.gross_returns, b0, lo=0)
             if len(ret_x) < min_overlap:
                 log.warning(
                     "genealogy: %s has only %d aligned return months (need %d)",
                     cand.generation, len(ret_x), min_overlap,
                 )
                 continue
-            sal_x, sal_y = _aligned_pairs(current, cand, calendar, "shipments", False)
+            sal_x, sal_y = _paired_defined(current.shipments, a0, cand.shipments, b0)
             r_returns = _pearson_arrays(ret_x, ret_y, f"returns vs {cand.generation}")
             r_sales = _pearson_arrays(sal_x, sal_y, f"sales vs {cand.generation}")
         except (NumericError, ValidationError) as exc:

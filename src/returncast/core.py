@@ -11,6 +11,7 @@ those arrays, so a derivation neither copies nor rescans the data.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
@@ -84,10 +85,6 @@ class MonthInterval:
     def __iter__(self) -> Iterator[MonthIndex]:
         for v in range(self.start.value, self.end.value):
             yield MonthIndex(v)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
 
     def intersect(self, other: "MonthInterval") -> "MonthInterval":
         lo = max(self.start, other.start)
@@ -244,10 +241,6 @@ class FeatureSeries:
     def defined_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    @property
-    def defined_count(self) -> int:
-        return int(self.defined_mask.sum())
-
     def value_at(self, month: MonthIndex) -> float:
         if month not in self.interval:
             return float("nan")
@@ -302,9 +295,11 @@ class GenerationSeries:
         arr = _as_value_array(values)
         if len(arr) < 1:
             raise ValidationError(f"{self.generation}: channel {channel!r} is empty")
-        if np.isinf(arr).any():
+        # the least and greatest values; NaN (an undefined month) is skipped
+        low, high = np.fmin.reduce(arr), np.fmax.reduce(arr)
+        if math.isinf(low) or math.isinf(high):
             raise ValidationError(f"{self.generation}: channel {channel!r} has infinite values")
-        if (arr < 0).any():  # NaN compares False: undefined months pass
+        if low < 0:
             raise ValidationError(f"{self.generation}: channel {channel!r} has negative values")
         return arr
 
@@ -347,8 +342,9 @@ class GenerationSeries:
         self.channel(name)  # validates the name
         arr = self._checked(name, values)
         self._check_lengths({len(self), len(arr)})
-        channels = {channel: self.channel(channel) for channel in CHANNELS}
-        return self._view(self.generation, self.start, {**channels, name: arr})
+        channels = {channel: getattr(self, channel) for channel in CHANNELS}
+        channels[name] = arr
+        return self._view(self.generation, self.start, channels)
 
     def truncate(self, before: MonthIndex) -> "GenerationSeries":
         """Keep only months strictly before `before` (the data visible to a cycle)."""
@@ -357,9 +353,8 @@ class GenerationSeries:
             raise ValidationError(
                 f"{self.generation}: no data before {before} (series starts {self.start})"
             )
-        return self._view(
-            self.generation, self.start, {channel: self.channel(channel)[:n] for channel in CHANNELS}
-        )
+        channels = {channel: getattr(self, channel)[:n] for channel in CHANNELS}
+        return self._view(self.generation, self.start, channels)
 
 
 @dataclass(frozen=True)
@@ -378,15 +373,15 @@ class FeatureMatrix:
         names = [p.name for p in self.predictors]
         if sorted(names) != names:
             object.__setattr__(self, "predictors", tuple(sorted(self.predictors, key=lambda p: p.name)))
-            names = [p.name for p in self.predictors]
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            raise ValidationError(f"duplicate feature name {sorted(dupes)[0]!r}")
+            names.sort()
+        if len(set(names)) < len(names):
+            dupe = min(n for n in names if names.count(n) > 1)
+            raise ValidationError(f"duplicate feature name {dupe!r}")
         if self.target is not None and self.target.name in names:
             raise ValidationError(f"target name {self.target.name!r} collides with a predictor")
-        n = self.n_rows
+        n, start = self.n_rows, self.start.value
         for s in self.predictors + ((self.target,) if self.target is not None else ()):
-            if len(s) != n or s.start != self.start:
+            if len(s.values) != n or s.start.value != start:
                 raise ValidationError("matrix series must share start and length")
 
     @property
@@ -423,12 +418,17 @@ class FeatureMatrix:
         return self.target.values
 
     def slice_rows(self, i0: int, i1: int) -> "FeatureMatrix":
-        window = MonthInterval(self.start + i0, self.start + i1)
-        return FeatureMatrix(
-            start=window.start,
-            target=self.target.restrict(window) if self.target is not None else None,
-            predictors=tuple(p.restrict(window) for p in self.predictors),
-        )
+        """Rows i0 to i1 (exclusive, clipped to the matrix) as views; a slice
+        from before the first row is refused."""
+        if i0 < 0:
+            raise ValidationError(f"rows [{i0}, {i1}) start before the matrix")
+        start = self.start + i0
+
+        def rows(s: FeatureSeries) -> FeatureSeries:
+            return FeatureSeries._view(s.name, start, s.values[i0:i1])
+
+        target = rows(self.target) if self.target is not None else None
+        return FeatureMatrix(start, target, tuple(map(rows, self.predictors)))
 
 
 def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,23 +443,25 @@ def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _longest_true_run(mask: np.ndarray) -> tuple[int, int]:
-    """(offset, length) of the longest run of True; ties go to the latest run."""
-    starts, ends = true_runs(mask)
-    if not len(starts):
-        return 0, 0
-    lengths = ends - starts
-    latest = len(lengths) - 1 - int(np.argmax(lengths[::-1]))
-    return int(starts[latest]), int(lengths[latest])
+    """(offset, length) of the longest run of True in a bool array; ties go
+    to the latest run.
+
+    One byte per flag: the runs are the pieces between zero bytes, and the
+    last place a longest run's worth of ones occurs is that run's start.
+    """
+    flags = mask.tobytes()
+    length = max(map(len, flags.split(b"\0")))
+    return (flags.rfind(b"\1" * length) if length else 0), length
 
 
 def defined_on(series: FeatureSeries, window: MonthInterval) -> np.ndarray:
     """Which months of `window` the series defines: one bool per month,
     False outside the series' domain."""
-    w0, s0 = window.start.value, series.start.value
-    lo, hi = max(w0, s0), min(window.end.value, s0 + len(series))
-    mask = np.zeros(len(window), dtype=bool)
+    w0, s0, values = window.start.value, series.start.value, series.values
+    lo, hi = max(w0, s0), min(window.end.value, s0 + len(values))
+    mask = np.zeros(window.end.value - w0, dtype=bool)
     if lo < hi:
-        mask[lo - w0 : hi - w0] = np.isfinite(series.values[lo - s0 : hi - s0])
+        np.isfinite(values[lo - s0 : hi - s0], out=mask[lo - w0 : hi - w0])
     return mask
 
 
@@ -472,14 +474,15 @@ def align(series: Iterable[FeatureSeries], target: FeatureSeries) -> FeatureMatr
     and a predictor named like the target.
     """
     predictors = sorted(series, key=lambda s: s.name)
-    mask = target.defined_mask
+    mask, window = target.defined_mask, target.interval
     for s in predictors:
-        mask &= defined_on(s, target.interval)
+        mask &= defined_on(s, window)
     off, length = _longest_true_run(mask)
     start = target.start + off
 
     def run(s: FeatureSeries) -> FeatureSeries:
         # every series defines the whole run; an empty run cuts nothing
-        return FeatureSeries._view(s.name, start, s.values[start - s.start :][:length])
+        i0 = start.value - s.start.value
+        return FeatureSeries._view(s.name, start, s.values[i0 : i0 + length])
 
     return FeatureMatrix(start=start, target=run(target), predictors=tuple(map(run, predictors)))

@@ -262,10 +262,8 @@ def normalize_to_current(
     except NumericError as exc:
         log.warning("normalization skipped (%s); factor 1.0", exc)
         return donor, 1.0
-    scaled = donor
-    for channel in CHANNELS:
-        scaled = scaled.replace_channel(channel, scaled.channel(channel) * factor)
-    return scaled, factor
+    scaled = {channel: donor.channel(channel) * factor for channel in CHANNELS}
+    return GenerationSeries(donor.generation, donor.start, **scaled), factor
 
 
 def prepare_histories(
@@ -312,8 +310,10 @@ def observable_predictors(
     span = MonthInterval(horizon.start - back, horizon.end)
     plan: PredictorPlan = []
     for channel in PREDICTOR_CHANNELS:
-        defined = defined_on(current.feature(channel), span)
-        plan.append((channel, tuple(k for k in lags if defined[back - k : back - k + n].all())))
+        # one byte per month, zero where undefined
+        defined = defined_on(current.feature(channel), span).tobytes()
+        covered = tuple(k for k in lags if b"\0" not in defined[back - k : back - k + n])
+        plan.append((channel, covered))
     return plan
 
 
@@ -346,22 +346,22 @@ def coverage_greedy(
     """
     if any(p.name == target.name for p in predictors):
         raise ValidationError(f"target name {target.name!r} collides with a predictor")
-    defined = target.defined_mask
+    defined, window = target.defined_mask, target.interval
     floor = min(min_rows, _longest_true_run(defined)[1])
     ranked = sorted(
-        ((p, defined_on(p, target.interval)) for p in predictors),
+        ((p, defined_on(p, window)) for p in predictors),
         key=lambda pm: (-_longest_true_run(defined & pm[1])[1], pm[0].name),
     )
-    chosen: list[FeatureSeries] = []
+    chosen: dict[str, FeatureSeries] = {}
     running = defined
     for p, mask in ranked:
-        if any(c.name == p.name for c in chosen):
+        if p.name in chosen:
             raise ValidationError(f"duplicate feature name {p.name!r}")
         admitted = running & mask
         if _longest_true_run(admitted)[1] >= floor:
-            chosen.append(p)
+            chosen[p.name] = p
             running = admitted
-    return chosen
+    return list(chosen.values())
 
 
 def _zoo(config: AppConfig, rel_phases: LifecyclePhases) -> list[ModelSpec]:
@@ -465,7 +465,8 @@ def plan_cycle(
     # a test split MAPE cannot score refuses before any training
     require_scorable(test)
     # the matrix's lags of the current generation over the horizon, rebased
-    lags = [p for p in build_predictors(current, observable) if p.name in matrix.predictor_names]
+    names = set(matrix.predictor_names)
+    lags = [p for p in build_predictors(current, observable) if p.name in names]
     on_horizon = tuple(p.restrict(horizon).shift(-trigger.value) for p in lags)
     horizon_matrix = FeatureMatrix(horizon.start - trigger.value, None, on_horizon)
     zoo = tuple(_zoo(config, rebase_phases(phases, donor_trigger)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureSeries, GaCalendar, GenerationSeries, MonthInterval, true_runs
+from .core import FeatureSeries, GaCalendar, GenerationSeries, true_runs
 from .errors import NON_NEGATIVE, ValidationError
 
 # `accepts` is the range the config loader takes, as in `returncast.errors`
@@ -40,10 +40,10 @@ def filter_post_ga(series: GenerationSeries, calendar: GaCalendar) -> Generation
     history to be defined at post-trigger months.
     """
     trigger = calendar.ga_of_next(series.generation)
-    if trigger <= series.start:
+    cut = trigger.value - series.start.value
+    if cut <= 0:
         return series
     returns = series.gross_returns.copy()
-    cut = min(len(returns), trigger - series.start)
     returns[:cut] = np.nan
     if not np.isfinite(returns).any():
         raise ValidationError(
@@ -58,12 +58,13 @@ def exclude_prega_receipts(
     months: int = PrepConfig.receipt_exclusion_months,
 ) -> GenerationSeries:
     """Mask new receipts in the window [GA(next) - months, GA(next) - 1]."""
-    trigger = calendar.ga_of_next(series.generation)
-    window = MonthInterval(trigger - months, trigger).intersect(series.interval)
-    if window.is_empty:
+    # the trigger's offset in the series
+    at = calendar.ga_of_next(series.generation).value - series.start.value
+    lo, hi = max(0, at - months), min(len(series), at)
+    if lo >= hi:
         return series
     receipts = series.new_receipts.copy()
-    receipts[window.start - series.start : window.end - series.start] = np.nan
+    receipts[lo:hi] = np.nan
     return series.replace_channel("new_receipts", receipts)
 
 

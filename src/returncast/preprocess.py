@@ -9,6 +9,7 @@ screen and repair and holds their defaults.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +53,15 @@ def detect_outliers(
         raise ValidationError(f"sigma multiplier must be positive, got {multiplier}")
     mask = feature.defined_mask
     defined = feature.values[mask]
-    if len(defined) == 0:
+    n = len(defined)
+    if n == 0:
         raise ValidationError(f"{feature.name}: no defined values to screen")
-    mean = float(defined.mean())
-    sd = float(defined.std())  # population SD: the series is the whole population
+    # `ndarray.mean()` and `.std()` as their reductions: sum / n, and the
+    # root of the mean squared deviation (population SD: the series is the
+    # whole population)
+    mean = float(np.add.reduce(defined) / n)
+    deviation = defined - mean
+    sd = math.sqrt(np.add.reduce(deviation * deviation) / n)
     lower, upper = mean - multiplier * sd, mean + multiplier * sd
     flagged = mask & ((feature.values < lower) | (feature.values > upper))
     hits = np.flatnonzero(flagged)
@@ -91,6 +97,15 @@ def repair_outliers(
     return feature.with_values(values)
 
 
+def _defined_sum(feature: FeatureSeries) -> float:
+    """`np.nansum` of the values, NaN when none is defined: the undefined
+    months are summed as +0.0 in place, so the pairwise sum keeps its order."""
+    defined = np.isfinite(feature.values)
+    if not np.count_nonzero(defined):
+        return math.nan
+    return float(np.add.reduce(np.where(defined, feature.values, 0.0)))
+
+
 def normalization_factor(
     reference: FeatureSeries,
     source: FeatureSeries,
@@ -104,13 +119,12 @@ def normalization_factor(
     """
     ref = reference if reference_window is None else reference.restrict(reference_window)
     src = source if source_window is None else source.restrict(source_window)
-    ref_sum = float(np.nansum(ref.values)) if ref.defined_count else float("nan")
-    src_sum = float(np.nansum(src.values)) if src.defined_count else float("nan")
-    if not np.isfinite(src_sum) or src_sum == 0.0:
+    ref_sum, src_sum = _defined_sum(ref), _defined_sum(src)
+    if not math.isfinite(src_sum) or src_sum == 0.0:
         raise NumericError(
             f"cannot normalize by {source.name!r}: window sum is {src_sum}"
         )
-    if not np.isfinite(ref_sum):
+    if not math.isfinite(ref_sum):
         raise NumericError(f"reference {reference.name!r} has no defined values in window")
     return ref_sum / src_sum
 

@@ -129,7 +129,7 @@ def test_segment_lifecycle_clips_to_series():
     short = fs(np.ones(18), start="2009-07", name="gross_returns")  # ends 2011-01
     phases = segment_lifecycle(short, cal, cal.resolve("gen1"))
     assert phases.ramp_up == MonthInterval(month("2010-01"), month("2011-01"))
-    assert phases.plateau.is_empty and phases.ramp_down.is_empty
+    assert len(phases.plateau) == 0 and len(phases.ramp_down) == 0
 
 
 def _aligned_generation(name, ordinal, trigger, returns_rel, shipments_rel):

@@ -52,10 +52,10 @@ def test_month_interval_basics():
     assert month("2010-03") in iv
     assert month("2010-04") not in iv
     empty = MonthInterval(month("2010-01"), month("2010-01"))
-    assert empty.is_empty and len(empty) == 0
+    assert len(empty) == 0
     # reversed bounds normalize to an empty range, so intersect stays total
     reversed_iv = MonthInterval(month("2010-02"), month("2010-01"))
-    assert reversed_iv.is_empty
+    assert len(reversed_iv) == 0
 
 
 def test_month_interval_intersect():
@@ -64,7 +64,7 @@ def test_month_interval_intersect():
     got = a.intersect(b)
     assert got.start == month("2010-04") and got.end == month("2010-06")
     disjoint = a.intersect(MonthInterval(month("2011-01"), month("2011-03")))
-    assert disjoint.is_empty
+    assert len(disjoint) == 0
 
 
 def test_ga_calendar_lookup_and_succession():
@@ -100,7 +100,6 @@ def test_feature_series_access():
     s = fs([1.0, np.nan, 3.0], start="2010-01")
     assert len(s) == 3
     assert list(s.defined_mask) == [True, False, True]
-    assert s.defined_count == 2
     assert s.value_at(month("2010-03")) == 3.0
     assert np.isnan(s.value_at(month("2010-02")))
     # out-of-span reads are NaN, not errors: callers probe overlap with it
