@@ -1,18 +1,23 @@
 """Correlation strength, genealogy, lifecycle phases, seasonal decomposition."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from returncast.analysis import (
     AnalysisConfig,
     Strength,
+    _paired_defined,
     build_correlation_table,
     classify_strength,
     decompose_seasonal,
     genealogy_match,
     pearson,
+    pearson_r,
     segment_lifecycle,
 )
-from returncast.core import MonthInterval
+from returncast.core import FeatureSeries, MonthIndex, MonthInterval
 from returncast.pipeline import select_for_model
 from returncast.errors import NumericError, ValidationError
 
@@ -71,6 +76,83 @@ def test_pearson_matches_numpy_on_overlap():
             continue
         expect = np.corrcoef(a[both], b[both])[0, 1]
         assert pearson(fs(a, name="a"), fs(b, name="b")) == pytest.approx(expect, rel=1e-12)
+
+
+def _reference_pearson_r(x, y):
+    """The `ndarray.mean()`/`.sum()` form `pearson_r` replaced."""
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = float(np.sqrt((xc * xc).sum()))
+    sy = float(np.sqrt((yc * yc).sum()))
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float((xc * yc).sum() / (sx * sy))
+
+
+def _bits(r):
+    """A float's exact bits (its hex form keeps the sign of a zero), or None."""
+    return None if r is None else r.hex()
+
+
+# magnitudes from 1e-3 to 1e6, either sign
+_MAGNITUDE = st.one_of(st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3))
+
+
+@st.composite
+def _paired_columns(draw):
+    n = draw(st.integers(3, 300))
+    return tuple(draw(arrays(np.float64, n, elements=_MAGNITUDE)) for _ in range(2))
+
+
+@given(xy=_paired_columns())
+@example(xy=(np.full(5, 3.0), np.arange(5.0)))
+@example(xy=(np.arange(7.0), np.full(7, -2e5)))
+@settings(max_examples=300, deadline=None)
+def test_pearson_r_equals_the_mean_and_sum_form_bit_for_bit(xy):
+    assert _bits(pearson_r(*xy)) == _bits(_reference_pearson_r(*xy))
+
+
+@given(n=st.integers(3, 300), value=st.integers(-10**6, 10**6), scale=st.sampled_from([1, 0.25]))
+@settings(max_examples=100, deadline=None)
+def test_pearson_r_of_a_constant_input_is_none(n, value, scale):
+    # an integer or quarter value keeps the sum, and so the mean, exact
+    constant = np.full(n, value * scale, dtype=float)
+    other = np.arange(n, dtype=float)
+    assert pearson_r(constant, other) is None is _reference_pearson_r(constant, other)
+    assert pearson_r(other, constant) is None
+
+
+def _reference_paired_defined(a: FeatureSeries, b: FeatureSeries):
+    """The interval/restrict form `_paired_defined` replaced."""
+    window = a.interval.intersect(b.interval)
+    if len(window) == 0:
+        return np.empty(0), np.empty(0)
+    av = a.restrict(window).values
+    bv = b.restrict(window).values
+    mask = np.isfinite(av) & np.isfinite(bv)
+    return av[mask], bv[mask]
+
+
+@st.composite
+def _holey_series(draw, name):
+    start = draw(st.integers(-8, 8))
+    values = draw(arrays(np.float64, st.integers(0, 20), elements=st.just(np.nan) | _MAGNITUDE))
+    return FeatureSeries(name=name, start=MonthIndex(start), values=values)
+
+
+@given(a=_holey_series("a"), b=_holey_series("b"), lo=st.none() | st.integers(-10, 30))
+@settings(max_examples=300, deadline=None)
+def test_paired_defined_matches_the_restrict_form(a, b, lo):
+    """On offsets, as `pearson` calls it, and from month `lo` on, as
+    genealogy pairs the returns from each trigger on."""
+    if lo is None:
+        got = _paired_defined(a.values, a.start.value, b.values, b.start.value)
+    else:
+        got = _paired_defined(a.values, a.start.value, b.values, b.start.value, lo=lo)
+        after = MonthInterval(MonthIndex(lo), MonthIndex(10**6))
+        a, b = a.restrict(after), b.restrict(after)
+    for g, e in zip(got, _reference_paired_defined(a, b)):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
 def test_pearson_needs_overlap_and_variance():

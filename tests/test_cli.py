@@ -17,6 +17,7 @@ from returncast.cycle_store import CycleStore
 from returncast.errors import NumericError, ValidationError
 from returncast.ingest import load_ga_calendar, load_history
 from returncast.models import base
+from returncast.synth import ScenarioSpec, generate
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,11 @@ TRACED_LAYERS = (
     "cycle", "prep", "prep.coverage_greedy", "analysis.correlation", "models.evaluate_zoo",
     "forecast.winner", "adjust", "report.render",
 )
+# the layers of a cycle that `plan_cycle` refuses after planning, as the
+# seed-0 sweep's all-zero test splits (README refusal row 6) are
+PLANNING_LAYERS = (
+    "cycle", "prep", "analysis.genealogy_match", "prep.coverage_greedy", "analysis.correlation",
+)
 
 
 def test_benchmark_tracer_sees_every_layer_of_the_demo_cycle(
@@ -154,6 +160,9 @@ def test_benchmark_tracer_sees_every_layer_of_the_demo_cycle(
     spans = importlib.import_module("spans")
     calendar = load_ga_calendar(data_dir / "ga.csv")
     history = load_history(data_dir / "history.csv", calendar)
+    sweep_history, sweep_calendar, _ = generate(
+        ScenarioSpec(generations=3, months_after_final_ga=30, seed=0)
+    )
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -165,12 +174,24 @@ def test_benchmark_tracer_sees_every_layer_of_the_demo_cycle(
         report.render_report(outcome)
         tracer.cycle = 2
         assert cli.main(["run-cycle", *_cycle_args(data_dir, tmp_path / "cli")]) == 0
+        tracer.cycle = 3
+        with pytest.raises(ValidationError, match="no model in the zoo"):
+            pipeline.run_cycle(
+                sweep_history, sweep_calendar, "gen2", MonthIndex.parse("2013-10"),
+                store=CycleStore(tmp_path / "sweep"),
+            )
     finally:
         tracer.uninstall()
-    for cycle, how in ((1, "in process"), (2, "run-cycle")):
+    for cycle, how, layers in (
+        (1, "in process", TRACED_LAYERS),
+        (2, "run-cycle", TRACED_LAYERS),
+        (3, "plan-only refusal", PLANNING_LAYERS),
+    ):
         fired = {name for c, _, name, *_ in tracer.spans if c == cycle}
-        missing = [name for name in TRACED_LAYERS if name not in fired]
+        missing = [name for name in layers if name not in fired]
         assert not missing, f"{how}: no span for {missing}"
+    refused = {name: raised for c, _, name, _, _, raised in tracer.spans if c == 3}
+    assert refused["cycle"] and "models.evaluate_zoo" not in refused
 
 
 def test_inspection_stage_creates_no_store(data_dir, tmp_path):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 from hypothesis import strategies as st
 
 from returncast.core import (
@@ -421,6 +422,34 @@ def test_replace_channel_validates_the_new_channel(values, message):
     g = gen_series("g", "2010-01", returns=[1, 2, 3])
     with pytest.raises(ValidationError, match=re.escape(message)):
         g.replace_channel("upgrades", np.array(values, dtype=float))
+
+
+def _reference_channel_fault(values) -> str | None:
+    """The two `.any()` scans the channel check replaced, in their order."""
+    if np.isinf(values).any():
+        return "infinite"
+    if (values < 0).any():  # NaN compares False: undefined months pass
+        return "negative"
+    return None
+
+
+@given(
+    values=arrays(
+        np.float64,
+        st.integers(1, 30),
+        elements=st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -1e-300])
+        | st.floats(-1e6, 1e6),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_channel_check_matches_the_any_scans(values):
+    g = gen_series("g", "2010-01", returns=np.zeros(len(values)))
+    fault = _reference_channel_fault(values)
+    if fault is None:
+        assert g.replace_channel("upgrades", values).upgrades.tobytes() == values.tobytes()
+    else:
+        with pytest.raises(ValidationError, match=f"channel 'upgrades' has {fault} values"):
+            g.replace_channel("upgrades", values)
 
 
 def test_replace_channel_copies_the_new_channel_and_keeps_the_rest():

@@ -1,6 +1,9 @@
 """Outlier screening/repair and magnitude normalization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from returncast.core import MonthInterval
 from returncast.errors import NumericError, ValidationError
@@ -86,6 +89,56 @@ def test_normalization_factor_degenerate_source():
         normalization_factor(
             fs([np.nan, np.nan], name="ref"), fs([1, 2], name="src")
         )
+
+
+# magnitudes from 1e-3 to 1e6, or NaN (an undefined month)
+_HOLEY = arrays(
+    np.float64, st.integers(1, 300), elements=st.just(np.nan) | st.just(0.0) | st.floats(1e-3, 1e6)
+)
+
+
+def _reference_window_sum(values) -> float:
+    """The `np.nansum` form `normalization_factor` replaced."""
+    return float(np.nansum(values)) if np.isfinite(values).any() else float("nan")
+
+
+@given(ref=_HOLEY, src=_HOLEY, window=st.none() | st.tuples(st.integers(-5, 305), st.integers(0, 310)))
+@settings(max_examples=300, deadline=None)
+def test_normalization_factor_equals_the_nansum_form_bit_for_bit(ref, src, window):
+    a, b = fs(ref, name="ref"), fs(src, name="src")
+    if window is not None:
+        window = MonthInterval(a.start + window[0], a.start + window[1])
+        ref, src = a.restrict(window).values, b.restrict(window).values
+    ref_sum, src_sum = _reference_window_sum(ref), _reference_window_sum(src)
+    if not np.isfinite(src_sum) or src_sum == 0.0 or not np.isfinite(ref_sum):
+        with pytest.raises(NumericError):
+            normalization_factor(a, b, window, window)
+    else:
+        assert normalization_factor(a, b, window, window).hex() == (ref_sum / src_sum).hex()
+
+
+def _reference_band(values, multiplier) -> tuple[float, float, float, float]:
+    """The `ndarray.mean()`/`.std()` form `detect_outliers` replaced."""
+    defined = values[np.isfinite(values)]
+    mean, sd = float(defined.mean()), float(defined.std())
+    return mean, sd, mean - multiplier * sd, mean + multiplier * sd
+
+
+@given(
+    values=_HOLEY.filter(lambda v: np.isfinite(v).any()),
+    negate=st.booleans(),
+    multiplier=st.floats(0.5, 5.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_detect_outliers_band_equals_the_mean_and_std_form_bit_for_bit(values, negate, multiplier):
+    values = -values if negate else values
+    report = detect_outliers(fs(values), multiplier)
+    band = (report.mean, report.sd, report.lower, report.upper)
+    assert [v.hex() for v in band] == [v.hex() for v in _reference_band(values, multiplier)]
+    defined = np.isfinite(values)
+    flagged = defined & ((values < band[2]) | (values > band[3]))
+    start = month("2010-01")
+    assert report.months == tuple(start + int(i) for i in np.flatnonzero(flagged))
 
 
 def test_normalize_magnitude_conserves_reference_volume():
