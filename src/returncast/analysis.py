@@ -126,11 +126,11 @@ class Strength(enum.Enum):
 
 
 def _paired_defined(
-    a: np.ndarray, a0: int, b: np.ndarray, b0: int, lo: float = -math.inf, hi: float = math.inf
+    a: np.ndarray, a0: int, b: np.ndarray, b0: int, lo: float = -math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
     """The values of two series, whose first months are `a0` and `b0`, at
-    the months within [lo, hi) that both define."""
-    lo, hi = max(a0, b0, lo), min(a0 + len(a), b0 + len(b), hi)
+    the months from `lo` on that both define."""
+    lo, hi = max(a0, b0, lo), min(a0 + len(a), b0 + len(b))
     if lo >= hi:
         return np.empty(0), np.empty(0)
     a, b = a[lo - a0 : hi - a0], b[lo - b0 : hi - b0]
