@@ -91,7 +91,7 @@ def test_normalization_factor_degenerate_source():
         )
 
 
-# magnitudes from 1e-3 to 1e6, or NaN (an undefined month)
+# magnitudes from 1e-3 to 1e6, zero, or NaN (an undefined month)
 _HOLEY = arrays(
     np.float64, st.integers(1, 300), elements=st.just(np.nan) | st.just(0.0) | st.floats(1e-3, 1e6)
 )
