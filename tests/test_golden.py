@@ -11,8 +11,9 @@ format, every in-process cycle of seed 0 of the benchmark's demo and
 seasonal workloads, where CHAID, CART, TimeSeries, Linear, phase-wise and
 the NN each win at least once; what each command of the README demo
 prints before ` -> ` (its summary), or its exit code and error line when
-it refuses; and the plan (`plan_cycle`) of every sweep and benchmark
-cycle, one line each, which pins a refused plan's correlation table too.
+it refuses; the plan (`plan_cycle`) of every sweep and benchmark cycle,
+one line each, which pins a refused plan's correlation table too; and the
+CLI's help texts and missing-argument errors at 80 columns.
 Regenerate the fixtures
 (only for a deliberate output change, noted in CHANGES.md) with:
 
@@ -23,9 +24,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -317,6 +320,31 @@ def run_plan_cycles() -> str:
     return "".join(lines)
 
 
+# every subcommand, in the order `returncast --help` lists them
+COMMANDS = (
+    "ingest", "prepare", "analyze", "train", "forecast", "ewa", "adjust", "report",
+    "run-cycle", "synth",
+)
+
+
+def run_cli_help() -> str:
+    """`returncast --help` and each command's `--help`, then the error of
+    each command with a required flag when it is run with none, each under
+    a `$ returncast ...` line, at 80 columns."""
+    calls = [(["--help"], 0), *(([c, "--help"], 0) for c in COMMANDS)]
+    calls += [([c], 2) for c in COMMANDS if c != "synth"]
+    blocks = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv, code in calls:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                with pytest.raises(SystemExit) as exited:
+                    cli.main(argv)
+            assert exited.value.code == code
+            blocks.append(f"$ returncast {' '.join(argv)}\n{stdout.getvalue()}{stderr.getvalue()}")
+    return "".join(blocks)
+
+
 @pytest.fixture(scope="module")
 def demo_files(tmp_path_factory):
     return run_demo_files(tmp_path_factory.mktemp("demo"))
@@ -375,6 +403,10 @@ def test_plan_of_every_sweep_and_benchmark_cycle_matches_golden_lines():
     assert run_plan_cycles().splitlines() == expected
 
 
+def test_cli_help_and_usage_errors_match_golden_text():
+    assert run_cli_help() == (FIXTURES / "cli_help.txt").read_text()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name in sorted(CYCLES):
@@ -391,6 +423,7 @@ if __name__ == "__main__":
             ("sweep", run_sweep),
             ("benchmark_cycles", run_benchmark_cycles),
             ("plan_cycles", lambda work: run_plan_cycles()),
+            ("cli_help", lambda work: run_cli_help()),
         ):
             (FIXTURES / f"{name}.txt").write_text(run(Path(work) / name))
             print(f"wrote {FIXTURES / name}.txt", file=sys.stderr)
