@@ -184,20 +184,6 @@ def outlier_screen(prepared: PreparedHistories) -> dict:
 # ------------------------------------------------------------------ stages
 
 
-def visible_history(
-    history: list[GenerationSeries], cycle_month: MonthIndex
-) -> list[GenerationSeries]:
-    """What a cycle run at `cycle_month` is allowed to see."""
-    out = []
-    for s in history:
-        if s.start >= cycle_month:
-            continue
-        out.append(s.truncate(cycle_month))
-    if not out:
-        raise ValidationError(f"no history visible before {cycle_month}")
-    return out
-
-
 def donor_candidates(
     visible: list[GenerationSeries],
     generation: GenerationId,
@@ -274,19 +260,31 @@ def prepare_histories(
     config: AppConfig,
 ) -> PreparedHistories:
     """Pick the donor by genealogy, then clean both generations' visible
-    history and put the donor on the current generation's volume."""
-    visible = visible_history(history, cycle_month)
+    history and put the donor on the current generation's volume.
+
+    A series is visible when it starts before the cycle month. What is
+    visible, the current generation's presence and the donor candidates
+    come from the calendar and each series' first month, so the refusals up
+    to the candidate check copy no series; only then are the current
+    generation and its candidates cut to the cycle month."""
+    visible = [s for s in history if s.start < cycle_month]
+    if not visible:
+        raise ValidationError(f"no history visible before {cycle_month}")
     by_name = {s.generation.name: s for s in visible}
     if generation.name not in by_name:
         raise ValidationError(f"no visible history for {generation.name} before {cycle_month}")
     current_raw = by_name[generation.name]
 
     candidates = donor_candidates(visible, generation, calendar)
+    if candidates:  # with none, genealogy_match refuses before it reads a series
+        current_raw = current_raw.truncate(cycle_month)
+        candidates = [s.truncate(cycle_month) for s in candidates]
     donor_id = genealogy_match(
         current_raw, candidates, calendar, config.analysis.min_genealogy_overlap
     )
+    donor_raw = {s.generation.name: s for s in candidates}[donor_id.name]
     current, _ = prepare_generation(current_raw, calendar, config, repair=False)
-    donor, outliers = prepare_generation(by_name[donor_id.name], calendar, config, repair=True)
+    donor, outliers = prepare_generation(donor_raw, calendar, config, repair=True)
     donor, factor = normalize_to_current(donor, current, calendar)
     return PreparedHistories(donor_id, donor, current, outliers, factor)
 

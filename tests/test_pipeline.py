@@ -36,10 +36,10 @@ from returncast.pipeline import (
     normalize_to_current,
     observable_predictors,
     plan_cycle,
+    prepare_histories,
     rebase_phases,
     run_cycle,
     select_for_model,
-    visible_history,
 )
 from returncast.analysis import (
     CorrelationEntry,
@@ -57,16 +57,82 @@ from returncast.synth import ScenarioSpec, generate
 from helpers import family_calendar, fs, gen_series, lifecycle_cycles, month, stage_documents
 
 
-def test_visible_history_truncates_and_drops():
+def _counted_truncate(monkeypatch) -> list[str]:
+    """The generation of each series `GenerationSeries.truncate` cuts from
+    now on, in call order."""
+    cut = []
+    truncate = GenerationSeries.truncate
+
+    def counted(self, before):
+        cut.append(self.generation.name)
+        return truncate(self, before)
+
+    monkeypatch.setattr(GenerationSeries, "truncate", counted)
+    return cut
+
+
+def _fleet_and_solo():
+    """gen1-gen3 of one family, and solo1 of another, launched before gen1
+    and with no successor: never a candidate."""
+    fleet = family_calendar("2008-01", "2010-01", "2012-01").entries()
+    cal = GaCalendar([*fleet, GaEntry(GenerationId("solo1", ordinal=1), "solo", month("2006-01"))])
     history = [
-        gen_series("gen1", "2008-01", returns=list(range(40)), ordinal=1),
-        gen_series("gen2", "2012-06", returns=[1, 2, 3], ordinal=2),
+        gen_series("solo1", "2006-01", returns=[1] * 60, ordinal=1),
+        gen_series("gen1", "2008-01", returns=[1] * 50, ordinal=1),
+        gen_series("gen2", "2010-01", returns=[1] * 30, ordinal=2),
+        gen_series("gen3", "2012-01", returns=[1] * 10, ordinal=3),
     ]
-    visible = visible_history(history, month("2010-01"))
-    assert [s.generation.name for s in visible] == ["gen1"]
-    assert visible[0].end == month("2010-01")
-    with pytest.raises(ValidationError):
-        visible_history(history, month("2007-01"))
+    return history, cal
+
+
+@pytest.mark.parametrize(
+    "generation, cycle_month, message",
+    [
+        ("gen2", "2005-06", "no history visible before 2005-06"),
+        ("gen2", "2009-06", "no visible history for gen2 before 2009-06"),
+        # gen1 is not visible and has no candidate either: visibility decides
+        ("gen1", "2007-06", "no visible history for gen1 before 2007-06"),
+        ("gen1", "2010-06", "genealogy match needs at least one candidate"),
+    ],
+    ids=["no_history", "not_visible", "not_visible_and_no_candidate", "no_candidate"],
+)
+def test_prepare_histories_refuses_before_it_cuts_a_series(
+    monkeypatch, generation, cycle_month, message
+):
+    """README row 2's refusals up to the candidate check, in its order, read
+    only the calendar and each series' first month."""
+    history, cal = _fleet_and_solo()
+    assert donor_candidates(history, cal.resolve("gen1"), cal) == []
+    cut = _counted_truncate(monkeypatch)
+    with pytest.raises(ValidationError) as refused:
+        prepare_histories(history, cal, cal.resolve(generation), month(cycle_month), AppConfig())
+    assert type(refused.value) is ValidationError
+    assert str(refused.value) == message
+    assert cut == []
+
+
+def test_prepare_histories_refusals_keep_the_readme_order():
+    prefixes = [prefix for kind, prefix in REFUSALS if kind is ValidationError][:3]
+    assert prefixes == [
+        "no history visible before",
+        "no visible history for",
+        "genealogy match needs at least one candidate",
+    ]
+
+
+def test_a_reporting_cycle_cuts_only_the_current_generation_and_its_candidates(
+    scenario, monkeypatch
+):
+    """gen3 is visible at the demo's cycle month but launched after gen2, so
+    it is no candidate and is never cut."""
+    series, calendar, _ = scenario
+    cycle_month = month("2012-09")
+    assert [s.generation.name for s in series if s.start < cycle_month] == ["gen1", "gen2", "gen3"]
+    cut = _counted_truncate(monkeypatch)
+    outcome = run_cycle(series, calendar, "gen2", cycle_month)
+    assert cut == ["gen2", "gen1"]
+    assert outcome.donor.name == "gen1"
+    assert outcome.plan.prepared.current.end == cycle_month
 
 
 def test_donor_candidates_need_their_own_trigger():
