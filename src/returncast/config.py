@@ -15,6 +15,7 @@ fails, is named in the error.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import fields, replace
 from pathlib import Path
@@ -27,9 +28,16 @@ from .pipeline import AppConfig
 _NOT_NAN = (lambda value: not math.isnan(value), "must not be NaN")
 
 
+@functools.cache
+def _hints(section_type: type) -> dict[str, object]:
+    """A section type's field hints, resolved once per type: each
+    `get_type_hints` call evaluates every string annotation again."""
+    return get_type_hints(section_type)
+
+
 def _keys(section) -> Iterator[tuple[str, object, object]]:
     """(INI key, type, value) for each field of one section, in field order."""
-    hints = get_type_hints(type(section))
+    hints = _hints(type(section))
     for f in fields(section):
         yield f.name, hints[f.name], getattr(section, f.name)
 
@@ -81,7 +89,7 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
     for name in names:
         section = getattr(defaults, name)
         kinds = {key: kind for key, kind, _ in _keys(section)}
-        ranges = {key: _NOT_NAN for key, kind, _ in _keys(section) if kind is float}
+        ranges = {key: _NOT_NAN for key, kind in kinds.items() if kind is float}
         ranges.update((f.name, f.metadata["accepts"]) for f in fields(section) if f.metadata)
         values = {}
         for key, raw in parser.items(name) if parser.has_section(name) else ():
