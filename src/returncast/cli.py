@@ -51,26 +51,6 @@ log = logging.getLogger(__name__)
 _CHOICES = {choice.band: choice for choice in PlannerChoice}
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--history", required=True, help="history CSV (generation_id,month,...)")
-    p.add_argument("--ga", required=True, help="GA calendar CSV")
-    p.add_argument("--config", default=None, help="INI config file (defaults built in)")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
-
-
-def _add_cycle_flags(p: argparse.ArgumentParser) -> None:
-    _add_io_flags(p)
-    p.add_argument("--generation", required=True, help="generation to forecast, e.g. gen2")
-    p.add_argument("--cycle", required=True, help="cycle month, e.g. 2016-04")
-    p.add_argument("--store", default=None, help="cycle store directory (default: <out>/cycles)")
-    p.add_argument(
-        "--select",
-        choices=sorted(_CHOICES),
-        default="best_fit",
-        help="series the planner commits to (default: best_fit)",
-    )
-
-
 def _load(args) -> tuple[list, object, AppConfig]:
     calendar = load_ga_calendar(args.ga)
     history = load_history(args.history, calendar)
@@ -238,16 +218,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage details")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and normalize the input CSVs")
-    _add_io_flags(p)
+    # the flags the input commands share, defined once and inherited
+    io_flags = argparse.ArgumentParser(add_help=False)
+    io_flags.add_argument("--history", required=True, help="history CSV (generation_id,month,...)")
+    io_flags.add_argument("--ga", required=True, help="GA calendar CSV")
+    io_flags.add_argument("--config", default=None, help="INI config file (defaults built in)")
+    io_flags.add_argument("--out", default=".", help="output directory (default: current)")
+    cycle_flags = argparse.ArgumentParser(add_help=False, parents=[io_flags])
+    cycle_flags.add_argument(
+        "--generation", required=True, help="generation to forecast, e.g. gen2"
+    )
+    cycle_flags.add_argument("--cycle", required=True, help="cycle month, e.g. 2016-04")
+    cycle_flags.add_argument(
+        "--store", default=None, help="cycle store directory (default: <out>/cycles)"
+    )
+    cycle_flags.add_argument(
+        "--select",
+        choices=sorted(_CHOICES),
+        default="best_fit",
+        help="series the planner commits to (default: best_fit)",
+    )
+
+    p = sub.add_parser("ingest", help="validate and normalize the input CSVs", parents=[io_flags])
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("prepare", help="clean, mask, and normalize donor history")
-    _add_cycle_flags(p)
+    p = sub.add_parser(
+        "prepare", help="clean, mask, and normalize donor history", parents=[cycle_flags]
+    )
     p.set_defaults(func=cmd_prepare)
     for name, (blurb, *_) in _STAGES.items():
-        p = sub.add_parser(name, help=blurb)
-        _add_cycle_flags(p)
+        p = sub.add_parser(name, help=blurb, parents=[cycle_flags])
         p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("synth", help="generate a synthetic multi-generation scenario")
