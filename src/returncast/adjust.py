@@ -10,18 +10,14 @@ their defaults.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import GaCalendar, GenerationId, MonthIndex
-from .errors import MissingGaError
 from .analysis import SeasonalDecomposition
 from .models import ForecastSeries
-
-log = logging.getLogger(__name__)
 
 # `accepts` is the range the config loader takes, as in `returncast.errors`;
 # a larger damp lets the seasonal layer overflow the forecast to infinity
@@ -92,19 +88,14 @@ def adjust_forecast(
         notes.append(AdjustmentNote("seasonal", damp, tuple(forecast.months())))
 
     # no returns before the onset lag after this generation's own GA
-    try:
-        onset = calendar.ga_month(generation) + config.onset_months
-    except MissingGaError:
-        onset = None
-        log.warning("adjust: %s has no GA entry; onset clamp skipped", generation)
-    if onset is not None and onset > forecast.start:
-        cut = min(len(best), onset - forecast.start)
-        if cut > 0 and ((best[:cut] != 0.0).any() or (uci[:cut] != 0.0).any()):
-            zeroed = [forecast.start + i for i in range(cut)]
-            best[:cut] = 0.0
-            lci[:cut] = 0.0
-            uci[:cut] = 0.0
-            notes.append(AdjustmentNote("zero_before_onset", None, tuple(zeroed)))
+    onset = calendar.ga_month(generation) + config.onset_months
+    cut = min(len(best), onset - forecast.start)
+    if cut > 0 and ((best[:cut] != 0.0).any() or (uci[:cut] != 0.0).any()):
+        zeroed = [forecast.start + i for i in range(cut)]
+        best[:cut] = 0.0
+        lci[:cut] = 0.0
+        uci[:cut] = 0.0
+        notes.append(AdjustmentNote("zero_before_onset", None, tuple(zeroed)))
 
     adjusted = replace(forecast, best_fit=best, lci=lci, uci=uci)
     return AdjustResult(forecast=adjusted, notes=tuple(notes))

@@ -32,8 +32,15 @@ log = logging.getLogger(__name__)
 MIN_CORRELATION_POINTS = 3
 
 # `accepts` is the range the config loader takes, as in `returncast.errors`;
-# a period below 2 has no season, so the seasonal rule would silently not run
+# a period below 2 has no season, so the seasonal rule would silently not run;
+# a genealogy correlation needs MIN_CORRELATION_POINTS months, so a lower
+# overlap floor would act as that one and refuse under the wrong number
 _PERIOD = {"accepts": (lambda value: value >= 2, "must be >= 2")}
+_OVERLAP = {
+    "accepts": (
+        lambda value: value >= MIN_CORRELATION_POINTS, f"must be >= {MIN_CORRELATION_POINTS}"
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,8 @@ class AnalysisConfig:
     ramp_up_months: int = field(default=15, metadata=NON_NEGATIVE)
     plateau_months: int = 10  # when the calendar has no launch two generations out
     seasonal_period: int = field(default=12, metadata=_PERIOD)
-    min_genealogy_overlap: int = 6  # aligned post-trigger return months a donor needs
+    # aligned post-trigger return months a donor needs
+    min_genealogy_overlap: int = field(default=6, metadata=_OVERLAP)
 
     def __post_init__(self):
         if not 0 < self.medium_at < self.strong_at <= 1:

@@ -14,6 +14,7 @@ import enum
 import functools
 import json
 import math
+from types import MappingProxyType
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -26,10 +27,9 @@ def to_json(obj):
     """`obj` as plain JSON data.
 
     A dataclass becomes an object of its fields, leaving out a field that is
-    None where None is its default; a field whose metadata has a `json`
-    callable is passed through it first. Enums are written as their value,
-    MonthIndex as YYYY-MM, tuples as lists, arrays as lists, and NaN, in an
-    array or alone, as null.
+    None where None is its default. Enums are written as their value,
+    MonthIndex as YYYY-MM, read-only mappings as objects, tuples as lists,
+    arrays as lists, and NaN, in an array or alone, as null.
     """
     if isinstance(obj, enum.Enum):
         return obj.value
@@ -41,11 +41,11 @@ def to_json(obj):
             value = getattr(obj, f.name)
             if value is None and f.default is None:
                 continue
-            doc[f.name] = to_json(f.metadata["json"](value) if "json" in f.metadata else value)
+            doc[f.name] = to_json(value)
         return doc
     if isinstance(obj, np.ndarray):
         return [None if math.isnan(v) else v for v in obj.tolist()]
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, MappingProxyType)):
         return {k: to_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_json(v) for v in obj]
@@ -132,6 +132,4 @@ _LEAVES = {
     dict: ((dict,), lambda v: v, "an object"),
     MonthIndex: ((str,), MonthIndex.parse, "a YYYY-MM month"),
     np.ndarray: ((list,), _floats, "a list of numbers and nulls"),
-    tuple[tuple[str, object], ...]: ((dict,), lambda v: tuple(sorted(v.items())),
-                                     "an object"),  # a spec's hyperparameters
 }

@@ -12,6 +12,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,21 +69,15 @@ class ModelSpec:
     """Identity of a model: kind, hyperparameters, RNG seed."""
 
     kind: ModelKind
-    # sorted pairs, so specs compare and hash; written to JSON as an object
-    hyperparameters: tuple[tuple[str, object], ...] = field(default=(), metadata={"json": dict})
+    # a read-only copy of the mapping given: specs compare by content, never hash
+    hyperparameters: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        # from a mapping or from (name, value) pairs
-        pairs = tuple(sorted(dict(self.hyperparameters).items()))
-        object.__setattr__(self, "hyperparameters", pairs)
-
-    @property
-    def params(self) -> dict:
-        return dict(self.hyperparameters)
+        object.__setattr__(self, "hyperparameters", MappingProxyType(dict(self.hyperparameters)))
 
     def param(self, name: str, default):
-        return self.params.get(name, default)
+        return self.hyperparameters.get(name, default)
 
     def label(self) -> str:
         return self.kind.value

@@ -72,7 +72,7 @@ def fit_phasewise(
 def _fit_phasewise(spec: ModelSpec, matrix: FeatureMatrix) -> PhaseWiseModel:
     require_rows(ModelKind.PHASEWISE, matrix, 2)
     try:
-        a, b, c, d = (MonthIndex(int(spec.params[name])) for name in PHASE_BOUNDS)
+        a, b, c, d = (MonthIndex(int(spec.hyperparameters[name])) for name in PHASE_BOUNDS)
     except KeyError as exc:
         raise ValidationError(f"{spec.label()}: spec lacks phase bound {exc}") from None
     phases = LifecyclePhases(

@@ -134,7 +134,7 @@ class TimeSeriesModel(FittedModel):
 
 
 def fit_timeseries(spec: ModelSpec, train: FeatureMatrix) -> TimeSeriesModel:
-    seasonal = bool(spec.param("seasonal", False))
+    seasonal = bool(spec.param("seasonal", ModelsConfig.ts_seasonal))
     period = int(spec.param("period", ModelsConfig.ts_period))
     require_rows(spec.kind, train, 2 * period if seasonal else MIN_ROWS_NONSEASONAL)
     y = train.y

@@ -601,9 +601,7 @@ def _donor_seasonality(
     if not config.adjust.apply_seasonal:
         return None
     feature = donor.feature("gross_returns")
-    mask = feature.defined_mask
-    if not mask.any():
-        return None
+    mask = feature.defined_mask  # genealogy admits no donor without defined returns
     first, last = int(np.argmax(mask)), len(mask) - int(np.argmax(mask[::-1]))
     window = feature.restrict(
         MonthInterval(feature.start + first, feature.start + last)

@@ -65,17 +65,19 @@ def gen_series(
     )
 
 
-def lifecycle_cycles(history, calendar: GaCalendar, root, config: AppConfig):
+def lifecycle_cycles(history, calendar: GaCalendar, root, config: AppConfig, history_at=None):
     """Every month of every generation, oldest generation first, each
     generation against its own store under `root`. Yields (generation name,
-    cycle month, outcome), where a refused cycle's outcome is its exception."""
+    cycle month, outcome), where a refused cycle's outcome is its exception.
+    With `history_at`, the cycle at a month runs on `history_at(month)`."""
     for series in sorted(history, key=lambda s: s.generation.ordinal):
         store = CycleStore(Path(root) / series.generation.name)
         for j in range(1, len(series) + 1):
             month = series.start + j
+            seen = history if history_at is None else history_at(month)
             try:
                 outcome = run_cycle(
-                    history, calendar, series.generation.name, month, store=store, config=config
+                    seen, calendar, series.generation.name, month, store=store, config=config
                 )
             except (ValidationError, NumericError) as exc:
                 outcome = exc

@@ -5,6 +5,7 @@ import pytest
 from returncast.adjust import AdjustConfig, adjust_forecast
 from returncast.analysis import decompose_seasonal
 from returncast.core import GenerationId
+from returncast.errors import MissingGaError
 from returncast.models import ForecastSeries, ModelKind, ModelSpec
 
 from helpers import family_calendar, fs, month
@@ -105,11 +106,12 @@ def test_months_before_onset_are_zeroed():
     assert again.notes == ()
 
 
-def test_unknown_generation_skips_onset_rule():
+@pytest.mark.parametrize("seasonal", [None, _seasonal()], ids=["plain", "seasonal"])
+def test_unknown_generation_is_refused(seasonal):
+    # a cycle refuses a generation off the calendar before it forecasts
     forecast = forecast_of([50.0] * 6, start="2008-06")
-    result = adjust_forecast(forecast, CAL, GenerationId("ghost", 9))
-    assert result.notes == ()
-    assert np.array_equal(result.forecast.best_fit, forecast.best_fit)
+    with pytest.raises(MissingGaError, match="ghost"):
+        adjust_forecast(forecast, CAL, GenerationId("ghost", 9), seasonal=seasonal)
 
 
 def test_band_ordering_survives_all_rules():

@@ -168,6 +168,8 @@ def test_every_ranged_key_is_documented_with_its_default():
         # values a cycle reads as another value: no seasonal rule, no masked receipts
         ("[analysis]\nseasonal_period = 1\n", "[analysis] seasonal_period"),
         ("[analysis]\nseasonal_period = 0\n", "[analysis] seasonal_period"),
+        # a floor below the genealogy correlation's 3 months acts as 3
+        ("[analysis]\nmin_genealogy_overlap = 2\n", "[analysis] min_genealogy_overlap = '2'"),
         ("[prep]\nreceipt_exclusion_months = -3\n", "[prep] receipt_exclusion_months"),
     ],
 )
@@ -246,7 +248,8 @@ def test_smallest_accepted_prep_and_cycle_values_load(tmp_path):
         tmp_path,
         "[prep]\nlags = 0, 1\nreceipt_exclusion_months = 0\n"
         "[preprocess]\nsigma_multiplier = 1e-9\n"
-        "[analysis]\nramp_up_months = 0\nseasonal_period = 2\n[models]\ntrain_fraction = 0.01\n"
+        "[analysis]\nramp_up_months = 0\nseasonal_period = 2\nmin_genealogy_overlap = 3\n"
+        "[models]\ntrain_fraction = 0.01\n"
         "[ewa]\nlookback_months = 1\nscore_window = 1\nprojection_window = 1\n"
         "[adjust]\nseasonal_damp = -2.5\n",
     )
@@ -254,6 +257,7 @@ def test_smallest_accepted_prep_and_cycle_values_load(tmp_path):
     assert config.preprocess.sigma_multiplier == 1e-9
     assert config.prep.receipt_exclusion_months == 0
     assert (config.analysis.ramp_up_months, config.analysis.seasonal_period) == (0, 2)
+    assert config.analysis.min_genealogy_overlap == 3
     assert config.models.train_fraction == 0.01
     assert (config.ewa.lookback_months, config.ewa.score_window) == (1, 1)
     assert config.ewa.projection_window == 1
@@ -338,8 +342,8 @@ def demo():
     return generate(ScenarioSpec(generations=3, months_after_final_ga=8, seed=0))
 
 
-# integer keys with no lower bound of their own, and two whose bound
-# refuses -1 at load (seasonal_period refuses 0 as well)
+# integer keys with no lower bound of their own, and four whose bound
+# refuses -1 at load (seasonal_period and min_genealogy_overlap refuse 0 as well)
 UNBOUNDED_KEYS = [
     ("models", "seed"),
     ("models", "cart_max_depth"),

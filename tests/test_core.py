@@ -134,6 +134,14 @@ def test_generation_series_truncate():
     assert len(t) == 2 and t.end == month("2010-03")
 
 
+@pytest.mark.parametrize("before", ["2010-03", "2009-12"])
+def test_truncate_refuses_a_cut_that_keeps_no_month(before):
+    g = gen_series("g", "2010-03", returns=[1, 2, 3])
+    with pytest.raises(ValidationError) as info:
+        g.truncate(month(before))
+    assert str(info.value) == f"g: no data before {before} (series starts 2010-03)"
+
+
 def test_feature_matrix_sorts_predictors():
     target = fs([1, 2, 3], name="y")
     m = align([fs([4, 5, 6], name="b"), fs([7, 8, 9], name="a")], target)

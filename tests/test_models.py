@@ -1137,6 +1137,19 @@ def test_phasewise_spec_survives_the_record_roundtrip():
     assert np.array_equal(fit(again, train).predict(train), fit(spec, train).predict(train))
 
 
+def test_a_spec_keeps_a_read_only_copy_of_its_hyperparameters():
+    given = {"min_leaf": 5, "max_depth": 3}
+    spec = ModelSpec(ModelKind.CART, given)
+    given["min_leaf"] = 1
+    assert spec.param("min_leaf", None) == 5
+    with pytest.raises(TypeError):
+        spec.hyperparameters["min_leaf"] = 1
+    # compared by content, in any key order; written as an object
+    assert spec == ModelSpec(ModelKind.CART, {"max_depth": 3, "min_leaf": 5})
+    written = to_json(spec)["hyperparameters"]
+    assert type(written) is dict and written == {"min_leaf": 5, "max_depth": 3}
+
+
 def test_phasewise_spec_without_bounds_is_rejected():
     train, _ = _phasewise_case()
     with pytest.raises(ValidationError, match="phase bound"):

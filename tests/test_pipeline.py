@@ -539,7 +539,9 @@ def test_every_zoo_fit_reads_only_keys_its_spec_records(scenario, monkeypatch):
         ModelKind.CART, ModelKind.CHAID, ModelKind.NEURAL, ModelKind.TIMESERIES,
         ModelKind.PHASEWISE,
     }
-    unrecorded = sorted({(spec.label(), name) for spec, name in asked if name not in spec.params})
+    unrecorded = sorted(
+        {(spec.label(), name) for spec, name in asked if name not in spec.hyperparameters}
+    )
     assert not unrecorded
 
 
@@ -600,6 +602,19 @@ def test_seasonal_adjustment_off_paths_leave_the_forecast_raw(scenario):
     long_period = replace(default, analysis=replace(default.analysis, seasonal_period=24))
     outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=long_period)
     assert "seasonal" not in notes(outcome)
+
+
+def test_a_failed_seasonal_decomposition_is_logged_and_skipped(scenario, caplog):
+    """A period of 1 has no season, so the decomposition refuses it; the
+    cycle logs the skip and reports with no seasonal note. `load_config`
+    refuses that period, so the config is built directly."""
+    series, calendar, _ = scenario
+    default = AppConfig()
+    config = replace(default, analysis=replace(default.analysis, seasonal_period=1))
+    with caplog.at_level("WARNING", logger="returncast.pipeline"):
+        outcome = run_cycle(series, calendar, "gen2", month("2012-09"), config=config)
+    assert "seasonal decomposition skipped" in caplog.text
+    assert "seasonal" not in [note.rule for note in outcome.adjustments.notes]
 
 
 def _readme_refusals() -> list[tuple[str, type, str]]:
